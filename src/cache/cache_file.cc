@@ -1,13 +1,13 @@
 #include "src/cache/cache_file.h"
 
-#include <algorithm>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 
 #include "src/cache/verdict_cache.h"
 #include "src/support/error.h"
+#include "src/support/file_io.h"
+#include "src/support/line_record.h"
 
 namespace gauntlet {
 
@@ -18,111 +18,6 @@ constexpr const char* kMagic = "gauntletcache";
 // semantics fingerprint). v1 files still load — they simply carry no
 // summary fingerprints.
 constexpr int kVersion = 2;
-
-// Strings are hex-encoded ("-" for empty) so whitespace and arbitrary bytes
-// in details / witness variable names survive the line-oriented format.
-std::string ToHexToken(const std::string& text) {
-  if (text.empty()) {
-    return "-";
-  }
-  static const char* kDigits = "0123456789abcdef";
-  std::string hex;
-  hex.reserve(text.size() * 2);
-  for (const unsigned char c : text) {
-    hex.push_back(kDigits[c >> 4]);
-    hex.push_back(kDigits[c & 0xf]);
-  }
-  return hex;
-}
-
-int HexNibble(char c) {
-  if (c >= '0' && c <= '9') {
-    return c - '0';
-  }
-  if (c >= 'a' && c <= 'f') {
-    return c - 'a' + 10;
-  }
-  return -1;
-}
-
-std::string FromHexToken(const std::string& token, int line) {
-  if (token == "-") {
-    return "";
-  }
-  if (token.size() % 2 != 0) {
-    throw CompileError("cache file line " + std::to_string(line) + ": odd hex token");
-  }
-  std::string text;
-  text.reserve(token.size() / 2);
-  for (size_t i = 0; i < token.size(); i += 2) {
-    const int hi = HexNibble(token[i]);
-    const int lo = HexNibble(token[i + 1]);
-    if (hi < 0 || lo < 0) {
-      throw CompileError("cache file line " + std::to_string(line) + ": bad hex token");
-    }
-    text.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return text;
-}
-
-// Strict per-line reader: every extraction failure carries the line number.
-class LineReader {
- public:
-  explicit LineReader(std::istream& in) : in_(in) {}
-
-  bool NextLine() {
-    while (std::getline(in_, line_)) {
-      ++line_number_;
-      if (!line_.empty()) {
-        tokens_.str(line_);
-        tokens_.clear();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void RequireLine(const char* what) {
-    if (!NextLine()) {
-      throw CompileError(std::string("cache file truncated: expected ") + what);
-    }
-  }
-
-  uint64_t U64(const char* what) {
-    uint64_t value = 0;
-    if (!(tokens_ >> value)) {
-      Fail(what);
-    }
-    return value;
-  }
-
-  std::string Token(const char* what) {
-    std::string token;
-    if (!(tokens_ >> token)) {
-      Fail(what);
-    }
-    return token;
-  }
-
-  void ExpectWord(const char* word) {
-    if (Token(word) != word) {
-      Fail(word);
-    }
-  }
-
-  int line_number() const { return line_number_; }
-
- private:
-  [[noreturn]] void Fail(const char* what) {
-    throw CompileError("cache file line " + std::to_string(line_number_) + ": expected " +
-                       what);
-  }
-
-  std::istream& in_;
-  std::string line_;
-  std::istringstream tokens_;
-  int line_number_ = 0;
-};
 
 void WriteTemplate(std::ostream& out, const Fingerprint& fp, const BlastTemplate& tpl) {
   out << fp.hi << ' ' << fp.lo << ' ' << tpl.input_count << ' ' << tpl.fresh_count << ' '
@@ -200,7 +95,7 @@ void SaveValidationCaches(const std::vector<ValidationCache*>& caches, std::ostr
 }
 
 void LoadValidationCache(std::istream& in, ValidationCache& cache) {
-  LineReader reader(in);
+  LineReader reader(in, "cache file");
   reader.RequireLine("header");
   reader.ExpectWord(kMagic);
   const uint64_t version = reader.U64("version");
@@ -208,33 +103,32 @@ void LoadValidationCache(std::istream& in, ValidationCache& cache) {
     throw CompileError("cache file version " + std::to_string(version) +
                        " is not supported (expected 1.." + std::to_string(kVersion) + ")");
   }
+  // Braced initialisation reads the two words in order.
+  const auto fingerprint = [&reader](const char* hi, const char* lo) {
+    return Fingerprint{reader.U64(hi), reader.U64(lo)};
+  };
 
   reader.RequireLine("blast section");
   reader.ExpectWord("blast");
   const uint64_t template_count = reader.U64("template count");
   for (uint64_t i = 0; i < template_count; ++i) {
     reader.RequireLine("blast template");
-    Fingerprint fp;
-    fp.hi = reader.U64("fingerprint hi");
-    fp.lo = reader.U64("fingerprint lo");
+    const Fingerprint fp = fingerprint("fingerprint hi", "fingerprint lo");
     BlastTemplate tpl;
-    tpl.input_count = static_cast<uint32_t>(reader.U64("input count"));
-    tpl.fresh_count = static_cast<uint32_t>(reader.U64("fresh count"));
-    tpl.clause_count = static_cast<uint32_t>(reader.U64("clause count"));
+    tpl.input_count = reader.U32("input count");
+    tpl.fresh_count = reader.U32("fresh count");
+    tpl.clause_count = reader.U32("clause count");
     const uint64_t event_count = reader.U64("event count");
-    tpl.events.reserve(event_count);
     for (uint64_t e = 0; e < event_count; ++e) {
-      tpl.events.push_back(static_cast<int32_t>(static_cast<int64_t>(reader.U64("event"))));
+      tpl.events.push_back(reader.Int("event"));
     }
     const uint64_t lit_count = reader.U64("clause literal count");
-    tpl.clause_lits.reserve(lit_count);
     for (uint64_t l = 0; l < lit_count; ++l) {
-      tpl.clause_lits.push_back(TemplateLit{static_cast<uint32_t>(reader.U64("literal"))});
+      tpl.clause_lits.push_back(TemplateLit{reader.U32("literal")});
     }
     const uint64_t output_count = reader.U64("output count");
-    tpl.outputs.reserve(output_count);
     for (uint64_t o = 0; o < output_count; ++o) {
-      tpl.outputs.push_back(TemplateLit{static_cast<uint32_t>(reader.U64("output"))});
+      tpl.outputs.push_back(TemplateLit{reader.U32("output")});
     }
     cache.blast().Insert(fp, std::move(tpl));
   }
@@ -249,29 +143,29 @@ void LoadValidationCache(std::istream& in, ValidationCache& cache) {
     const uint64_t entry_count = reader.U64("entry count");
     for (uint64_t e = 0; e < entry_count; ++e) {
       reader.RequireLine("verdict entry");
-      Fingerprint key;
-      key.hi = reader.U64("verdict key hi");
-      key.lo = reader.U64("verdict key lo");
+      const Fingerprint key = fingerprint("verdict key hi", "verdict key lo");
       VerdictCache::Entry entry;
-      entry.queries = static_cast<uint32_t>(reader.U64("query count"));
+      entry.queries = reader.U32("query count");
       const uint64_t verdict = reader.U64("verdict code");
       if (verdict > static_cast<uint64_t>(TvVerdict::kInvalidEmit)) {
-        throw CompileError("cache file line " + std::to_string(reader.line_number()) +
-                           ": unknown verdict code " + std::to_string(verdict));
+        reader.Fail("unknown verdict code " + std::to_string(verdict));
       }
       entry.result.verdict = static_cast<TvVerdict>(verdict);
-      entry.result.pass_name = FromHexToken(reader.Token("pass name"), reader.line_number());
-      entry.result.detail = FromHexToken(reader.Token("detail"), reader.line_number());
+      entry.result.pass_name = reader.HexString("pass name");
+      entry.result.detail = reader.HexString("detail");
       const uint64_t bit_count = reader.U64("bit witness count");
       for (uint64_t b = 0; b < bit_count; ++b) {
-        const std::string name = FromHexToken(reader.Token("witness name"), reader.line_number());
-        const uint32_t width = static_cast<uint32_t>(reader.U64("witness width"));
-        const uint64_t bits = reader.U64("witness bits");
-        entry.result.counterexample.bit_values.emplace(name, BitValue(width, bits));
+        const std::string name = reader.HexString("witness name");
+        const uint32_t width = reader.U32("witness width");
+        if (width < 1 || width > BitValue::kMaxWidth) {
+          reader.Fail("witness width " + std::to_string(width) + " out of range");
+        }
+        entry.result.counterexample.bit_values.emplace(name,
+                                                       BitValue(width, reader.U64("witness bits")));
       }
       const uint64_t bool_count = reader.U64("bool witness count");
       for (uint64_t b = 0; b < bool_count; ++b) {
-        const std::string name = FromHexToken(reader.Token("witness name"), reader.line_number());
+        const std::string name = reader.HexString("witness name");
         entry.result.counterexample.bool_values.emplace(name, reader.U64("witness bool") != 0);
       }
       cache.PreloadVerdict(program_key, key, std::move(entry));
@@ -284,36 +178,30 @@ void LoadValidationCache(std::istream& in, ValidationCache& cache) {
     const uint64_t summary_count = reader.U64("summary count");
     for (uint64_t s = 0; s < summary_count; ++s) {
       reader.RequireLine("summary fingerprint");
-      Fingerprint key;
-      key.hi = reader.U64("summary key hi");
-      key.lo = reader.U64("summary key lo");
-      Fingerprint fp;
-      fp.hi = reader.U64("semantics fingerprint hi");
-      fp.lo = reader.U64("semantics fingerprint lo");
-      cache.summaries().RecordSemanticsFingerprint(key, fp);
+      const Fingerprint key = fingerprint("summary key hi", "summary key lo");
+      cache.summaries().RecordSemanticsFingerprint(
+          key, fingerprint("semantics fingerprint hi", "semantics fingerprint lo"));
     }
   }
+  reader.ExpectEnd();
 }
 
 bool LoadValidationCacheFile(const std::string& path, ValidationCache& cache) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     return false;  // cold start
   }
+  std::istringstream in(text);
   LoadValidationCache(in, cache);
   return true;
 }
 
 void SaveValidationCacheFile(const std::string& path,
                              const std::vector<ValidationCache*>& caches) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw CompileError("cannot write cache file '" + path + "'");
-  }
+  std::ostringstream out;
   SaveValidationCaches(caches, out);
-  out.flush();
-  if (!out) {
-    throw CompileError("failed writing cache file '" + path + "'");
+  if (!WriteFileAtomic(path, out.str())) {
+    throw CompileError("cannot write cache file '" + path + "'");
   }
 }
 

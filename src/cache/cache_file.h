@@ -40,8 +40,8 @@ void SaveValidationCaches(const std::vector<ValidationCache*>& caches, std::ostr
 void LoadValidationCache(std::istream& in, ValidationCache& cache);
 
 // File wrappers. Load returns false when the file does not exist (a cold
-// start, not an error); Save throws CompileError when the path cannot be
-// written.
+// start, not an error); Save writes atomically (src/support/file_io.h) and
+// throws CompileError when the path cannot be written.
 bool LoadValidationCacheFile(const std::string& path, ValidationCache& cache);
 void SaveValidationCacheFile(const std::string& path,
                              const std::vector<ValidationCache*>& caches);

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "src/obs/trace.h"
 #include "src/runtime/corpus.h"
 #include "src/support/error.h"
+#include "src/support/file_io.h"
 
 namespace gauntlet {
 
@@ -42,30 +42,13 @@ std::string ShardStatusDir(const std::string& status_dir, int shard) {
   return (fs::path(status_dir) / ("shard-" + std::to_string(shard))).string();
 }
 
-bool ReadSmallFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
 void CopyFileBytes(const std::string& from, const std::string& to) {
-  std::ifstream in(from, std::ios::binary);
-  if (!in) {
+  std::string content;
+  if (!ReadFile(from, &content)) {
     throw CompileError("cannot open '" + from + "'");
   }
-  std::ofstream out(to, std::ios::binary | std::ios::trunc);
-  if (!out) {
+  if (!WriteFileAtomic(to, content)) {
     throw CompileError("cannot write '" + to + "'");
-  }
-  out << in.rdbuf();
-  out.flush();
-  if (!out) {
-    throw CompileError("failed writing '" + to + "'");
   }
 }
 
@@ -318,7 +301,7 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
             std::string error;
             const std::string path =
                 HeartbeatPathIn(ShardStatusDir(options.status_dir, range.index));
-            if (!ReadSmallFile(path, &text)) {
+            if (!ReadFile(path, &text)) {
               summary.state = "starting";  // the worker has not published yet
             } else if (!ParseHeartbeatJson(text, &heartbeat, &error)) {
               summary.state = WorkerHealthToString(WorkerHealth::kCorrupt);

@@ -19,6 +19,8 @@
 #include "src/obs/run_report.h"
 #include "src/runtime/corpus.h"
 #include "src/support/error.h"
+#include "src/support/file_io.h"
+#include "src/support/json.h"
 #include "src/target/target.h"
 #include "src/typecheck/typecheck.h"
 
@@ -53,10 +55,12 @@ bool ReadExact(int fd, char* data, size_t length, bool eof_ok_at_start) {
   return true;
 }
 
+// MSG_NOSIGNAL: a peer that hung up must surface as EPIPE (a failed write
+// the caller handles), not as a SIGPIPE that kills the whole process.
 void WriteAll(int fd, const char* data, size_t length) {
   size_t done = 0;
   while (done < length) {
-    const ssize_t sent = write(fd, data + done, length - done);
+    const ssize_t sent = send(fd, data + done, length - done, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) {
         continue;

@@ -1,12 +1,13 @@
 #include "src/dist/shard.h"
 
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "src/passes/bugs.h"
 #include "src/runtime/parallel_campaign.h"
 #include "src/support/error.h"
+#include "src/support/file_io.h"
+#include "src/support/line_record.h"
 
 namespace gauntlet {
 
@@ -14,118 +15,6 @@ namespace {
 
 constexpr const char* kMagic = "gauntletshard";
 constexpr int kVersion = 1;
-
-// Hex-token string encoding, the cache_file convention: "-" for empty, two
-// hex digits per byte otherwise, so components/details with whitespace or
-// arbitrary bytes survive the line-oriented format.
-std::string ToHexToken(const std::string& text) {
-  if (text.empty()) {
-    return "-";
-  }
-  static const char* kDigits = "0123456789abcdef";
-  std::string hex;
-  hex.reserve(text.size() * 2);
-  for (const unsigned char c : text) {
-    hex.push_back(kDigits[c >> 4]);
-    hex.push_back(kDigits[c & 0xf]);
-  }
-  return hex;
-}
-
-int HexNibble(char c) {
-  if (c >= '0' && c <= '9') {
-    return c - '0';
-  }
-  if (c >= 'a' && c <= 'f') {
-    return c - 'a' + 10;
-  }
-  return -1;
-}
-
-std::string FromHexToken(const std::string& token, int line) {
-  if (token == "-") {
-    return "";
-  }
-  if (token.size() % 2 != 0) {
-    throw CompileError("shard result line " + std::to_string(line) + ": odd hex token");
-  }
-  std::string text;
-  text.reserve(token.size() / 2);
-  for (size_t i = 0; i < token.size(); i += 2) {
-    const int hi = HexNibble(token[i]);
-    const int lo = HexNibble(token[i + 1]);
-    if (hi < 0 || lo < 0) {
-      throw CompileError("shard result line " + std::to_string(line) + ": bad hex token");
-    }
-    text.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return text;
-}
-
-// Strict per-line reader; every extraction failure carries the line number
-// (the cache_file idiom — a truncated or hand-edited result file must fail
-// the merge, not half-load).
-class LineReader {
- public:
-  explicit LineReader(std::istream& in) : in_(in) {}
-
-  void RequireLine(const char* what) {
-    for (;;) {
-      if (!std::getline(in_, line_)) {
-        throw CompileError(std::string("shard result truncated: expected ") + what);
-      }
-      ++line_number_;
-      if (!line_.empty()) {
-        tokens_.str(line_);
-        tokens_.clear();
-        return;
-      }
-    }
-  }
-
-  uint64_t U64(const char* what) {
-    uint64_t value = 0;
-    if (!(tokens_ >> value)) {
-      Fail(what);
-    }
-    return value;
-  }
-
-  int64_t I64(const char* what) {
-    int64_t value = 0;
-    if (!(tokens_ >> value)) {
-      Fail(what);
-    }
-    return value;
-  }
-
-  std::string Token(const char* what) {
-    std::string token;
-    if (!(tokens_ >> token)) {
-      Fail(what);
-    }
-    return token;
-  }
-
-  void ExpectWord(const char* word) {
-    if (Token(word) != word) {
-      Fail(word);
-    }
-  }
-
-  int line_number() const { return line_number_; }
-
- private:
-  [[noreturn]] void Fail(const char* what) {
-    throw CompileError("shard result line " + std::to_string(line_number_) + ": expected " +
-                       what);
-  }
-
-  std::istream& in_;
-  std::string line_;
-  std::istringstream tokens_;
-  int line_number_ = 0;
-};
 
 }  // namespace
 
@@ -209,7 +98,7 @@ void SaveShardResult(const ShardResult& result, std::ostream& out) {
 }
 
 ShardResult LoadShardResult(std::istream& in) {
-  LineReader reader(in);
+  LineReader reader(in, "shard result");
   reader.RequireLine("header");
   reader.ExpectWord(kMagic);
   const uint64_t version = reader.U64("version");
@@ -217,57 +106,63 @@ ShardResult LoadShardResult(std::istream& in) {
     throw CompileError("shard result version " + std::to_string(version) +
                        " is not supported (expected " + std::to_string(kVersion) + ")");
   }
+  const auto bug_named = [&reader](const std::string& name) {
+    const auto bug = BugIdFromString(name);
+    if (!bug.has_value()) {
+      reader.Fail("unknown fault '" + name + "'");
+    }
+    return *bug;
+  };
+  const auto scope = [&reader](const char* what) {
+    const uint64_t value = reader.U64(what);
+    if (value > static_cast<uint64_t>(MetricScope::kTiming)) {
+      reader.Fail(std::string("unknown ") + what + " " + std::to_string(value));
+    }
+    return static_cast<MetricScope>(value);
+  };
 
   ShardResult result;
   reader.RequireLine("range");
   reader.ExpectWord("range");
-  result.range.index = static_cast<int>(reader.I64("shard index"));
-  result.range.begin = static_cast<int>(reader.I64("shard begin"));
-  result.range.end = static_cast<int>(reader.I64("shard end"));
+  result.range.index = reader.Int("shard index");
+  result.range.begin = reader.Int("shard begin");
+  result.range.end = reader.Int("shard end");
 
   CampaignReport& report = result.report;
   reader.RequireLine("counters");
   reader.ExpectWord("counters");
-  report.programs_generated = static_cast<int>(reader.I64("programs generated"));
-  report.programs_with_crash = static_cast<int>(reader.I64("programs with crash"));
-  report.programs_with_semantic = static_cast<int>(reader.I64("programs with semantic"));
-  report.tests_generated = static_cast<int>(reader.I64("tests generated"));
-  report.undef_divergences = static_cast<int>(reader.I64("undef divergences"));
-  report.structural_mismatches = static_cast<int>(reader.I64("structural mismatches"));
+  report.programs_generated = reader.Int("programs generated");
+  report.programs_with_crash = reader.Int("programs with crash");
+  report.programs_with_semantic = reader.Int("programs with semantic");
+  report.tests_generated = reader.Int("tests generated");
+  report.undef_divergences = reader.Int("undef divergences");
+  report.structural_mismatches = reader.Int("structural mismatches");
 
   reader.RequireLine("findings section");
   reader.ExpectWord("findings");
   const uint64_t finding_count = reader.U64("finding count");
-  report.findings.reserve(finding_count);
   for (uint64_t i = 0; i < finding_count; ++i) {
     reader.RequireLine("finding");
     reader.ExpectWord("find");
     Finding finding;
-    finding.program_index = static_cast<int>(reader.I64("program index"));
+    finding.program_index = reader.Int("program index");
     const std::string method = reader.Token("detection method");
     const auto parsed_method = DetectionMethodFromString(method);
     if (!parsed_method.has_value()) {
-      throw CompileError("shard result line " + std::to_string(reader.line_number()) +
-                         ": unknown detection method '" + method + "'");
+      reader.Fail("unknown detection method '" + method + "'");
     }
     finding.method = *parsed_method;
     const std::string kind = reader.Token("finding kind");
     if (kind != "crash" && kind != "semantic") {
-      throw CompileError("shard result line " + std::to_string(reader.line_number()) +
-                         ": unknown finding kind '" + kind + "'");
+      reader.Fail("unknown finding kind '" + kind + "'");
     }
     finding.kind = kind == "crash" ? BugKind::kCrash : BugKind::kSemantic;
-    finding.component = FromHexToken(reader.Token("component"), reader.line_number());
+    finding.component = reader.HexString("component");
     const std::string attributed = reader.Token("attributed fault");
     if (attributed != "-") {
-      const auto bug = BugIdFromString(attributed);
-      if (!bug.has_value()) {
-        throw CompileError("shard result line " + std::to_string(reader.line_number()) +
-                           ": unknown fault '" + attributed + "'");
-      }
-      finding.attributed = *bug;
+      finding.attributed = bug_named(attributed);
     }
-    finding.detail = FromHexToken(reader.Token("detail"), reader.line_number());
+    finding.detail = reader.HexString("detail");
     report.findings.push_back(std::move(finding));
   }
 
@@ -277,18 +172,13 @@ ShardResult LoadShardResult(std::istream& in) {
   for (uint64_t i = 0; i < latency_count; ++i) {
     reader.RequireLine("latency entry");
     reader.ExpectWord("lat");
-    const std::string name = reader.Token("fault name");
-    const auto bug = BugIdFromString(name);
-    if (!bug.has_value()) {
-      throw CompileError("shard result line " + std::to_string(reader.line_number()) +
-                         ": unknown fault '" + name + "'");
-    }
+    const BugId bug = bug_named(reader.Token("fault name"));
     DetectionLatency latency;
-    latency.first_program_index = static_cast<int>(reader.I64("first program index"));
-    latency.tests_at_detection = static_cast<int>(reader.I64("tests at detection"));
-    latency.findings = static_cast<int>(reader.I64("finding count"));
+    latency.first_program_index = reader.Int("first program index");
+    latency.tests_at_detection = reader.Int("tests at detection");
+    latency.findings = reader.Int("finding count");
     latency.wall_micros = reader.U64("wall micros");
-    report.latency.emplace(*bug, latency);
+    report.latency.emplace(bug, latency);
   }
 
   reader.RequireLine("distinct section");
@@ -297,13 +187,7 @@ ShardResult LoadShardResult(std::istream& in) {
   for (uint64_t i = 0; i < distinct_count; ++i) {
     reader.RequireLine("distinct bug");
     reader.ExpectWord("bug");
-    const std::string name = reader.Token("fault name");
-    const auto bug = BugIdFromString(name);
-    if (!bug.has_value()) {
-      throw CompileError("shard result line " + std::to_string(reader.line_number()) +
-                         ": unknown fault '" + name + "'");
-    }
-    report.distinct_bugs.insert(*bug);
+    report.distinct_bugs.insert(bug_named(reader.Token("fault name")));
   }
 
   reader.RequireLine("unattributed section");
@@ -312,8 +196,7 @@ ShardResult LoadShardResult(std::istream& in) {
   for (uint64_t i = 0; i < component_count; ++i) {
     reader.RequireLine("unattributed component");
     reader.ExpectWord("comp");
-    report.unattributed_components.insert(
-        FromHexToken(reader.Token("component"), reader.line_number()));
+    report.unattributed_components.insert(reader.HexString("component"));
   }
 
   reader.RequireLine("metrics section");
@@ -322,32 +205,26 @@ ShardResult LoadShardResult(std::istream& in) {
   for (uint64_t i = 0; i < metric_count; ++i) {
     reader.RequireLine("metric");
     reader.ExpectWord("met");
-    const std::string name = FromHexToken(reader.Token("metric name"), reader.line_number());
-    Metric metric;
-    const uint64_t scope = reader.U64("metric scope");
-    if (scope > static_cast<uint64_t>(MetricScope::kTiming)) {
-      throw CompileError("shard result line " + std::to_string(reader.line_number()) +
-                         ": unknown metric scope " + std::to_string(scope));
+    const std::string name = reader.HexString("metric name");
+    if (result.metrics.Find(name) != nullptr) {
+      reader.Fail("duplicate metric '" + name + "'");
     }
-    metric.scope = static_cast<MetricScope>(scope);
+    Metric metric;
+    metric.scope = scope("metric scope");
     const uint64_t kind = reader.U64("metric kind");
     if (kind > static_cast<uint64_t>(MetricKind::kHistogram)) {
-      throw CompileError("shard result line " + std::to_string(reader.line_number()) +
-                         ": unknown metric kind " + std::to_string(kind));
+      reader.Fail("unknown metric kind " + std::to_string(kind));
     }
     metric.kind = static_cast<MetricKind>(kind);
     metric.value = reader.U64("metric value");
     const uint64_t bound_count = reader.U64("bound count");
-    metric.bounds.reserve(bound_count);
     for (uint64_t b = 0; b < bound_count; ++b) {
       metric.bounds.push_back(reader.U64("bound"));
     }
     const uint64_t count_count = reader.U64("bucket count");
     if (metric.kind == MetricKind::kHistogram && count_count != bound_count + 1) {
-      throw CompileError("shard result line " + std::to_string(reader.line_number()) +
-                         ": histogram bucket/bound size mismatch");
+      reader.Fail("histogram bucket/bound size mismatch");
     }
-    metric.counts.reserve(count_count);
     for (uint64_t c = 0; c < count_count; ++c) {
       metric.counts.push_back(reader.U64("bucket"));
     }
@@ -360,15 +237,10 @@ ShardResult LoadShardResult(std::istream& in) {
   for (uint64_t i = 0; i < point_count; ++i) {
     reader.RequireLine("coverage point");
     reader.ExpectWord("cov");
-    const std::string domain = FromHexToken(reader.Token("domain"), reader.line_number());
-    const uint64_t scope = reader.U64("domain scope");
-    if (scope > static_cast<uint64_t>(MetricScope::kTiming)) {
-      throw CompileError("shard result line " + std::to_string(reader.line_number()) +
-                         ": unknown coverage scope " + std::to_string(scope));
-    }
-    const std::string point = FromHexToken(reader.Token("point"), reader.line_number());
-    const uint64_t value = reader.U64("point value");
-    result.coverage.Record(domain, point, static_cast<MetricScope>(scope), value);
+    const std::string domain = reader.HexString("domain");
+    const MetricScope domain_scope = scope("coverage scope");
+    const std::string point = reader.HexString("point");
+    result.coverage.Record(domain, point, domain_scope, reader.U64("point value"));
   }
 
   reader.RequireLine("cache counters");
@@ -381,26 +253,24 @@ ShardResult LoadShardResult(std::istream& in) {
   stats.verdict_misses = reader.U64("verdict misses");
   stats.queries_skipped = reader.U64("queries skipped");
   stats.pairs_short_circuited = reader.U64("pairs short-circuited");
+  reader.ExpectEnd();
   return result;
 }
 
 void SaveShardResultFile(const std::string& path, const ShardResult& result) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw CompileError("cannot write shard result '" + path + "'");
-  }
+  std::ostringstream out;
   SaveShardResult(result, out);
-  out.flush();
-  if (!out) {
-    throw CompileError("failed writing shard result '" + path + "'");
+  if (!WriteFileAtomic(path, out.str())) {
+    throw CompileError("cannot write shard result '" + path + "'");
   }
 }
 
 ShardResult LoadShardResultFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     throw CompileError("cannot open shard result '" + path + "'");
   }
+  std::istringstream in(text);
   return LoadShardResult(in);
 }
 

@@ -62,7 +62,7 @@ ShardResult LoadShardResult(std::istream& in);
 
 // File wrappers; both throw CompileError (Load also on a missing file — a
 // worker that exited 0 without writing its result is a protocol violation,
-// not a cold start).
+// not a cold start). Save writes atomically (src/support/file_io.h).
 void SaveShardResultFile(const std::string& path, const ShardResult& result);
 ShardResult LoadShardResultFile(const std::string& path);
 

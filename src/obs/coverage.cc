@@ -1,11 +1,10 @@
 #include "src/obs/coverage.h"
 
-#include <cctype>
-#include <fstream>
 #include <sstream>
-#include <vector>
+#include <utility>
 
-#include "src/obs/run_report.h"
+#include "src/support/file_io.h"
+#include "src/support/json.h"
 
 namespace gauntlet {
 
@@ -115,144 +114,24 @@ std::string CoverageJson(const CoverageMap& map) {
 
 namespace {
 
-// Scanner for exactly the subset CoverageJson emits: objects with string
-// keys, unsigned integer values, two nesting levels under the sections.
-class CoverageScanner {
- public:
-  explicit CoverageScanner(const std::string& text) : text_(text) {}
-
-  void SkipSpace() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
+bool ParseSection(const JsonValue* section, const char* name, MetricScope scope,
+                  CoverageMap* out, std::string* error) {
+  if (section == nullptr || section->kind != JsonValue::Kind::kObject) {
+    *error = std::string("missing ") + name + " section";
     return false;
   }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipSpace();
-    if (!Consume('"')) {
+  for (const auto& [domain, points] : section->members) {
+    if (points.kind != JsonValue::Kind::kObject) {
+      *error = "domain '" + domain + "' is not an object";
       return false;
     }
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return false;
-          }
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') {
-              value |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return false;
-            }
-          }
-          // Our own emitter only produces \u00xx byte escapes.
-          out->push_back(static_cast<char>(value & 0xff));
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;
-  }
-
-  bool ParseUint(uint64_t* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return false;
-    }
-    uint64_t value = 0;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + static_cast<uint64_t>(text_[pos_++] - '0');
-    }
-    *out = value;
-    return true;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-bool ParseSection(CoverageScanner& scan, MetricScope scope, CoverageMap* out, std::string* error) {
-  if (!scan.Consume('{')) {
-    *error = "expected '{' to open a section";
-    return false;
-  }
-  if (scan.Consume('}')) {
-    return true;
-  }
-  do {
-    std::string domain;
-    if (!scan.ParseString(&domain) || !scan.Consume(':') || !scan.Consume('{')) {
-      *error = "malformed domain entry";
-      return false;
-    }
-    if (scan.Consume('}')) {
-      continue;
-    }
-    do {
-      std::string point;
-      uint64_t count = 0;
-      if (!scan.ParseString(&point) || !scan.Consume(':') || !scan.ParseUint(&count)) {
+    for (const auto& [point, count] : points.members) {
+      if (count.kind != JsonValue::Kind::kNumber) {
         *error = "malformed point entry in domain '" + domain + "'";
         return false;
       }
-      out->Record(domain, point, scope, count);
-    } while (scan.Consume(','));
-    if (!scan.Consume('}')) {
-      *error = "expected '}' to close domain '" + domain + "'";
-      return false;
+      out->Record(domain, point, scope, count.number);
     }
-  } while (scan.Consume(','));
-  if (!scan.Consume('}')) {
-    *error = "expected '}' to close a section";
-    return false;
   }
   return true;
 }
@@ -264,33 +143,30 @@ bool ParseCoverageJson(const std::string& text, CoverageMap* out, std::string* e
   if (error == nullptr) {
     error = &local_error;
   }
-  out->Clear();
-  CoverageScanner scan(text);
-  std::string key;
-  uint64_t version = 0;
-  if (!scan.Consume('{') || !scan.ParseString(&key) || key != "version" || !scan.Consume(':') ||
-      !scan.ParseUint(&version)) {
+  JsonValue root;
+  if (!ParseJson(text, &root, error)) {
+    return false;
+  }
+  const JsonValue* version = root.Find("version");
+  if (version == nullptr || version->kind != JsonValue::Kind::kNumber) {
     *error = "missing version header";
     return false;
   }
-  if (version != static_cast<uint64_t>(kCoverageVersion)) {
-    *error = "unsupported coverage version " + std::to_string(version);
+  if (version->number != static_cast<uint64_t>(kCoverageVersion)) {
+    *error = "unsupported coverage version " + std::to_string(version->number);
     return false;
   }
-  if (!scan.Consume(',') || !scan.ParseString(&key) || key != "deterministic" ||
-      !scan.Consume(':') || !ParseSection(scan, MetricScope::kDeterministic, out, error)) {
-    if (error->empty()) *error = "missing deterministic section";
+  if (root.members.size() != 3) {
+    *error = "unexpected member in the coverage object";
     return false;
   }
-  if (!scan.Consume(',') || !scan.ParseString(&key) || key != "timing" || !scan.Consume(':') ||
-      !ParseSection(scan, MetricScope::kTiming, out, error)) {
-    if (error->empty()) *error = "missing timing section";
+  CoverageMap parsed;
+  if (!ParseSection(root.Find("deterministic"), "deterministic", MetricScope::kDeterministic,
+                    &parsed, error) ||
+      !ParseSection(root.Find("timing"), "timing", MetricScope::kTiming, &parsed, error)) {
     return false;
   }
-  if (!scan.Consume('}') || !scan.AtEnd()) {
-    *error = "trailing content after coverage object";
-    return false;
-  }
+  *out = std::move(parsed);
   return true;
 }
 
@@ -432,12 +308,7 @@ CoverageDiff DiffCoverage(const CoverageMap& before, const CoverageMap& after) {
 }
 
 bool WriteCoverageFile(const std::string& path, const CoverageMap& map) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << CoverageJson(map);
-  return out.good();
+  return WriteFileAtomic(path, CoverageJson(map));
 }
 
 }  // namespace gauntlet

@@ -118,9 +118,10 @@ void CoverPoint(std::string_view domain, std::string_view point, MetricScope sco
 //   }
 std::string CoverageJson(const CoverageMap& map);
 
-// Parses a CoverageJson string back into a map. Accepts exactly the subset
-// CoverageJson emits (string keys, unsigned integer values, two nesting
-// levels); returns false and sets *error on anything else.
+// Parses a CoverageJson string back into a map. Accepts exactly the layout
+// CoverageJson emits (version, then two sections of domains of unsigned
+// integer points); returns false, sets *error and leaves *out untouched on
+// anything else.
 bool ParseCoverageJson(const std::string& text, CoverageMap* out, std::string* error);
 
 // Human-readable per-domain listing plus a blind-spot section: faults
@@ -144,7 +145,7 @@ CoverageDiff DiffCoverage(const CoverageMap& before, const CoverageMap& after);
 // line per violation to *out.
 int CoverageBlindSpotViolations(const CoverageMap& map, std::string* out);
 
-// False when the file cannot be opened or the write fails.
+// Atomic write (src/support/file_io.h); false when the write fails.
 bool WriteCoverageFile(const std::string& path, const CoverageMap& map);
 
 }  // namespace gauntlet

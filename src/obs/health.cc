@@ -7,29 +7,16 @@
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include "src/obs/run_report.h"
+#include "src/support/file_io.h"
+#include "src/support/json.h"
 
 namespace gauntlet {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-// Best-effort read; false when the file cannot be opened. Status artifacts
-// are small, so slurping is fine.
-bool ReadFileText(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
 
 // "4.2s" / "12m30s" style durations for the dashboard.
 std::string FormatDuration(uint64_t millis) {
@@ -71,7 +58,7 @@ bool ReadWorkerStatus(const std::string& directory, uint64_t now_ms,
     return false;
   }
 
-  if (heartbeat_exists && ReadFileText(heartbeat_path, &text)) {
+  if (heartbeat_exists && ReadFile(heartbeat_path, &text)) {
     std::string error;
     if (ParseHeartbeatJson(text, &status.heartbeat, &error)) {
       status.has_heartbeat = true;
@@ -89,7 +76,7 @@ bool ReadWorkerStatus(const std::string& directory, uint64_t now_ms,
     status.health.detail = heartbeat_exists ? "heartbeat unreadable" : "no heartbeat file";
   }
 
-  if (status.has_snapshot && ReadFileText(snapshot_path, &text)) {
+  if (status.has_snapshot && ReadFile(snapshot_path, &text)) {
     std::string error;
     status.snapshot_ok = ParseSnapshotJson(text, &status.snapshot, &error);
   }
@@ -115,50 +102,20 @@ std::string HeartbeatJson(const Heartbeat& heartbeat) {
 
 bool ParseHeartbeatJson(const std::string& text, Heartbeat* out, std::string* error) {
   Heartbeat parsed;
-  bool saw_version = false;
-  uint64_t version = 0;
-  const bool ok = ForEachJsonField(
-      text,
-      [&](const std::string& key, uint64_t value) {
-        if (key == "version") {
-          saw_version = true;
-          version = value;
-        } else if (key == "pid") {
-          parsed.pid = static_cast<int64_t>(value);
-        } else if (key == "programs_total") {
-          parsed.programs_total = value;
-        } else if (key == "programs_done") {
-          parsed.programs_done = value;
-        } else if (key == "tests_generated") {
-          parsed.tests_generated = value;
-        } else if (key == "findings") {
-          parsed.findings = value;
-        } else if (key == "requests_served") {
-          parsed.requests_served = value;
-        } else if (key == "started_unix_ms") {
-          parsed.started_unix_ms = value;
-        } else if (key == "updated_unix_ms") {
-          parsed.updated_unix_ms = value;
-        }
-      },
-      [&](const std::string& key, const std::string& value) {
-        if (key == "role") {
-          parsed.role = value;
-        } else if (key == "phase") {
-          parsed.phase = value;
-        }
-      },
-      error);
-  if (!ok) {
+  uint64_t pid = 0;
+  if (!ParseStatusRecord(text, "heartbeat", kHeartbeatVersion,
+                         {{"pid", &pid},
+                          {"programs_total", &parsed.programs_total},
+                          {"programs_done", &parsed.programs_done},
+                          {"tests_generated", &parsed.tests_generated},
+                          {"findings", &parsed.findings},
+                          {"requests_served", &parsed.requests_served},
+                          {"started_unix_ms", &parsed.started_unix_ms},
+                          {"updated_unix_ms", &parsed.updated_unix_ms}},
+                         {{"role", &parsed.role}, {"phase", &parsed.phase}}, error)) {
     return false;
   }
-  if (!saw_version || version != static_cast<uint64_t>(kHeartbeatVersion)) {
-    if (error != nullptr) {
-      *error = saw_version ? "unsupported heartbeat version " + std::to_string(version)
-                           : "missing heartbeat version";
-    }
-    return false;
-  }
+  parsed.pid = static_cast<int64_t>(pid);
   *out = std::move(parsed);
   return true;
 }

@@ -53,7 +53,7 @@ std::string HeartbeatJson(const Heartbeat& heartbeat);
 // False + *error on malformed input or a version mismatch.
 bool ParseHeartbeatJson(const std::string& text, Heartbeat* out, std::string* error);
 
-// Atomic write (snapshot.h WriteFileAtomic); false on failure.
+// Atomic write (src/support/file_io.h WriteFileAtomic); false on failure.
 bool WriteHeartbeatFile(const std::string& path, const Heartbeat& heartbeat);
 
 // The heartbeat a snapshot implies (the StatusEmitter writes both from one

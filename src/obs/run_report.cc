@@ -1,56 +1,13 @@
 #include "src/obs/run_report.h"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "src/support/file_io.h"
+#include "src/support/json.h"
 
 namespace gauntlet {
 
-std::string JsonQuoted(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default: {
-        // Escape control bytes and everything past printable ASCII
-        // byte-wise: names are ASCII by construction, and strict parsers
-        // reject raw bytes >= 0x7f that are not valid UTF-8.
-        const unsigned byte = static_cast<unsigned char>(c);
-        if (byte < 0x20 || byte >= 0x7f) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-      }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 namespace {
-
-void AppendJsonString(std::ostringstream& out, std::string_view text) {
-  out << JsonQuoted(text);
-}
 
 void AppendNumberArray(std::ostringstream& out, const std::vector<uint64_t>& values) {
   out << '[';
@@ -71,7 +28,7 @@ void AppendSection(std::ostringstream& out, const MetricsRegistry& registry, Met
     if (!first) out << ",";
     first = false;
     out << "\n    ";
-    AppendJsonString(out, name);
+    out << JsonQuoted(name);
     out << ": ";
     if (metric.kind == MetricKind::kHistogram) {
       out << "{\"bounds\": ";
@@ -110,39 +67,15 @@ std::string MetricsJson(const MetricsRegistry& registry) {
 }
 
 std::string DeterministicSection(const std::string& metrics_json) {
-  const std::string marker = "\"deterministic\": ";
-  const size_t at = metrics_json.find(marker);
-  if (at == std::string::npos) {
+  JsonValue root;
+  if (!ParseJson(metrics_json, &root, nullptr)) {
     return "";
   }
-  size_t open = metrics_json.find('{', at);
-  if (open == std::string::npos) {
+  const JsonValue* section = root.Find("deterministic");
+  if (section == nullptr || section->kind != JsonValue::Kind::kObject) {
     return "";
   }
-  int depth = 0;
-  bool in_string = false;
-  for (size_t i = open; i < metrics_json.size(); ++i) {
-    const char c = metrics_json[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      if (depth == 0) {
-        return metrics_json.substr(open, i - open + 1);
-      }
-    }
-  }
-  return "";
+  return metrics_json.substr(section->begin, section->end - section->begin);
 }
 
 std::string TraceJson(const std::vector<TraceEvent>& events) {
@@ -153,16 +86,16 @@ std::string TraceJson(const std::vector<TraceEvent>& events) {
     if (!first) out << ",";
     first = false;
     out << "\n  {\"name\": ";
-    AppendJsonString(out, event.name);
+    out << JsonQuoted(event.name);
     out << ", \"cat\": ";
-    AppendJsonString(out, event.category);
+    out << JsonQuoted(event.category);
     out << ", \"ph\": \"X\", \"ts\": " << event.start_us << ", \"dur\": " << event.duration_us
         << ", \"pid\": 1, \"tid\": " << event.tid;
     if (!event.args.empty()) {
       out << ", \"args\": {";
       for (size_t i = 0; i < event.args.size(); ++i) {
         if (i != 0) out << ", ";
-        AppendJsonString(out, event.args[i].first);
+        out << JsonQuoted(event.args[i].first);
         out << ": " << event.args[i].second;
       }
       out << "}";
@@ -173,25 +106,12 @@ std::string TraceJson(const std::vector<TraceEvent>& events) {
   return out.str();
 }
 
-namespace {
-
-bool WriteTextFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << content;
-  return out.good();
-}
-
-}  // namespace
-
 bool WriteMetricsFile(const std::string& path, const MetricsRegistry& registry) {
-  return WriteTextFile(path, MetricsJson(registry));
+  return WriteFileAtomic(path, MetricsJson(registry));
 }
 
 bool WriteTraceFile(const std::string& path, const TraceCollector& collector) {
-  return WriteTextFile(path, TraceJson(collector.SortedEvents()));
+  return WriteFileAtomic(path, TraceJson(collector.SortedEvents()));
 }
 
 }  // namespace gauntlet

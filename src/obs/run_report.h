@@ -13,12 +13,6 @@ namespace gauntlet {
 // Version 2 added p50/p90/p99 summaries to timing-section histograms.
 inline constexpr int kRunReportVersion = 2;
 
-// A JSON string literal (surrounding quotes included) with quotes and
-// backslashes escaped and every byte outside printable ASCII emitted as a
-// byte-wise \u00xx escape, so hostile span/metric names can never break the
-// emitted JSON.
-std::string JsonQuoted(std::string_view text);
-
 // Renders a registry as the versioned two-section run report:
 //
 //   {
@@ -35,8 +29,8 @@ std::string JsonQuoted(std::string_view text);
 std::string MetricsJson(const MetricsRegistry& registry);
 
 // Extracts the byte span of the "deterministic": {...} object from a
-// MetricsJson string (brace-matched), for byte-level comparisons without a
-// JSON parser. Returns an empty string if the section is absent.
+// MetricsJson (or CoverageJson) string, for byte-level comparisons. Returns
+// an empty string if the text does not parse or the section is absent.
 std::string DeterministicSection(const std::string& metrics_json);
 
 // Renders collected spans in Chrome trace-event format — a JSON object with
@@ -44,7 +38,7 @@ std::string DeterministicSection(const std::string& metrics_json);
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 std::string TraceJson(const std::vector<TraceEvent>& events);
 
-// Write helpers; false when the file cannot be opened or the write fails
+// Atomic write helpers (src/support/file_io.h); false when the write fails
 // (reporting is the caller's job — the CLI decides whether that is fatal).
 bool WriteMetricsFile(const std::string& path, const MetricsRegistry& registry);
 bool WriteTraceFile(const std::string& path, const TraceCollector& collector);

@@ -1,282 +1,59 @@
 #include "src/obs/snapshot.h"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "src/obs/health.h"
-#include "src/obs/run_report.h"
+#include "src/support/file_io.h"
+#include "src/support/json.h"
 
 namespace gauntlet {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-// --- a minimal scanner for the JSON subset the status artifacts emit ------
-//
-// Status files are produced by this process family and read back by
-// `gauntlet status` and the tests; the scanner accepts general JSON
-// structure (so a corrupt file fails cleanly rather than confusing the
-// field extraction) but only *surfaces* string keys with non-negative
-// integer or string values — exactly what the emitters write.
-
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  bool Fail(const std::string& message) {
-    error_ = message + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-        break;
-      }
-      ++pos_;
-    }
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  bool Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return true;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  // Parses a quoted string with the escapes JsonQuoted produces; \u escapes
-  // above 0x00ff (which our emitters never write) are rejected.
-  bool String(std::string* out) {
-    if (!Expect('"')) {
-      return false;
-    }
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        break;
-      }
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Fail("truncated \\u escape");
-          }
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') {
-              value |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape");
-            }
-          }
-          if (value > 0xff) {
-            return Fail("\\u escape above 0x00ff");
-          }
-          out->push_back(static_cast<char>(value));
-          break;
-        }
-        default:
-          return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool Number(uint64_t* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      return Fail("expected a non-negative integer");
-    }
-    uint64_t value = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      const uint64_t digit = static_cast<uint64_t>(text_[pos_] - '0');
-      if (value > (UINT64_MAX - digit) / 10) {
-        return Fail("integer overflow");
-      }
-      value = value * 10 + digit;
-      ++pos_;
-    }
-    // A fraction or exponent here would mean a non-integer field; the
-    // emitters never write one.
-    if (pos_ < text_.size() && (text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      return Fail("expected an integer");
-    }
-    *out = value;
-    return true;
-  }
-
-  // Skips one value of any kind (balanced, string-aware).
-  bool SkipValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return Fail("expected a value");
-    }
-    const char c = text_[pos_];
-    if (c == '"') {
-      std::string ignored;
-      return String(&ignored);
-    }
-    if (c == '{' || c == '[') {
-      const char open = c;
-      const char close = open == '{' ? '}' : ']';
-      ++pos_;
-      int depth = 1;
-      while (pos_ < text_.size() && depth > 0) {
-        const char inner = text_[pos_];
-        if (inner == '"') {
-          std::string ignored;
-          if (!String(&ignored)) {
-            return false;
-          }
-          continue;
-        }
-        if (inner == open || (inner == '{' || inner == '[')) {
-          ++depth;
-        } else if (inner == close || inner == '}' || inner == ']') {
-          --depth;
-        }
-        ++pos_;
-      }
-      if (depth != 0) {
-        return Fail("unbalanced container");
-      }
-      return true;
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if ((c >= '0' && c <= '9') || c == '-') {
-      if (c == '-') {
-        ++pos_;
-      }
-      uint64_t ignored = 0;
-      return Number(&ignored);
-    }
-    return Fail("unexpected character");
-  }
-
-  size_t pos_ = 0;
-  std::string error_;
-
- private:
-  const std::string& text_;
-};
-
-std::atomic<uint64_t> g_temp_counter{0};
-
-}  // namespace
-
-bool ForEachJsonField(
-    const std::string& text,
-    const std::function<void(const std::string& key, uint64_t value)>& on_number,
-    const std::function<void(const std::string& key, const std::string& value)>& on_string,
-    std::string* error) {
-  JsonScanner scanner(text);
-  const auto fail = [&](const std::string& message) {
+bool ParseStatusRecord(const std::string& text, const char* what, uint64_t version,
+                       std::initializer_list<std::pair<const char*, uint64_t*>> numbers,
+                       std::initializer_list<std::pair<const char*, std::string*>> strings,
+                       std::string* error) {
+  const auto fail = [error](const std::string& message) {
     if (error != nullptr) {
       *error = message;
     }
     return false;
   };
-  if (!scanner.Expect('{')) {
-    return fail(scanner.error_);
+  JsonValue root;
+  if (!ParseJson(text, &root, error)) {
+    return false;
   }
-  if (!scanner.Peek('}')) {
-    for (;;) {
-      std::string key;
-      if (!scanner.String(&key) || !scanner.Expect(':')) {
-        return fail(scanner.error_);
-      }
-      scanner.SkipSpace();
-      if (scanner.Peek('"')) {
-        std::string value;
-        if (!scanner.String(&value)) {
-          return fail(scanner.error_);
-        }
-        if (on_string) {
-          on_string(key, value);
-        }
-      } else {
-        const size_t before = scanner.pos_;
-        uint64_t value = 0;
-        // Try the integer fast path; anything else (object, array, bool,
-        // null, negative) is skipped structurally.
-        if (scanner.Number(&value)) {
-          if (on_number) {
-            on_number(key, value);
-          }
-        } else {
-          scanner.pos_ = before;
-          scanner.error_.clear();
-          if (!scanner.SkipValue()) {
-            return fail(scanner.error_);
-          }
-        }
-      }
-      if (scanner.Peek(',')) {
-        scanner.Expect(',');
-        continue;
-      }
-      break;
+  if (root.kind != JsonValue::Kind::kObject) {
+    return fail("expected an object");
+  }
+  const JsonValue* found = root.Find("version");
+  if (found == nullptr || found->kind != JsonValue::Kind::kNumber) {
+    return fail(std::string("missing ") + what + " version");
+  }
+  if (found->number != version) {
+    return fail(std::string("unsupported ") + what + " version " + std::to_string(found->number));
+  }
+  for (const auto& [key, target] : numbers) {
+    const JsonValue* member = root.Find(key);
+    if (member != nullptr && member->kind != JsonValue::Kind::kNumber) {
+      return fail(std::string("\"") + key + "\" is not an unsigned integer");
+    }
+    if (member != nullptr) {
+      *target = member->number;
     }
   }
-  if (!scanner.Expect('}')) {
-    return fail(scanner.error_);
-  }
-  if (!scanner.AtEnd()) {
-    return fail("trailing content after the object");
+  for (const auto& [key, target] : strings) {
+    const JsonValue* member = root.Find(key);
+    if (member != nullptr && member->kind != JsonValue::Kind::kString) {
+      return fail(std::string("\"") + key + "\" is not a string");
+    }
+    if (member != nullptr) {
+      *target = member->string;
+    }
   }
   return true;
 }
@@ -325,75 +102,22 @@ std::string SnapshotJson(const Snapshot& snapshot) {
 
 bool ParseSnapshotJson(const std::string& text, Snapshot* out, std::string* error) {
   Snapshot parsed;
-  bool saw_version = false;
-  uint64_t version = 0;
-  const bool ok = ForEachJsonField(
-      text,
-      [&](const std::string& key, uint64_t value) {
-        if (key == "version") {
-          saw_version = true;
-          version = value;
-        } else if (key == "pid") {
-          parsed.pid = static_cast<int64_t>(value);
-        } else if (key == "started_unix_ms") {
-          parsed.started_unix_ms = value;
-        } else if (key == "updated_unix_ms") {
-          parsed.updated_unix_ms = value;
-        } else if (key == "programs_total") {
-          parsed.programs_total = value;
-        } else if (key == "programs_done") {
-          parsed.programs_done = value;
-        } else if (key == "tests_generated") {
-          parsed.tests_generated = value;
-        } else if (key == "findings") {
-          parsed.findings = value;
-        } else if (key == "distinct_bugs") {
-          parsed.distinct_bugs = value;
-        } else if (key == "requests_served") {
-          parsed.requests_served = value;
-        }
-      },
-      [&](const std::string& key, const std::string& value) {
-        if (key == "role") {
-          parsed.role = value;
-        } else if (key == "phase") {
-          parsed.phase = value;
-        }
-      },
-      error);
-  if (!ok) {
+  uint64_t pid = 0;
+  if (!ParseStatusRecord(text, "snapshot", kSnapshotVersion,
+                         {{"pid", &pid},
+                          {"started_unix_ms", &parsed.started_unix_ms},
+                          {"updated_unix_ms", &parsed.updated_unix_ms},
+                          {"programs_total", &parsed.programs_total},
+                          {"programs_done", &parsed.programs_done},
+                          {"tests_generated", &parsed.tests_generated},
+                          {"findings", &parsed.findings},
+                          {"distinct_bugs", &parsed.distinct_bugs},
+                          {"requests_served", &parsed.requests_served}},
+                         {{"role", &parsed.role}, {"phase", &parsed.phase}}, error)) {
     return false;
   }
-  if (!saw_version || version != static_cast<uint64_t>(kSnapshotVersion)) {
-    if (error != nullptr) {
-      *error = saw_version ? "unsupported snapshot version " + std::to_string(version)
-                           : "missing snapshot version";
-    }
-    return false;
-  }
+  parsed.pid = static_cast<int64_t>(pid);
   *out = std::move(parsed);
-  return true;
-}
-
-bool WriteFileAtomic(const std::string& path, const std::string& content) {
-  const std::string temp = path + ".tmp." + std::to_string(static_cast<long>(getpid())) + "." +
-                           std::to_string(g_temp_counter.fetch_add(1));
-  {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << content;
-    out.flush();
-    if (!out) {
-      std::remove(temp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    return false;
-  }
   return true;
 }
 

@@ -4,9 +4,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace gauntlet {
@@ -17,9 +19,9 @@ namespace gauntlet {
 // A long-running driver — `campaign`, a shard worker, the shard coordinator,
 // or `serve` — periodically publishes its state-so-far as one JSON file,
 // `snapshot.json`, inside its status directory. Snapshots are written
-// atomically (write a temp file, then rename), so a reader polling the path
-// mid-write sees either the previous snapshot or the new one, never a torn
-// file. Alongside it lives `heartbeat.json` (src/obs/health.h): a small
+// atomically (WriteFileAtomic, src/support/file_io.h), so a reader polling
+// the path mid-write sees either the previous snapshot or the new one, never
+// a torn file. Alongside it lives `heartbeat.json` (src/obs/health.h): a small
 // liveness record a supervisor can evaluate without parsing the full
 // snapshot.
 //
@@ -80,27 +82,21 @@ struct Snapshot {
 std::string SnapshotJson(const Snapshot& snapshot);
 
 // Parses the flat fields of a snapshot back. The embedded "metrics" object
-// and "shards" array are validated as balanced JSON but not reconstructed —
-// machine consumers wanting them should parse the file with a real JSON
-// library; `gauntlet status` re-derives the fleet view from the per-worker
-// heartbeat files instead. False + *error on malformed input (a torn or
-// truncated file must read as corrupt, never half-load).
+// and "shards" array must parse but are not reconstructed — `gauntlet
+// status` re-derives the fleet view from the per-worker heartbeat files
+// instead. False + *error on malformed input (a torn or truncated file must
+// read as corrupt, never half-load).
 bool ParseSnapshotJson(const std::string& text, Snapshot* out, std::string* error);
 
-// Streams the top-level key/value pairs of one flat JSON object into the
-// callbacks; nested objects/arrays are skipped (balanced, string-aware).
-// The subset matches what the status artifacts emit: string keys,
-// non-negative integer or string values. False + *error on malformed input.
-bool ForEachJsonField(const std::string& text,
-                      const std::function<void(const std::string& key, uint64_t value)>& on_number,
-                      const std::function<void(const std::string& key, const std::string& value)>& on_string,
-                      std::string* error);
-
-// Writes `content` to `path` atomically: a temp file in the same directory
-// (same filesystem, so the rename is atomic) is written, flushed, and
-// renamed over the destination. False on any failure; the temp file is
-// cleaned up best-effort.
-bool WriteFileAtomic(const std::string& path, const std::string& content);
+// The reader side of the flat status records (snapshot.json,
+// heartbeat.json): parses `text` as one JSON object whose "version" member
+// equals `version`, then stores every member named in `numbers` or
+// `strings`. A named member of the wrong type is corruption; absent members
+// keep their value and other members are skipped. False + *error otherwise.
+bool ParseStatusRecord(const std::string& text, const char* what, uint64_t version,
+                       std::initializer_list<std::pair<const char*, uint64_t*>> numbers,
+                       std::initializer_list<std::pair<const char*, std::string*>> strings,
+                       std::string* error);
 
 bool WriteSnapshotFile(const std::string& path, const Snapshot& snapshot);
 

@@ -1,9 +1,10 @@
 #include "src/runtime/corpus.h"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -13,6 +14,8 @@
 #include "src/obs/coverage.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/support/file_io.h"
+#include "src/support/json.h"
 #include "src/target/target.h"
 
 namespace gauntlet {
@@ -34,63 +37,29 @@ std::string Sanitize(const std::string& raw) {
   return out.empty() ? std::string("finding") : out;
 }
 
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-void WriteFileOrThrow(const fs::path& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
+void WriteOrThrow(const fs::path& path, const std::string& content) {
+  if (!WriteFileAtomic(path.string(), content)) {
     throw CompileError("corpus: cannot write '" + path.string() + "'");
   }
-  out << content;
 }
 
-std::string ReadFileOrThrow(const fs::path& path) {
-  std::ifstream in(path);
-  if (!in) {
+std::string ReadOrThrow(const fs::path& path) {
+  std::string text;
+  if (!ReadFile(path.string(), &text)) {
     throw CompileError("corpus: cannot read '" + path.string() + "'");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return text;
 }
 
 std::string FindingJson(const std::string& key, const Finding& finding) {
   std::ostringstream json;
   json << "{\n"
-       << "  \"key\": \"" << JsonEscape(key) << "\",\n"
+       << "  \"key\": " << JsonQuoted(key) << ",\n"
        << "  \"program_index\": " << finding.program_index << ",\n"
        << "  \"method\": \"" << DetectionMethodToString(finding.method) << "\",\n"
        << "  \"kind\": \"" << (finding.kind == BugKind::kCrash ? "crash" : "semantic")
        << "\",\n"
-       << "  \"component\": \"" << JsonEscape(finding.component) << "\",\n"
+       << "  \"component\": " << JsonQuoted(finding.component) << ",\n"
        << "  \"attributed\": ";
   if (finding.attributed.has_value()) {
     json << "\"" << BugIdToString(*finding.attributed) << "\"";
@@ -98,147 +67,10 @@ std::string FindingJson(const std::string& key, const Finding& finding) {
     json << "null";
   }
   json << ",\n"
-       << "  \"detail\": \"" << JsonEscape(finding.detail) << "\"\n"
+       << "  \"detail\": " << JsonQuoted(finding.detail) << "\n"
        << "}\n";
   return json.str();
 }
-
-// --- minimal JSON reader ----------------------------------------------------
-//
-// Parses exactly the JSON this file (and the legacy finding.json writer)
-// emits: objects with string keys, and string / unsigned-number / null
-// values. Strict — anything outside that subset is a parse error, because a
-// half-read manifest silently dropping entries would defeat the dedup it
-// exists for.
-
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void SkipSpace() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-                                   text_[pos_] == '\r' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  bool ParseString(std::string* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return false;
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"':
-          out->push_back('"');
-          break;
-        case '\\':
-          out->push_back('\\');
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return false;
-          }
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const int nibble = HexNibbleValue(text_[pos_ + static_cast<size_t>(i)]);
-            if (nibble < 0) {
-              return false;
-            }
-            value = (value << 4) | static_cast<unsigned>(nibble);
-          }
-          pos_ += 4;
-          // The writers only emit byte-wise \u00xx escapes.
-          out->push_back(static_cast<char>(value & 0xff));
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;
-  }
-
-  bool ParseUnsigned(uint64_t* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      return false;
-    }
-    uint64_t value = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      value = value * 10 + static_cast<uint64_t>(text_[pos_] - '0');
-      ++pos_;
-    }
-    *out = value;
-    return true;
-  }
-
-  bool ConsumeWord(const char* word) {
-    SkipSpace();
-    const size_t length = std::string(word).size();
-    if (text_.compare(pos_, length, word) != 0) {
-      return false;
-    }
-    pos_ += length;
-    return true;
-  }
-
-  static int HexNibbleValue(char c) {
-    if (c >= '0' && c <= '9') {
-      return c - '0';
-    }
-    if (c >= 'a' && c <= 'f') {
-      return c - 'a' + 10;
-    }
-    if (c >= 'A' && c <= 'F') {
-      return c - 'A' + 10;
-    }
-    return -1;
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 std::string FingerprintToHex(const Fingerprint& fingerprint) {
   char buffer[33];
@@ -249,64 +81,36 @@ std::string FingerprintToHex(const Fingerprint& fingerprint) {
 }
 
 bool FingerprintFromHex(const std::string& hex, Fingerprint* out) {
-  if (hex.size() != 32) {
-    return false;
-  }
-  uint64_t words[2] = {0, 0};
-  for (int w = 0; w < 2; ++w) {
-    for (int i = 0; i < 16; ++i) {
-      const int nibble = JsonCursor::HexNibbleValue(hex[static_cast<size_t>(w * 16 + i)]);
-      if (nibble < 0) {
-        return false;
-      }
-      words[w] = (words[w] << 4) | static_cast<uint64_t>(nibble);
-    }
-  }
-  out->hi = words[0];
-  out->lo = words[1];
-  return true;
+  const char* const begin = hex.data();
+  return hex.size() == 32 && std::from_chars(begin, begin + 16, out->hi, 16).ptr == begin + 16 &&
+         std::from_chars(begin + 16, begin + 32, out->lo, 16).ptr == begin + 32;
+}
+
+// The manifest entry's string field called `field`; null for any other name.
+std::string* EntryStringField(CorpusManifestEntry* entry, const std::string& field) {
+  if (field == "attributed") return &entry->attributed;
+  if (field == "component") return &entry->component;
+  if (field == "kind") return &entry->kind;
+  if (field == "method") return &entry->method;
+  return nullptr;
 }
 
 // Recovers a manifest entry's finding metadata from a stored finding.json
 // (the legacy-directory migration path). Unknown fields are skipped;
 // missing fields stay default — an old triple with a sparse finding.json is
-// still indexable.
+// still indexable, and an unreadable one indexes with no metadata at all.
 void ParseFindingMetadata(const std::string& text, CorpusManifestEntry* entry) {
-  JsonCursor cursor(text);
-  if (!cursor.Consume('{')) {
+  JsonValue root;
+  if (!ParseJson(text, &root, nullptr)) {
     return;
   }
-  while (!cursor.Peek('}')) {
-    std::string field;
-    if (!cursor.ParseString(&field) || !cursor.Consume(':')) {
-      return;
-    }
-    std::string string_value;
-    uint64_t number_value = 0;
-    if (cursor.Peek('"')) {
-      if (!cursor.ParseString(&string_value)) {
-        return;
-      }
-      if (field == "method") {
-        entry->method = string_value;
-      } else if (field == "kind") {
-        entry->kind = string_value;
-      } else if (field == "component") {
-        entry->component = string_value;
-      } else if (field == "attributed") {
-        entry->attributed = string_value;
-      }
-    } else if (cursor.ConsumeWord("null")) {
-      // attributed: null — leave empty.
-    } else if (cursor.ParseUnsigned(&number_value)) {
-      if (field == "program_index") {
-        entry->program_index = static_cast<int>(number_value);
-      }
-    } else {
-      return;
-    }
-    if (!cursor.Consume(',')) {
-      break;
+  for (const auto& [field, value] : root.members) {
+    std::string* slot = EntryStringField(entry, field);
+    if (slot != nullptr && value.kind == JsonValue::Kind::kString) {
+      *slot = value.string;
+    } else if (field == "program_index" && value.kind == JsonValue::Kind::kNumber &&
+               value.number <= INT_MAX) {
+      entry->program_index = static_cast<int>(value.number);
     }
   }
 }
@@ -332,16 +136,6 @@ std::vector<std::string> ScanTripleKeys(const std::string& directory) {
   }
   std::sort(keys.begin(), keys.end());
   return keys;
-}
-
-std::string ReadFileOrEmpty(const fs::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return "";
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 }  // namespace
@@ -382,12 +176,12 @@ std::string CorpusManifestJson(const CorpusManifest& manifest) {
   for (const auto& [key, entry] : manifest.entries()) {
     json << (first ? "\n" : ",\n");
     first = false;
-    json << "    \"" << JsonEscape(key) << "\": {\n"
-         << "      \"attributed\": \"" << JsonEscape(entry.attributed) << "\",\n"
-         << "      \"component\": \"" << JsonEscape(entry.component) << "\",\n"
+    json << "    " << JsonQuoted(key) << ": {\n"
+         << "      \"attributed\": " << JsonQuoted(entry.attributed) << ",\n"
+         << "      \"component\": " << JsonQuoted(entry.component) << ",\n"
          << "      \"fingerprint\": \"" << FingerprintToHex(entry.fingerprint) << "\",\n"
-         << "      \"kind\": \"" << JsonEscape(entry.kind) << "\",\n"
-         << "      \"method\": \"" << JsonEscape(entry.method) << "\",\n"
+         << "      \"kind\": " << JsonQuoted(entry.kind) << ",\n"
+         << "      \"method\": " << JsonQuoted(entry.method) << ",\n"
          << "      \"program_index\": " << entry.program_index << "\n"
          << "    }";
   }
@@ -404,96 +198,64 @@ bool ParseCorpusManifestJson(const std::string& text, CorpusManifest* out,
     }
     return false;
   };
-  JsonCursor cursor(text);
-  if (!cursor.Consume('{')) {
+  JsonValue root;
+  std::string parse_error;
+  if (!ParseJson(text, &root, &parse_error)) {
+    return fail(parse_error);
+  }
+  if (root.kind != JsonValue::Kind::kObject) {
     return fail("expected top-level object");
   }
   CorpusManifest manifest;
   bool saw_version = false;
-  while (!cursor.Peek('}')) {
-    std::string field;
-    if (!cursor.ParseString(&field) || !cursor.Consume(':')) {
-      return fail("malformed top-level field");
-    }
+  for (const auto& [field, value] : root.members) {
     if (field == "version") {
-      uint64_t version = 0;
-      if (!cursor.ParseUnsigned(&version)) {
+      if (value.kind != JsonValue::Kind::kNumber) {
         return fail("malformed version");
       }
-      if (version != static_cast<uint64_t>(kCorpusManifestVersion)) {
-        return fail("unsupported manifest version " + std::to_string(version));
+      if (value.number != static_cast<uint64_t>(kCorpusManifestVersion)) {
+        return fail("unsupported manifest version " + std::to_string(value.number));
       }
       saw_version = true;
     } else if (field == "total") {
-      uint64_t ignored = 0;
-      if (!cursor.ParseUnsigned(&ignored)) {
+      if (value.kind != JsonValue::Kind::kNumber) {
         return fail("malformed total");
       }
     } else if (field == "entries") {
-      if (!cursor.Consume('{')) {
+      if (value.kind != JsonValue::Kind::kObject) {
         return fail("entries must be an object");
       }
-      while (!cursor.Peek('}')) {
+      for (const auto& [key, fields] : value.members) {
+        if (fields.kind != JsonValue::Kind::kObject) {
+          return fail("malformed entry '" + key + "'");
+        }
         CorpusManifestEntry entry;
-        if (!cursor.ParseString(&entry.key) || !cursor.Consume(':') || !cursor.Consume('{')) {
-          return fail("malformed entry for a key");
-        }
-        while (!cursor.Peek('}')) {
-          std::string entry_field;
-          if (!cursor.ParseString(&entry_field) || !cursor.Consume(':')) {
-            return fail("malformed field in entry '" + entry.key + "'");
-          }
-          if (entry_field == "program_index") {
-            uint64_t index = 0;
-            if (!cursor.ParseUnsigned(&index)) {
-              return fail("malformed program_index in entry '" + entry.key + "'");
+        entry.key = key;
+        const std::string where = " in entry '" + key + "'";
+        for (const auto& [name, member] : fields.members) {
+          std::string* slot = EntryStringField(&entry, name);
+          if (name == "program_index") {
+            if (member.kind != JsonValue::Kind::kNumber || member.number > INT_MAX) {
+              return fail("malformed program_index" + where);
             }
-            entry.program_index = static_cast<int>(index);
+            entry.program_index = static_cast<int>(member.number);
+          } else if (member.kind != JsonValue::Kind::kString) {
+            return fail("malformed value" + where);
+          } else if (name == "fingerprint") {
+            if (!FingerprintFromHex(member.string, &entry.fingerprint)) {
+              return fail("malformed fingerprint" + where);
+            }
+          } else if (slot != nullptr) {
+            *slot = member.string;
           } else {
-            std::string value;
-            if (!cursor.ParseString(&value)) {
-              return fail("malformed value in entry '" + entry.key + "'");
-            }
-            if (entry_field == "fingerprint") {
-              if (!FingerprintFromHex(value, &entry.fingerprint)) {
-                return fail("malformed fingerprint in entry '" + entry.key + "'");
-              }
-            } else if (entry_field == "attributed") {
-              entry.attributed = value;
-            } else if (entry_field == "component") {
-              entry.component = value;
-            } else if (entry_field == "kind") {
-              entry.kind = value;
-            } else if (entry_field == "method") {
-              entry.method = value;
-            } else {
-              return fail("unknown field '" + entry_field + "' in entry '" + entry.key + "'");
-            }
+            return fail("unknown field '" + name + "'" + where);
           }
-          if (!cursor.Consume(',')) {
-            break;
-          }
-        }
-        if (!cursor.Consume('}')) {
-          return fail("unterminated entry '" + entry.key + "'");
         }
         manifest.Insert(std::move(entry));
-        if (!cursor.Consume(',')) {
-          break;
-        }
-      }
-      if (!cursor.Consume('}')) {
-        return fail("unterminated entries object");
       }
     } else {
       return fail("unknown top-level field '" + field + "'");
     }
-    if (!cursor.Consume(',')) {
-      break;
-    }
-  }
-  if (!cursor.Consume('}') || !cursor.AtEnd()) {
-    return fail("trailing content after manifest object");
   }
   if (!saw_version) {
     return fail("missing version");
@@ -511,7 +273,7 @@ CorpusManifest LoadCorpusManifest(const std::string& directory) {
   const fs::path manifest_path = fs::path(directory) / kManifestFileName;
   if (fs::exists(manifest_path)) {
     std::string error;
-    if (!ParseCorpusManifestJson(ReadFileOrThrow(manifest_path), &manifest, &error)) {
+    if (!ParseCorpusManifestJson(ReadOrThrow(manifest_path), &manifest, &error)) {
       // Fail loudly: a corrupt index silently rebuilt could mask a key that
       // was deliberately stored, breaking cross-run dedup.
       throw CompileError("corpus: cannot parse '" + manifest_path.string() + "': " + error);
@@ -524,16 +286,18 @@ CorpusManifest LoadCorpusManifest(const std::string& directory) {
     const fs::path base = fs::path(directory) / key;
     CorpusManifestEntry entry;
     entry.key = key;
-    entry.fingerprint = FingerprintReproducer(ReadFileOrThrow(base.string() + ".p4"),
-                                              ReadFileOrThrow(base.string() + ".stf"));
-    ParseFindingMetadata(ReadFileOrEmpty(base.string() + ".finding.json"), &entry);
+    entry.fingerprint = FingerprintReproducer(ReadOrThrow(base.string() + ".p4"),
+                                              ReadOrThrow(base.string() + ".stf"));
+    std::string finding_json;
+    ReadFile(base.string() + ".finding.json", &finding_json);
+    ParseFindingMetadata(finding_json, &entry);
     manifest.Insert(std::move(entry));
   }
   return manifest;
 }
 
 void SaveCorpusManifest(const std::string& directory, const CorpusManifest& manifest) {
-  WriteFileOrThrow(fs::path(directory) / kManifestFileName, CorpusManifestJson(manifest));
+  WriteOrThrow(fs::path(directory) / kManifestFileName, CorpusManifestJson(manifest));
 }
 
 // --- store ------------------------------------------------------------------
@@ -569,9 +333,9 @@ std::string CorpusStore::Add(const Program& program, const Finding& finding) {
   const std::string program_text = PrintProgram(program);
   const std::string stf =
       finding.repro_test.has_value() ? EmitStf(*finding.repro_test) : std::string();
-  WriteFileOrThrow(base.string() + ".p4", program_text);
-  WriteFileOrThrow(base.string() + ".stf", stf);
-  WriteFileOrThrow(base.string() + ".finding.json", FindingJson(key, finding));
+  WriteOrThrow(base.string() + ".p4", program_text);
+  WriteOrThrow(base.string() + ".stf", stf);
+  WriteOrThrow(base.string() + ".finding.json", FindingJson(key, finding));
   CorpusManifestEntry entry;
   entry.key = key;
   entry.fingerprint = FingerprintReproducer(program_text, stf);
@@ -618,8 +382,8 @@ int MergeCorpusStores(const std::string& destination,
       for (const char* extension : {".p4", ".stf", ".finding.json"}) {
         const fs::path source = fs::path(shard_dir) / (key + extension);
         if (fs::exists(source)) {
-          WriteFileOrThrow(fs::path(destination) / (key + extension),
-                           ReadFileOrThrow(source));
+          WriteOrThrow(fs::path(destination) / (key + extension),
+                           ReadOrThrow(source));
         }
       }
       merged.Insert(entry);
@@ -657,8 +421,8 @@ std::vector<CorpusEntry> ListCorpus(const std::string& directory) {
     }
     CorpusEntry entry;
     entry.key = key;
-    entry.program_text = ReadFileOrThrow(base.string() + ".p4");
-    entry.stf_text = ReadFileOrThrow(base.string() + ".stf");
+    entry.program_text = ReadOrThrow(base.string() + ".p4");
+    entry.stf_text = ReadOrThrow(base.string() + ".stf");
     entries.push_back(std::move(entry));
   }
   return entries;

@@ -32,7 +32,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -57,6 +56,7 @@
 #include "src/reduce/reducer.h"
 #include "src/runtime/corpus.h"
 #include "src/runtime/parallel_campaign.h"
+#include "src/support/file_io.h"
 #include "src/target/target.h"
 #include "src/testgen/testgen.h"
 #include "src/tv/validator.h"
@@ -73,14 +73,12 @@ class CliUsageError : public std::runtime_error {
   explicit CliUsageError(const std::string& message) : std::runtime_error(message) {}
 };
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+std::string ReadInput(const std::string& path) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     throw CompileError("cannot open '" + path + "'");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return text;
 }
 
 // A command's parsed arguments: positionals in order, and every occurrence
@@ -354,7 +352,7 @@ int CmdBugs() {
 }
 
 int CmdCompile(const std::string& path, const BugConfig& bugs) {
-  auto program = Parser::ParseString(ReadFile(path));
+  auto program = Parser::ParseString(ReadInput(path));
   TypeCheck(*program, TypeCheckOptionsFromBugs(bugs));
   PassManager::StandardPipeline().Run(
       *program, bugs, [](const std::string& pass_name, const Program& snapshot) {
@@ -367,7 +365,7 @@ int CmdCompile(const std::string& path, const BugConfig& bugs) {
 
 int CmdValidate(const std::string& path, const BugConfig& bugs, const ParsedArgs& args) {
   Telemetry telemetry(args);
-  auto program = Parser::ParseString(ReadFile(path));
+  auto program = Parser::ParseString(ReadInput(path));
   TvOptions tv_options;
   TestGenOptions unused_testgen_options;
   ApplySolverSwitches(args, tv_options, unused_testgen_options);
@@ -419,7 +417,7 @@ int CmdValidate(const std::string& path, const BugConfig& bugs, const ParsedArgs
 
 int CmdTestgen(const std::string& path, const ParsedArgs& args) {
   Telemetry telemetry(args);
-  auto program = Parser::ParseString(ReadFile(path));
+  auto program = Parser::ParseString(ReadInput(path));
   TypeCheck(*program);
   ValidationCache cache;
   ValidationCache* cache_ptr = args.Has("--no-cache") ? nullptr : &cache;
@@ -845,7 +843,7 @@ int CmdSubmit(int argc, char** argv) {
     if (args.Has("--bug")) {
       bug_names = args.flags.at("--bug");
     }
-    payload = BuildSubmitPayload(ReadFile(args.positionals[0]), bug_names,
+    payload = BuildSubmitPayload(ReadInput(args.positionals[0]), bug_names,
                                  TargetsFromFlags(args));
   }
   const std::string response = SendServeRequest(socket_path, payload);
@@ -937,7 +935,7 @@ int CmdReplay(int argc, char** argv) {
   ReplayOutcome outcome;
   {
     ScopedTelemetry sinks(telemetry);
-    outcome = ReplayStfText(ReadFile(args.positionals[0]), ReadFile(args.positionals[1]), bugs,
+    outcome = ReplayStfText(ReadInput(args.positionals[0]), ReadInput(args.positionals[1]), bugs,
                             targets);
   }
   for (const std::string& detail : outcome.failure_details) {
@@ -952,7 +950,7 @@ int CmdReplay(int argc, char** argv) {
 CoverageMap LoadCoverage(const std::string& path) {
   CoverageMap map;
   std::string error;
-  if (!ParseCoverageJson(ReadFile(path), &map, &error)) {
+  if (!ParseCoverageJson(ReadInput(path), &map, &error)) {
     throw CompileError("cannot parse coverage file '" + path + "': " + error);
   }
   return map;
@@ -994,7 +992,7 @@ int CmdCoverage(int argc, char** argv) {
 }
 
 int CmdReduce(const std::string& path, const BugConfig& bugs) {
-  auto program = Parser::ParseString(ReadFile(path));
+  auto program = Parser::ParseString(ReadInput(path));
   // Pick the oracle automatically: crash if any buggy back-end compile
   // crashes, otherwise a semantic-diff oracle over any pass.
   InterestingnessOracle oracle;

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -480,6 +485,39 @@ TEST_F(DistScratch, ServeMaxRequestsBoundsTheLoop) {
   EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
   loop.join();
   EXPECT_EQ(server.served(), 1);
+}
+
+// A client that hangs up before its verdict costs the server nothing: the
+// failed send surfaces as EPIPE, not as a SIGPIPE that kills the process.
+TEST_F(DistScratch, ServeSurvivesAClientThatHangsUpEarly) {
+  ServeOptions options;
+  options.socket_path = Path("sock");
+  options.campaign = SmallCampaign(/*num_programs=*/0);
+  GauntletServer server(std::move(options), BugConfig::None());
+  server.Start();
+  std::thread loop([&server] { server.Run(); });
+
+  // One submission frame on a raw socket, closed without reading the reply.
+  const std::string payload = BuildSubmitPayload(kCleanProgram, {}, {});
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un address = {};
+  address.sun_family = AF_UNIX;
+  std::strncpy(address.sun_path, server.socket_path().c_str(), sizeof(address.sun_path) - 1);
+  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)), 0);
+  const uint32_t length = static_cast<uint32_t>(payload.size());
+  const unsigned char header[4] = {
+      static_cast<unsigned char>(length >> 24), static_cast<unsigned char>(length >> 16),
+      static_cast<unsigned char>(length >> 8), static_cast<unsigned char>(length)};
+  ASSERT_EQ(write(fd, header, sizeof(header)), static_cast<ssize_t>(sizeof(header)));
+  ASSERT_EQ(write(fd, payload.data(), payload.size()), static_cast<ssize_t>(payload.size()));
+  close(fd);
+
+  const std::string response = SendServeRequest(server.socket_path(), payload);
+  EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos) << response;
+  SendServeRequest(server.socket_path(), BuildShutdownPayload());
+  loop.join();
+  EXPECT_EQ(server.served(), 2);
 }
 
 // A serving session with telemetry out paths and a hot snapshot interval

@@ -1,0 +1,745 @@
+// Byte-identity goldens for every persisted artifact writer, plus the
+// deterministic truncation/mutation sweep over their readers.
+//
+// Each golden is the exact output of one writer for one fixed input. The
+// inputs carry the characters escaping has to get right: quotes,
+// backslashes, newlines, tabs, control bytes and, where the writer sees
+// arbitrary text, high bytes. CI gates and downstream consumers match
+// these bytes literally, so any diff here is a format change.
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <thread>
+
+#include "src/cache/cache_file.h"
+#include "src/cache/verdict_cache.h"
+#include "src/dist/serve.h"
+#include "src/dist/shard.h"
+#include "src/frontend/parser.h"
+#include "src/obs/coverage.h"
+#include "src/obs/health.h"
+#include "src/obs/run_report.h"
+#include "src/obs/snapshot.h"
+#include "src/runtime/corpus.h"
+#include "src/support/rng.h"
+
+namespace gauntlet {
+namespace {
+
+namespace fs = std::filesystem;
+
+// --- fixed inputs ------------------------------------------------------------
+
+// A string holding every byte class an escaper distinguishes, minus \r and
+// bytes >= 0x7f (the corpus writer's one intentional form change).
+const std::string kAwkward = std::string("q\"b\\n\nt\tc") + std::string("\x01", 1) + "!";
+
+MetricsRegistry GoldenMetrics() {
+  MetricsRegistry registry;
+  registry.Count("campaign/findings_total", MetricScope::kDeterministic, 3);
+  registry.Count("needs\"escaping\\here", MetricScope::kDeterministic, 1);
+  registry.Observe("det/h", MetricScope::kDeterministic, {1, 10}, 5);
+  registry.Observe("det/h", MetricScope::kDeterministic, {1, 10}, 50);
+  registry.Count("smt/conflicts", MetricScope::kTiming, 812);
+  registry.GaugeMax("process/peak_rss_kb", MetricScope::kTiming, 18446744073709551615ull);
+  for (uint64_t v = 1; v <= 20; ++v) {
+    registry.Observe("time/h/micros", MetricScope::kTiming, {5, 10, 100}, v);
+  }
+  registry.Count(std::string("hi\xff\x7f", 4), MetricScope::kTiming, 7);
+  return registry;
+}
+
+CoverageMap GoldenCoverage() {
+  CoverageMap map;
+  map.Record("fault-trigger", "predication-lost-else/seeded", MetricScope::kDeterministic, 1);
+  map.Record("fault-trigger", "predication-lost-else/exercised", MetricScope::kDeterministic,
+             4);
+  map.Set("fault-trigger", "predication-lost-else/first_detection_index",
+          MetricScope::kDeterministic, 0);
+  map.Record("gen-construct", kAwkward, MetricScope::kDeterministic, 18446744073709551615ull);
+  map.Record("detection-latency-wall", "predication-lost-else", MetricScope::kTiming, 1234);
+  return map;
+}
+
+Snapshot GoldenSnapshot() {
+  Snapshot snapshot;
+  snapshot.role = "coordinator";
+  snapshot.phase = "running \"shards\"\t" + std::string("\xfe", 1);
+  snapshot.pid = 4321;
+  snapshot.started_unix_ms = 1000;
+  snapshot.updated_unix_ms = 2500;
+  snapshot.programs_total = 40;
+  snapshot.programs_done = 17;
+  snapshot.tests_generated = 96;
+  snapshot.findings = 5;
+  snapshot.distinct_bugs = 2;
+  snapshot.requests_served = 18446744073709551615ull;
+  for (int i = 0; i < 2; ++i) {
+    ShardHealthSummary shard;
+    shard.role = "shard-" + std::to_string(i);
+    shard.state = i == 0 ? "healthy" : "starting";
+    shard.programs_total = 20;
+    shard.programs_done = 9 + static_cast<uint64_t>(i);
+    shard.findings = 3;
+    shard.age_ms = 120;
+    snapshot.shards.push_back(shard);
+  }
+  MetricsRegistry metrics;
+  metrics.Count("campaign/findings_total", MetricScope::kDeterministic, 5);
+  metrics.Observe("serve/request_latency_micros", MetricScope::kTiming, {100, 300}, 150);
+  snapshot.metrics_json = MetricsJson(metrics);
+  return snapshot;
+}
+
+Heartbeat GoldenHeartbeat() {
+  Heartbeat heartbeat;
+  heartbeat.role = "shard-\"1\"";
+  heartbeat.phase = "testing\n";
+  heartbeat.pid = 77;
+  heartbeat.programs_total = 20;
+  heartbeat.programs_done = 9;
+  heartbeat.tests_generated = 41;
+  heartbeat.findings = 2;
+  heartbeat.requests_served = 0;
+  heartbeat.started_unix_ms = 1700000000000;
+  heartbeat.updated_unix_ms = 1700000001234;
+  return heartbeat;
+}
+
+FleetStatus GoldenFleet() {
+  FleetStatus fleet;
+  fleet.collected_unix_ms = 1700000005000;
+  fleet.stall_threshold_ms = 10000;
+  fleet.programs_total = 40;
+  fleet.programs_done = 30;
+  fleet.tests_generated = 120;
+  fleet.findings = 4;
+  fleet.requests_served = 0;
+  fleet.started_unix_ms = 1700000000000;
+  WorkerStatus done;
+  done.role = "shard-0";
+  done.has_heartbeat = true;
+  done.heartbeat = GoldenHeartbeat();
+  done.heartbeat.phase = "done";
+  done.health.state = WorkerHealth::kDone;
+  done.health.age_ms = 3766;
+  fleet.workers.push_back(done);
+  WorkerStatus stalled;
+  stalled.role = "shard-1";
+  stalled.has_heartbeat = true;
+  stalled.heartbeat = GoldenHeartbeat();
+  stalled.health.state = WorkerHealth::kStalled;
+  stalled.health.age_ms = 12000;
+  stalled.health.detail = "no heartbeat update for 12s (threshold 10s)";
+  fleet.workers.push_back(stalled);
+  WorkerStatus corrupt;
+  corrupt.role = "shard-2";
+  corrupt.health.state = WorkerHealth::kCorrupt;
+  corrupt.health.detail = "heartbeat unreadable: expected '}' at offset 3";
+  fleet.workers.push_back(corrupt);
+  fleet.unhealthy_workers = 2;
+  return fleet;
+}
+
+CorpusManifest GoldenManifest(const std::string& awkward) {
+  CorpusManifest manifest;
+  CorpusManifestEntry attributed;
+  attributed.key = "predication-lost-else";
+  attributed.fingerprint = Fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  attributed.program_index = 2147483647;
+  attributed.method = "translation-validation";
+  attributed.kind = "semantic";
+  attributed.component = "Predication";
+  attributed.attributed = "predication-lost-else";
+  manifest.Insert(attributed);
+  CorpusManifestEntry unattributed;
+  unattributed.key = "unattributed-" + awkward;
+  unattributed.fingerprint = Fingerprint{1, 2};
+  unattributed.program_index = 0;
+  unattributed.method = "crash";
+  unattributed.kind = "crash";
+  unattributed.component = awkward;
+  manifest.Insert(unattributed);
+  return manifest;
+}
+
+std::vector<TraceEvent> GoldenTraceEvents() {
+  std::vector<TraceEvent> events;
+  TraceEvent outer;
+  outer.name = "generate";
+  outer.category = "campaign";
+  outer.start_us = 10;
+  outer.duration_us = 5000;
+  outer.tid = 1;
+  outer.args = {{"program", 3}, {"seed", 18446744073709551615ull}};
+  events.push_back(outer);
+  TraceEvent hostile;
+  hostile.name = "tv:" + kAwkward + std::string("\xff", 1);
+  hostile.category = "tv";
+  hostile.start_us = 20;
+  hostile.duration_us = 0;
+  hostile.tid = 0;
+  events.push_back(hostile);
+  return events;
+}
+
+ShardResult GoldenShardResult() {
+  ShardResult result;
+  result.range = ShardRange{1, 4, 12};
+  CampaignReport& report = result.report;
+  report.programs_generated = 8;
+  report.programs_with_crash = 1;
+  report.programs_with_semantic = 2;
+  report.tests_generated = 44;
+  report.undef_divergences = 1;
+  report.structural_mismatches = 0;
+  Finding semantic;
+  semantic.program_index = 5;
+  semantic.method = DetectionMethod::kTranslationValidation;
+  semantic.kind = BugKind::kSemantic;
+  semantic.component = "Predication";
+  semantic.attributed = BugId::kPredicationLostElse;
+  semantic.detail = "pass Predication: " + kAwkward + std::string("\r\xff", 2);
+  report.findings.push_back(semantic);
+  Finding crash;
+  crash.program_index = 7;
+  crash.method = DetectionMethod::kCrash;
+  crash.kind = BugKind::kCrash;
+  crash.component = "crash site with spaces";
+  report.findings.push_back(crash);
+  report.latency[BugId::kPredicationLostElse] = DetectionLatency{5, 30, 1, 987654};
+  report.distinct_bugs.insert(BugId::kPredicationLostElse);
+  report.unattributed_components.insert("crash site with spaces");
+  result.metrics.Count("campaign/programs", MetricScope::kDeterministic, 8);
+  result.metrics.GaugeMax("process/peak_rss_kb", MetricScope::kTiming, 4096);
+  result.metrics.Observe("smt/solve_micros", MetricScope::kTiming, {10, 100}, 50);
+  result.coverage.Record("gen-construct", "if-else", MetricScope::kDeterministic, 6);
+  result.coverage.Record("detection-latency-wall", "predication-lost-else",
+                         MetricScope::kTiming, 77);
+  result.cache_stats.blast_hits = 1;
+  result.cache_stats.blast_misses = 2;
+  result.cache_stats.clauses_reused = 3;
+  result.cache_stats.verdict_hits = 4;
+  result.cache_stats.verdict_misses = 5;
+  result.cache_stats.queries_skipped = 6;
+  result.cache_stats.pairs_short_circuited = 7;
+  return result;
+}
+
+void FillGoldenCache(ValidationCache& cache) {
+  BlastTemplate tpl;
+  tpl.input_count = 2;
+  tpl.fresh_count = 1;
+  tpl.clause_count = 2;
+  tpl.events = {-1, 2, 3};
+  tpl.clause_lits = {TemplateLit{2}, TemplateLit{7}, TemplateLit{3}, TemplateLit{5},
+                     TemplateLit{6}};
+  tpl.outputs = {TemplateLit{6}};
+  cache.blast().Insert(Fingerprint{11, 12}, tpl);
+
+  VerdictCache::Entry diff;
+  diff.queries = 2;
+  diff.result.pass_name = "Predication";
+  diff.result.verdict = TvVerdict::kSemanticDiff;
+  diff.result.detail = "solver found a disagreeing input: " + kAwkward;
+  diff.result.counterexample.bit_values.emplace("hdr.h.a", BitValue(8, 0xab));
+  diff.result.counterexample.bit_values.emplace("hdr.h.wide", BitValue(64, ~uint64_t{0}));
+  diff.result.counterexample.bool_values.emplace("hdr.h.$valid", true);
+  cache.PreloadVerdict(7, Fingerprint{1, 2}, diff);
+  VerdictCache::Entry same;
+  same.result.pass_name = "ConstantFolding";
+  same.result.verdict = TvVerdict::kEquivalent;
+  cache.PreloadVerdict(7, Fingerprint{3, 4}, same);
+  cache.PreloadVerdict(9, Fingerprint{5, 6}, same);
+
+  cache.summaries().RecordSemanticsFingerprint(Fingerprint{21, 22}, Fingerprint{23, 24});
+}
+
+// --- the goldens -------------------------------------------------------------
+
+const char* const kMetricsGolden = R"golden({
+  "version": 2,
+  "deterministic": {
+    "campaign/findings_total": 3,
+    "det/h": {"bounds": [1, 10], "counts": [0, 1, 1], "total": 2},
+    "needs\"escaping\\here": 1
+  },
+  "timing": {
+    "hi\u00ff\u007f": 7,
+    "process/peak_rss_kb": 18446744073709551615,
+    "smt/conflicts": 812,
+    "time/h/micros": {"bounds": [5, 10, 100], "counts": [5, 5, 10, 0], "total": 20, "p50": 10, "p90": 82, "p99": 100}
+  }
+}
+)golden";
+
+const char* const kCoverageGolden = R"golden({
+  "version": 1,
+  "deterministic": {
+    "fault-trigger": {
+      "predication-lost-else/exercised": 4,
+      "predication-lost-else/first_detection_index": 0,
+      "predication-lost-else/seeded": 1
+    },
+    "gen-construct": {
+      "q\"b\\n\nt\tc\u0001!": 18446744073709551615
+    }
+  },
+  "timing": {
+    "detection-latency-wall": {
+      "predication-lost-else": 1234
+    }
+  }
+}
+)golden";
+
+const char* const kSnapshotGolden = R"golden({
+  "version": 1,
+  "role": "coordinator",
+  "phase": "running \"shards\"\t\u00fe",
+  "pid": 4321,
+  "started_unix_ms": 1000,
+  "updated_unix_ms": 2500,
+  "programs_total": 40,
+  "programs_done": 17,
+  "tests_generated": 96,
+  "findings": 5,
+  "distinct_bugs": 2,
+  "requests_served": 18446744073709551615,
+  "shards": [
+    {"role": "shard-0", "state": "healthy", "programs_total": 20, "programs_done": 9, "findings": 3, "age_ms": 120},
+    {"role": "shard-1", "state": "starting", "programs_total": 20, "programs_done": 10, "findings": 3, "age_ms": 120}
+  ],
+  "metrics": {
+  "version": 2,
+  "deterministic": {
+    "campaign/findings_total": 5
+  },
+  "timing": {
+    "serve/request_latency_micros": {"bounds": [100, 300], "counts": [0, 1, 0], "total": 1, "p50": 300, "p90": 300, "p99": 300}
+  }
+}
+}
+)golden";
+
+const char* const kHeartbeatGolden = R"golden({"version":1,"role":"shard-\"1\"","phase":"testing\n","pid":77,"programs_total":20,"programs_done":9,"tests_generated":41,"findings":2,"requests_served":0,"started_unix_ms":1700000000000,"updated_unix_ms":1700000001234}
+)golden";
+
+const char* const kFleetStatusGolden = R"golden({"version":1,"healthy":false,"complete":false,"stall_threshold_ms":10000,"programs_total":40,"programs_done":30,"tests_generated":120,"findings":4,"requests_served":0,"workers":[{"role":"shard-0","health":"done","age_ms":3766,"pid":77,"phase":"done","programs_total":20,"programs_done":9,"tests_generated":41,"findings":2,"requests_served":0},{"role":"shard-1","health":"stalled","age_ms":12000,"pid":77,"phase":"testing\n","programs_total":20,"programs_done":9,"tests_generated":41,"findings":2,"requests_served":0,"detail":"no heartbeat update for 12s (threshold 10s)"},{"role":"shard-2","health":"corrupt","age_ms":0,"pid":0,"phase":"","programs_total":0,"programs_done":0,"tests_generated":0,"findings":0,"requests_served":0,"detail":"heartbeat unreadable: expected '}' at offset 3"}]}
+)golden";
+
+const char* const kManifestGolden = R"golden({
+  "version": 1,
+  "entries": {
+    "predication-lost-else": {
+      "attributed": "predication-lost-else",
+      "component": "Predication",
+      "fingerprint": "0123456789abcdeffedcba9876543210",
+      "kind": "semantic",
+      "method": "translation-validation",
+      "program_index": 2147483647
+    },
+    "unattributed-q\"b\\n\nt\tc\u0001!": {
+      "attributed": "",
+      "component": "q\"b\\n\nt\tc\u0001!",
+      "fingerprint": "00000000000000010000000000000002",
+      "kind": "crash",
+      "method": "crash",
+      "program_index": 0
+    }
+  },
+  "total": 2
+}
+)golden";
+
+// The one intentional form change: corpus strings holding \r or bytes >=
+// 0x7f now escape the JsonQuoted way, like every other writer.
+const char* const kManifestHighBytesGolden = R"golden({
+  "version": 1,
+  "entries": {
+    "predication-lost-else": {
+      "attributed": "predication-lost-else",
+      "component": "Predication",
+      "fingerprint": "0123456789abcdeffedcba9876543210",
+      "kind": "semantic",
+      "method": "translation-validation",
+      "program_index": 2147483647
+    },
+    "unattributed-cr\r hi\u00ff\u007f": {
+      "attributed": "",
+      "component": "cr\r hi\u00ff\u007f",
+      "fingerprint": "00000000000000010000000000000002",
+      "kind": "crash",
+      "method": "crash",
+      "program_index": 0
+    }
+  },
+  "total": 2
+}
+)golden";
+
+// The same manifest as the writer produced it before that change, with \r
+// as \u000d and bytes >= 0x7f raw. Corpora written then must still load.
+const char* const kManifestOldForm =
+    "{\n"
+    "  \"version\": 1,\n"
+    "  \"entries\": {\n"
+    "    \"predication-lost-else\": {\n"
+    "      \"attributed\": \"predication-lost-else\",\n"
+    "      \"component\": \"Predication\",\n"
+    "      \"fingerprint\": \"0123456789abcdeffedcba9876543210\",\n"
+    "      \"kind\": \"semantic\",\n"
+    "      \"method\": \"translation-validation\",\n"
+    "      \"program_index\": 2147483647\n"
+    "    },\n"
+    "    \"unattributed-cr\\u000d hi\xff" "\x7f" "\": {\n"
+    "      \"attributed\": \"\",\n"
+    "      \"component\": \"cr\\u000d hi\xff" "\x7f" "\",\n"
+    "      \"fingerprint\": \"00000000000000010000000000000002\",\n"
+    "      \"kind\": \"crash\",\n"
+    "      \"method\": \"crash\",\n"
+    "      \"program_index\": 0\n"
+    "    }\n"
+    "  },\n"
+    "  \"total\": 2\n"
+    "}\n";
+
+const char* const kFindingGolden = R"golden({
+  "key": "bmv2-miss-runs-first-action",
+  "program_index": 12,
+  "method": "packet-test",
+  "kind": "semantic",
+  "component": "Bmv2 q\"b\\n\nt\tc\u0001!",
+  "attributed": "bmv2-miss-runs-first-action",
+  "detail": "bmv2 t0: expected 0b, got q\"b\\n\nt\tc\u0001!"
+}
+)golden";
+
+const char* const kStoredManifestGolden = R"golden({
+  "version": 1,
+  "entries": {
+    "bmv2-miss-runs-first-action": {
+      "attributed": "bmv2-miss-runs-first-action",
+      "component": "Bmv2 q\"b\\n\nt\tc\u0001!",
+      "fingerprint": "bad87921e891f9a28667b1ea6ce25b9b",
+      "kind": "semantic",
+      "method": "packet-test",
+      "program_index": 12
+    }
+  },
+  "total": 1
+}
+)golden";
+
+const char* const kTraceGolden = R"golden({"traceEvents": [
+  {"name": "generate", "cat": "campaign", "ph": "X", "ts": 10, "dur": 5000, "pid": 1, "tid": 1, "args": {"program": 3, "seed": 18446744073709551615}},
+  {"name": "tv:q\"b\\n\nt\tc\u0001!\u00ff", "cat": "tv", "ph": "X", "ts": 20, "dur": 0, "pid": 1, "tid": 0}
+], "displayTimeUnit": "ms"}
+)golden";
+
+const char* const kShardResultGolden = R"golden(gauntletshard 1
+range 1 4 12
+counters 8 1 2 44 1 0
+findings 2
+find 5 translation-validation semantic 5072656469636174696f6e predication-lost-else 70617373205072656469636174696f6e3a207122625c6e0a74096301210dff
+find 7 crash crash 63726173682073697465207769746820737061636573 - -
+latency 1
+lat predication-lost-else 5 30 1 987654
+distinct 1
+bug predication-lost-else
+unattributed 1
+comp 63726173682073697465207769746820737061636573
+metrics 3
+met 63616d706169676e2f70726f6772616d73 0 0 8 0 0
+met 70726f636573732f7065616b5f7273735f6b62 1 1 4096 0 0
+met 736d742f736f6c76655f6d6963726f73 1 2 1 2 10 100 3 0 1 0
+coverage 2
+cov 646574656374696f6e2d6c6174656e63792d77616c6c 1 7072656469636174696f6e2d6c6f73742d656c7365 77
+cov 67656e2d636f6e737472756374 0 69662d656c7365 6
+cache 1 2 3 4 5 6 7
+)golden";
+
+const char* const kCacheFileGolden = R"golden(gauntletcache 2
+blast 1
+11 12 2 1 2 3 -1 2 3 5 2 7 3 5 6 1 6
+programs 2
+prog 7 2
+1 2 2 2 5072656469636174696f6e 736f6c76657220666f756e642061206469736167726565696e6720696e7075743a207122625c6e0a7409630121 2 6864722e682e61 8 171 6864722e682e77696465 64 18446744073709551615 1 6864722e682e2476616c6964 1
+3 4 0 0 436f6e7374616e74466f6c64696e67 - 0 0
+prog 9 1
+5 6 0 0 436f6e7374616e74466f6c64696e67 - 0 0
+summaries 1
+21 22 23 24
+)golden";
+
+const char* const kServeCleanGolden = R"golden({"version":1,"status":"ok","program_index":0,"tests_generated":1,"findings":[]})golden";
+
+const char* const kServeFindingsGolden = R"golden({"version":1,"status":"ok","program_index":1,"tests_generated":6,"findings":[{"method":"translation-validation","kind":"semantic","component":"Predication","attributed":"predication-lost-else"}]})golden";
+
+const char* const kServeParseErrorGolden = R"golden({"version":1,"status":"error","error":"1:7: error: unexpected character '\"'"})golden";
+
+const char* const kServeBadBugGolden = R"golden({"version":1,"status":"error","error":"unknown bug '\"no\\such'"})golden";
+
+// --- writers match their goldens ---------------------------------------------
+
+std::string ShardResultText(const ShardResult& result) {
+  std::ostringstream out;
+  SaveShardResult(result, out);
+  return out.str();
+}
+
+std::string CacheFileText() {
+  ValidationCache cache;
+  FillGoldenCache(cache);
+  std::ostringstream out;
+  SaveValidationCaches({&cache}, out);
+  return out.str();
+}
+
+TEST(ArtifactGoldenTest, MetricsJson) { EXPECT_EQ(MetricsJson(GoldenMetrics()), kMetricsGolden); }
+
+TEST(ArtifactGoldenTest, CoverageJson) {
+  EXPECT_EQ(CoverageJson(GoldenCoverage()), kCoverageGolden);
+}
+
+TEST(ArtifactGoldenTest, SnapshotJson) {
+  EXPECT_EQ(SnapshotJson(GoldenSnapshot()), kSnapshotGolden);
+}
+
+TEST(ArtifactGoldenTest, HeartbeatJson) {
+  EXPECT_EQ(HeartbeatJson(GoldenHeartbeat()), kHeartbeatGolden);
+}
+
+TEST(ArtifactGoldenTest, FleetStatusJson) {
+  EXPECT_EQ(FleetStatusJson(GoldenFleet()), kFleetStatusGolden);
+}
+
+TEST(ArtifactGoldenTest, CorpusManifestJson) {
+  EXPECT_EQ(CorpusManifestJson(GoldenManifest(kAwkward)), kManifestGolden);
+}
+
+const std::string kHighBytes("cr\r hi\xff\x7f", 8);
+
+TEST(ArtifactGoldenTest, CorpusManifestJsonEscapesCarriageReturnAndHighBytes) {
+  EXPECT_EQ(CorpusManifestJson(GoldenManifest(kHighBytes)), kManifestHighBytesGolden);
+}
+
+TEST(ArtifactGoldenTest, ManifestInTheOldFormStillLoads) {
+  CorpusManifest manifest;
+  std::string error;
+  ASSERT_TRUE(ParseCorpusManifestJson(kManifestOldForm, &manifest, &error)) << error;
+  const CorpusManifestEntry* entry = manifest.Find("unattributed-" + kHighBytes);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->component, kHighBytes);
+  EXPECT_EQ(CorpusManifestJson(manifest), kManifestHighBytesGolden);
+}
+
+TEST(ArtifactGoldenTest, TraceJson) { EXPECT_EQ(TraceJson(GoldenTraceEvents()), kTraceGolden); }
+
+TEST(ArtifactGoldenTest, ShardResult) {
+  EXPECT_EQ(ShardResultText(GoldenShardResult()), kShardResultGolden);
+}
+
+TEST(ArtifactGoldenTest, ValidationCacheFile) { EXPECT_EQ(CacheFileText(), kCacheFileGolden); }
+
+class GoldenScratch : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    root_ = (fs::temp_directory_path() / ("gauntlet_golden_" + name)).string();
+    fs::remove_all(root_);
+    fs::create_directories(root_);
+  }
+  void TearDown() override { fs::remove_all(root_); }
+  std::string Path(const std::string& leaf) const { return root_ + "/" + leaf; }
+  std::string root_;
+};
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream body;
+  body << in.rdbuf();
+  return body.str();
+}
+
+constexpr const char* kCleanProgram = R"(
+header H { bit<8> a; }
+struct Hdr { H h; }
+parser p(out Hdr hdr) { state start { pkt.extract(hdr.h); transition accept; } }
+control ig(inout Hdr hdr) { apply { hdr.h.a = hdr.h.a + 8w1; } }
+control dp(in Hdr hdr) { apply { pkt.emit(hdr.h); } }
+package main { parser = p; ingress = ig; deparser = dp; }
+)";
+
+constexpr const char* kPredicationProgram = R"(
+header H { bit<8> a; bit<8> b; }
+struct Hdr { H h; }
+parser p(out Hdr hdr) { state start { pkt.extract(hdr.h); transition accept; } }
+control ig(inout Hdr hdr) {
+  action flip() {
+    if (hdr.h.a == 8w0) { hdr.h.b = 8w1; } else { hdr.h.b = 8w2; }
+  }
+  table t {
+    key = { hdr.h.a : exact; }
+    actions = { flip; NoAction; }
+    default_action = flip();
+  }
+  apply { t.apply(); }
+}
+control dp(in Hdr hdr) { apply { pkt.emit(hdr.h); } }
+package main { parser = p; ingress = ig; deparser = dp; }
+)";
+
+Finding GoldenFinding() {
+  Finding finding;
+  finding.program_index = 12;
+  finding.method = DetectionMethod::kPacketTest;
+  finding.kind = BugKind::kSemantic;
+  finding.component = "Bmv2 " + kAwkward;
+  finding.attributed = BugId::kBmv2TableMissRunsFirstAction;
+  finding.detail = "bmv2 t0: expected 0b, got " + kAwkward;
+  return finding;
+}
+
+TEST_F(GoldenScratch, FindingJsonAndStoredManifest) {
+  CorpusStore store(root_);
+  const auto program = Parser::ParseString(kCleanProgram);
+  const std::string key = store.Add(*program, GoldenFinding());
+  ASSERT_EQ(key, "bmv2-miss-runs-first-action");
+  EXPECT_EQ(Slurp(Path(key + ".finding.json")), kFindingGolden);
+  EXPECT_EQ(Slurp(Path("manifest.json")), kStoredManifestGolden);
+}
+
+TEST_F(GoldenScratch, ServeResponses) {
+  ServeOptions options;
+  options.socket_path = Path("sock");
+  options.campaign.num_programs = 0;
+  options.campaign.testgen.max_tests = 6;
+  options.campaign.testgen.max_decisions = 5;
+  options.campaign.testgen.query_time_limit_ms = 0;
+  options.campaign.tv.query_time_limit_ms = 0;
+  options.campaign.tv.program_budget_ms = 0;
+  GauntletServer server(std::move(options), BugConfig::None());
+  server.Start();
+  std::thread loop([&server] { server.Run(); });
+  const std::string socket = server.socket_path();
+  const auto submit = [&socket](const std::string& program,
+                                const std::vector<std::string>& bugs) {
+    return SendServeRequest(socket, BuildSubmitPayload(program, bugs, {}));
+  };
+  EXPECT_EQ(submit(kCleanProgram, {}), kServeCleanGolden);
+  EXPECT_EQ(submit(kPredicationProgram, {"predication-lost-else"}), kServeFindingsGolden);
+  EXPECT_EQ(submit("not a \"p4\" program", {}), kServeParseErrorGolden);
+  EXPECT_EQ(submit(kCleanProgram, {"\"no\\such"}), kServeBadBugGolden);
+  SendServeRequest(socket, BuildShutdownPayload());
+  loop.join();
+}
+
+// --- readers round-trip the goldens ------------------------------------------
+
+TEST(ArtifactGoldenTest, ReadersRoundTripTheirGoldens) {
+  std::string error;
+  CoverageMap coverage;
+  ASSERT_TRUE(ParseCoverageJson(kCoverageGolden, &coverage, &error)) << error;
+  EXPECT_EQ(CoverageJson(coverage), kCoverageGolden);
+  Heartbeat heartbeat;
+  ASSERT_TRUE(ParseHeartbeatJson(kHeartbeatGolden, &heartbeat, &error)) << error;
+  EXPECT_EQ(HeartbeatJson(heartbeat), kHeartbeatGolden);
+  CorpusManifest manifest;
+  ASSERT_TRUE(ParseCorpusManifestJson(kManifestGolden, &manifest, &error)) << error;
+  EXPECT_EQ(CorpusManifestJson(manifest), kManifestGolden);
+  Snapshot snapshot;
+  ASSERT_TRUE(ParseSnapshotJson(kSnapshotGolden, &snapshot, &error)) << error;
+  Snapshot flat = GoldenSnapshot();
+  flat.shards.clear();  // parsed but not reconstructed
+  flat.metrics_json.clear();
+  snapshot.metrics_json.clear();
+  EXPECT_EQ(SnapshotJson(snapshot), SnapshotJson(flat));
+
+  std::istringstream shard_in(kShardResultGolden);
+  EXPECT_EQ(ShardResultText(LoadShardResult(shard_in)), kShardResultGolden);
+  std::istringstream cache_in(kCacheFileGolden);
+  ValidationCache cache;
+  LoadValidationCache(cache_in, cache);
+  std::ostringstream cache_out;
+  SaveValidationCaches({&cache}, cache_out);
+  EXPECT_EQ(cache_out.str(), kCacheFileGolden);
+}
+
+// --- readers survive truncation and corruption --------------------------------
+
+// Feeds every prefix of `golden`, then a fixed-seed set of single-byte
+// mutations of it, to `parse`. Each input must parse or be rejected
+// cleanly: CompileError is the only exception allowed through, and a crash
+// or a hang fails the run. A prefix that ends before the golden's last
+// `closer` byte is a torn write and must be rejected.
+void SweepReader(const std::string& golden, char closer,
+                 const std::function<bool(const std::string&)>& parse) {
+  const auto accepted = [&parse](const std::string& input) {
+    try {
+      return parse(input);
+    } catch (const CompileError&) {
+      return false;
+    }
+  };
+  ASSERT_TRUE(parse(golden));
+  const size_t torn = golden.rfind(closer, golden.size() - 2);
+  for (size_t cut = 0; cut < golden.size(); ++cut) {
+    const bool ok = accepted(golden.substr(0, cut));
+    EXPECT_TRUE(cut > torn || !ok) << "torn prefix of " << cut << " bytes parsed";
+  }
+  static const std::string kInteresting = std::string("{}[]\":,\\ \n-019afx") + '\0' + '\xff';
+  Rng rng(0x6a756e6b);
+  for (int i = 0; i < 3000; ++i) {
+    std::string mutated = golden;
+    char& byte = mutated[rng.Below(mutated.size())];
+    byte = rng.Chance(50) ? kInteresting[rng.Below(kInteresting.size())]
+                          : static_cast<char>(rng.Below(256));
+    accepted(mutated);
+  }
+}
+
+template <typename Record>
+std::function<bool(const std::string&)> JsonReaderOf(
+    bool (*reader)(const std::string&, Record*, std::string*)) {
+  return [reader](const std::string& text) {
+    Record record;
+    std::string error;
+    const bool ok = reader(text, &record, &error);
+    EXPECT_TRUE(ok || !error.empty()) << "rejected without a message: " << text;
+    return ok;
+  };
+}
+
+TEST(ArtifactGoldenTest, ReadersRejectTruncatedAndMutatedInputCleanly) {
+  const std::vector<std::pair<std::string, std::function<bool(const std::string&)>>> readers = {
+      {kSnapshotGolden, JsonReaderOf(&ParseSnapshotJson)},
+      {kHeartbeatGolden, JsonReaderOf(&ParseHeartbeatJson)},
+      {kCoverageGolden, JsonReaderOf(&ParseCoverageJson)},
+      {kManifestGolden, JsonReaderOf(&ParseCorpusManifestJson)},
+      {kShardResultGolden,
+       [](const std::string& text) {
+         std::istringstream in(text);
+         LoadShardResult(in);
+         return true;
+       }},
+      {kCacheFileGolden,
+       [](const std::string& text) {
+         std::istringstream in(text);
+         ValidationCache cache;
+         LoadValidationCache(in, cache);
+         return true;
+       }},
+  };
+  for (const auto& [golden, parse] : readers) {
+    SCOPED_TRACE(golden.substr(0, golden.find('\n')));
+    SweepReader(golden, golden[0] == '{' ? '}' : '\n', parse);
+  }
+}
+
+}  // namespace
+}  // namespace gauntlet

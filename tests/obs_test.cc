@@ -19,6 +19,7 @@
 #include "src/obs/run_report.h"
 #include "src/obs/trace.h"
 #include "src/runtime/parallel_campaign.h"
+#include "src/support/json.h"
 #include "src/target/stf.h"
 
 namespace gauntlet {
@@ -177,48 +178,19 @@ TEST(RunReportTest, HistogramRendersBoundsCountsTotal) {
   EXPECT_NE(det.find("\"total\": 1"), std::string::npos);
 }
 
-// Minimal structural JSON check: braces/brackets balance outside strings,
-// strings terminate, and the text is a single object. Enough to catch the
-// escaping and comma mistakes hand-rolled emitters actually make.
-void ExpectBalancedJson(const std::string& text) {
-  int depth = 0;
-  bool in_string = false;
-  bool any = false;
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-      any = true;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      ASSERT_GE(depth, 0) << "unbalanced close at offset " << i;
-    } else if (c != ' ' && c != '\n') {
-      ASSERT_TRUE(c == ',' || c == ':' || c == '.' || c == '-' || (c >= '0' && c <= '9') ||
-                  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
-          << "unexpected character '" << c << "' at offset " << i;
-      ASSERT_GT(depth, 0) << "value outside any object at offset " << i;
-    }
-  }
-  EXPECT_FALSE(in_string) << "unterminated string";
-  EXPECT_EQ(depth, 0) << "unbalanced braces";
-  EXPECT_TRUE(any);
+// Every emitter's output must parse with the one strict reader.
+void ExpectValidJson(const std::string& text) {
+  JsonValue root;
+  std::string error;
+  EXPECT_TRUE(ParseJson(text, &root, &error)) << error << "\n" << text;
+  EXPECT_EQ(root.kind, JsonValue::Kind::kObject);
 }
 
 TEST(RunReportTest, MetricsJsonIsStructurallyValid) {
   MetricsRegistry registry;
   registry.Count("needs\"escaping\\here", MetricScope::kDeterministic, 1);
   registry.Observe("h", MetricScope::kTiming, {5}, 9);
-  ExpectBalancedJson(MetricsJson(registry));
+  ExpectValidJson(MetricsJson(registry));
 }
 
 // --- histogram percentile summaries ----------------------------------------
@@ -266,7 +238,7 @@ TEST(RunReportTest, TimingHistogramsCarryPercentileSummaries) {
   // compared across runs and the summaries would add no information the
   // bucket counts don't already pin down.
   EXPECT_EQ(DeterministicSection(json).find("\"p50\""), std::string::npos);
-  ExpectBalancedJson(json);
+  ExpectValidJson(json);
 }
 
 TEST(MetricsTextSummaryTest, RendersCountersPlainAndHistogramsWithPercentiles) {
@@ -346,7 +318,7 @@ TEST(TraceTest, TraceJsonIsStructurallyValidCompleteEvents) {
     span.Arg("n", 2);
   }
   const std::string json = TraceJson(collector.SortedEvents());
-  ExpectBalancedJson(json);
+  ExpectValidJson(json);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\": 1"), std::string::npos);
@@ -363,7 +335,7 @@ TEST(TraceTest, TraceJsonEscapesHostileSpanNames) {
     TraceSpan span(std::string("evil \"name\" \\ tab\there\nnl \x01 hi\xff"), "cat");
   }
   const std::string json = TraceJson(collector.SortedEvents());
-  ExpectBalancedJson(json);
+  ExpectValidJson(json);
   EXPECT_NE(json.find("\\\"name\\\""), std::string::npos) << json;
   EXPECT_NE(json.find("\\\\ tab\\t"), std::string::npos) << json;
   EXPECT_NE(json.find("\\n"), std::string::npos);
@@ -534,7 +506,7 @@ TEST(CoverageJsonTest, RoundTripsThroughParseAndSharesTheDeterministicSectionCon
   map.Record("gen-construct", "if", MetricScope::kDeterministic, 0);
   map.Record("detection-latency-wall", "bug/micros_to_first", MetricScope::kTiming, 1234);
   const std::string json = CoverageJson(map);
-  ExpectBalancedJson(json);
+  ExpectValidJson(json);
   EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
   // The deterministic/timing split uses the run-report layout, so the same
   // section extractor applies to coverage snapshots.
@@ -739,7 +711,7 @@ TEST(CampaignTelemetryTest, CampaignTraceIsWellFormedAndCoversThePhases) {
   EXPECT_TRUE(saw_generate);
   EXPECT_TRUE(saw_solve);
   EXPECT_TRUE(saw_target);
-  ExpectBalancedJson(TraceJson(events));
+  ExpectValidJson(TraceJson(events));
   // Per-span SAT effort attribution: every smt-solve span carries its own
   // conflict/decision counts (satellite: per-solve solver counters).
   for (const TraceEvent& event : events) {

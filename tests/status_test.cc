@@ -20,6 +20,7 @@
 #include "src/obs/run_report.h"
 #include "src/obs/snapshot.h"
 #include "src/runtime/parallel_campaign.h"
+#include "src/support/file_io.h"
 
 namespace gauntlet {
 namespace {

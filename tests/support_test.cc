@@ -1,7 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
+#include <sstream>
+
+#include "src/cache/cache_file.h"
+#include "src/cache/verdict_cache.h"
+#include "src/dist/shard.h"
+#include "src/obs/coverage.h"
+#include "src/obs/health.h"
+#include "src/obs/snapshot.h"
+#include "src/runtime/corpus.h"
 #include "src/support/bit_value.h"
 #include "src/support/error.h"
+#include "src/support/file_io.h"
+#include "src/support/json.h"
+#include "src/support/line_record.h"
 #include "src/support/rng.h"
 
 namespace gauntlet {
@@ -185,6 +199,222 @@ TEST(RngTest, PickFromEmptyIsCompilerBug) {
   const std::vector<int> empty;
   EXPECT_THROW(rng.PickFrom(empty), CompilerBugError);
 }
+
+// --- json -------------------------------------------------------------------
+
+TEST(JsonTest, ParsesEveryKindAndRecordsByteSpans) {
+  const std::string text = R"( {"a": [1, true, false, null], "b": {"c": "x\"\u00ff"}} )";
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(ParseJson(text, &root, &error)) << error;
+  ASSERT_EQ(root.kind, JsonValue::Kind::kObject);
+  EXPECT_EQ(text.substr(root.begin, root.end - root.begin), text.substr(1, text.size() - 2));
+  const JsonValue* a = root.Find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->items.size(), 4u);
+  EXPECT_EQ(a->items[0].number, 1u);
+  EXPECT_TRUE(a->items[1].boolean);
+  EXPECT_EQ(a->items[2].kind, JsonValue::Kind::kBool);
+  EXPECT_FALSE(a->items[2].boolean);
+  EXPECT_EQ(a->items[3].kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(text.substr(a->begin, a->end - a->begin), "[1, true, false, null]");
+  const JsonValue* c = root.Find("b")->Find("c");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->string, "x\"\xff");
+  EXPECT_EQ(root.Find("missing"), nullptr);
+  EXPECT_EQ(a->Find("a"), nullptr);  // not an object
+}
+
+TEST(JsonTest, InvertsJsonQuotedForEveryByte) {
+  std::string all_bytes;
+  for (int byte = 0; byte < 256; ++byte) {
+    all_bytes.push_back(static_cast<char>(byte));
+  }
+  JsonValue value;
+  std::string error;
+  ASSERT_TRUE(ParseJson(JsonQuoted(all_bytes), &value, &error)) << error;
+  EXPECT_EQ(value.string, all_bytes);
+  // Raw bytes >= 0x7f (what older corpus writers emitted) read back as-is.
+  ASSERT_TRUE(ParseJson("\"\x7f\xfe\"", &value, &error)) << error;
+  EXPECT_EQ(value.string, "\x7f\xfe");
+}
+
+TEST(JsonTest, AcceptsTheFullUint64Range) {
+  JsonValue value;
+  std::string error;
+  ASSERT_TRUE(ParseJson("18446744073709551615", &value, &error)) << error;
+  EXPECT_EQ(value.number, UINT64_MAX);
+  ASSERT_TRUE(ParseJson("0", &value, &error)) << error;
+  EXPECT_EQ(value.number, 0u);
+}
+
+TEST(JsonTest, RejectsWhatNoWriterProduces) {
+  const std::string deep = std::string(100, '[') + std::string(100, ']');
+  for (const std::string& bad : std::vector<std::string>{
+           "", " ", "18446744073709551616", "-1", "1.5", "1e3", "01", "{\"a\":1,\"a\":2}",
+           "{\"a\":1,}", "[1,]", "{\"a\" 1}", "{1:2}", "\"\x01\"", "\"\\u0100\"", "\"\\u00g0\"",
+           "\"\\q\"", "\"open", "tru", "nul", "{} {}", "{}x", "{\"x\":{]}", deep}) {
+    JsonValue value;
+    std::string error;
+    EXPECT_FALSE(ParseJson(bad, &value, &error)) << "accepted: " << bad;
+    EXPECT_NE(error.find("at offset"), std::string::npos) << bad;
+  }
+}
+
+// --- line records --------------------------------------------------------------
+
+TEST(LineReaderTest, ReadsStrictNumbersAndHexStrings) {
+  std::istringstream in("head 18446744073709551615 -2147483648 4294967295\n\nnext " +
+                        ToHexToken(std::string("a b\n\xff", 5)) + " " + ToHexToken("") + "\n");
+  LineReader reader(in, "test file");
+  reader.RequireLine("head");
+  reader.ExpectWord("head");
+  EXPECT_EQ(reader.U64("u64"), UINT64_MAX);
+  EXPECT_EQ(reader.Int("int"), INT32_MIN);
+  EXPECT_EQ(reader.U32("u32"), UINT32_MAX);
+  reader.RequireLine("next");  // blank lines are skipped
+  reader.ExpectWord("next");
+  EXPECT_EQ(reader.HexString("text"), std::string("a b\n\xff", 5));
+  EXPECT_EQ(reader.HexString("empty"), "");
+  reader.ExpectEnd();
+}
+
+TEST(LineReaderTest, EveryMalformedFieldNamesTheLine) {
+  const std::vector<std::pair<std::string, std::function<void(LineReader&)>>> cases = {
+      {"18446744073709551616", [](LineReader& r) { r.U64("n"); }},
+      {"-1", [](LineReader& r) { r.U64("n"); }},
+      {"+1", [](LineReader& r) { r.U64("n"); }},
+      {"4294967296", [](LineReader& r) { r.U32("n"); }},
+      {"2147483648", [](LineReader& r) { r.Int("n"); }},
+      {"-2147483649", [](LineReader& r) { r.Int("n"); }},
+      {"-", [](LineReader& r) { r.Int("n"); }},
+      {"1x", [](LineReader& r) { r.Int("n"); }},
+      {"abc", [](LineReader& r) { r.HexString("s"); }},
+      {"0g", [](LineReader& r) { r.HexString("s"); }},
+      {"AB", [](LineReader& r) { r.HexString("s"); }},
+      {"one", [](LineReader& r) { r.Token("t"); r.Token("t"); }},
+      {"word", [](LineReader& r) { r.ExpectWord("other"); }},
+      {"1 2", [](LineReader& r) { r.U64("n"); r.NextLine(); }},
+      {"1\n2", [](LineReader& r) { r.U64("n"); r.ExpectEnd(); }},
+  };
+  for (const auto& [line, read] : cases) {
+    std::istringstream in("first\n" + line);
+    LineReader reader(in, "test file");
+    reader.RequireLine("first");
+    reader.ExpectWord("first");
+    reader.NextLine();
+    try {
+      read(reader);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const CompileError& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("test file line ", 0), 0u) << error.what();
+    }
+  }
+  std::istringstream empty("");
+  LineReader reader(empty, "test file");
+  EXPECT_THROW(reader.RequireLine("header"), CompileError);
+}
+
+// --- file io -------------------------------------------------------------------
+
+TEST(FileIoTest, ReadsBackWhatWasWrittenAtomically) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gauntlet_support_file_io").string();
+  const std::string content("bytes \0\xff\n", 9);
+  ASSERT_TRUE(WriteFileAtomic(path, content));
+  std::string read;
+  ASSERT_TRUE(ReadFile(path, &read));
+  EXPECT_EQ(read, content);
+  std::filesystem::remove(path);
+  EXPECT_FALSE(ReadFile(path, &read));
+  EXPECT_FALSE(ReadFile(std::filesystem::temp_directory_path().string(), &read));
+}
+
+// --- reader defects ------------------------------------------------------------
+
+// Inputs the per-module readers used to accept, wrap or die on. Each must be
+// rejected with its format's normal error: false plus a message for the
+// JSON readers, a CompileError naming the line for the line-record formats.
+struct ReaderDefect {
+  const char* name;
+  std::function<bool(std::string* error)> read;
+};
+
+void PrintTo(const ReaderDefect& defect, std::ostream* out) { *out << defect.name; }
+
+std::function<bool(std::string*)> HeartbeatReader(const char* text) {
+  return [text](std::string* error) {
+    Heartbeat heartbeat;
+    return ParseHeartbeatJson(text, &heartbeat, error);
+  };
+}
+
+std::function<bool(std::string*)> ManifestReader(const std::string& program_index) {
+  return [program_index](std::string* error) {
+    CorpusManifest manifest;
+    return ParseCorpusManifestJson(R"({"version": 1, "entries": {"k": {"program_index": )" +
+                                       program_index + "}}, \"total\": 1}",
+                                   &manifest, error);
+  };
+}
+
+std::function<bool(std::string*)> ShardReader(const char* text) {
+  return [text](std::string*) {
+    std::istringstream in(text);
+    LoadShardResult(in);
+    return true;
+  };
+}
+
+const ReaderDefect kReaderDefects[] = {
+    {"CoverageCountPastUint64",
+     [](std::string* error) {
+       CoverageMap map;
+       return ParseCoverageJson(R"({"version": 1, "deterministic": {"d": {"p": )"
+                                R"(18446744073709551617}}, "timing": {}})",
+                                &map, error);
+     }},
+    {"ManifestProgramIndexPastUint64", ManifestReader("18446744073709551617")},
+    {"ManifestProgramIndexPastInt", ManifestReader("4294967296")},
+    {"HeartbeatWithBrokenNestedValue",
+     HeartbeatReader(R"({"version":1,"role":"x","phase":"done","pid":1,"x":{]})")},
+    {"HeartbeatFieldOfTheWrongType", HeartbeatReader(R"({"version":1,"pid":"1"})")},
+    {"SnapshotWithBrokenNestedValue",
+     [](std::string* error) {
+       Snapshot snapshot;
+       return ParseSnapshotJson(R"({"version":1,"phase":"done","shards":[}})", &snapshot, error);
+     }},
+    {"CacheFileCountPastMemory",
+     [](std::string*) {
+       std::istringstream in("gauntletcache 2\nblast 1\n0 0 0 0 0 1152921504606846976");
+       ValidationCache cache;
+       LoadValidationCache(in, cache);
+       return true;
+     }},
+    {"ShardResultFindingCountPastMemory",
+     ShardReader("gauntletshard 1\nrange 0 0 4\ncounters 0 0 0 0 0 0\n"
+                 "findings 1152921504606846976\n")},
+    {"ShardResultBoundCountPastMemory",
+     ShardReader("gauntletshard 1\nrange 0 0 4\ncounters 0 0 0 0 0 0\nfindings 0\nlatency 0\n"
+                 "distinct 0\nunattributed 0\nmetrics 1\nmet 6d 0 0 1 1152921504606846976\n")},
+};
+
+class ReaderDefectTest : public ::testing::TestWithParam<ReaderDefect> {};
+
+TEST_P(ReaderDefectTest, IsRejectedWithTheFormatsError) {
+  std::string error;
+  try {
+    EXPECT_FALSE(GetParam().read(&error));
+    EXPECT_FALSE(error.empty());
+  } catch (const CompileError& thrown) {
+    EXPECT_NE(std::string(thrown.what()).find(" line "), std::string::npos) << thrown.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Corrupt, ReaderDefectTest, ::testing::ValuesIn(kReaderDefects),
+                         [](const ::testing::TestParamInfo<ReaderDefect>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace gauntlet
