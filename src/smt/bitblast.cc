@@ -343,19 +343,49 @@ std::vector<Lit> BitBlaster::ConstructGates(const SmtNode& node,
   return bits;
 }
 
+size_t BitBlaster::StrashKeyHash::operator()(const std::vector<uint32_t>& key) const {
+  uint64_t hash = key.size();
+  for (const uint32_t word : key) {
+    hash ^= word + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
+  }
+  return static_cast<size_t>(hash);
+}
+
 std::vector<Lit> BitBlaster::BlastGateNode(SmtRef ref, const SmtNode& node) {
   // Children first (outside any recording): templates are node-local, so a
   // child's own clauses belong to the child's template, and a child shared
   // with an earlier node comes straight from the per-solve memo.
   std::vector<std::vector<Lit>> kids;
   kids.reserve(node.args.size());
+  std::vector<uint32_t> key = {static_cast<uint32_t>(node.op)};
   for (const SmtRef& arg : node.args) {
     if (context_.IsBool(arg)) {
       kids.push_back({BlastBool(arg)});
     } else {
       kids.push_back(BlastVector(arg));
     }
+    key.push_back(static_cast<uint32_t>(kids.back().size()));
+    for (const Lit lit : kids.back()) {
+      key.push_back(lit.code);
+    }
   }
+  // The gate constructors are a pure function of the op and the operand
+  // literals, so a node keyed like an earlier one would rebuild its very
+  // gates. The lookup precedes template replay and recording: a hit adds no
+  // clauses at all, and a recorded template never sees one. Which operands
+  // end up sharing literals through a hit is decided by their sub-DAGs, so
+  // the exact fingerprint still pins a template's input sharing pattern.
+  if (auto hit = strash_.find(key); hit != strash_.end()) {
+    ++strash_hits_;
+    return hit->second;
+  }
+  std::vector<Lit> bits = LowerGateNode(ref, node, kids);
+  strash_.emplace(std::move(key), bits);
+  return bits;
+}
+
+std::vector<Lit> BitBlaster::LowerGateNode(SmtRef ref, const SmtNode& node,
+                                           const std::vector<std::vector<Lit>>& kids) {
   if (cache_ == nullptr) {
     return ConstructGates(node, kids);
   }

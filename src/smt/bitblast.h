@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/smt/expr.h"
@@ -19,6 +20,15 @@ class StructHasher;
 // become gate networks (ripple-carry adders, shift-add multipliers, barrel
 // shifters, ripple comparators). One BitBlaster per solve; memoizes per
 // SmtRef so shared subgraphs are encoded once.
+//
+// Gate nodes are also structurally hashed ("strash", as in AIG packages):
+// keyed on the op plus each operand's blasted literals, so two different
+// SmtRefs that blast to the same operands — a concat of slices and the
+// equivalent mask-and-or, say — share one gate network instead of reaching
+// the SAT core as two circuits it must prove equal. The table is scoped to
+// the blaster and works on whole nodes, never single gates: a hit returns
+// before any template recording or replay starts, so a template still
+// references only its own node's literals and replay stays bit-exact.
 //
 // With a BlastCache attached, gate nodes are additionally memoized *across*
 // solves (and contexts) by exact structural fingerprint: the first lowering
@@ -44,7 +54,15 @@ class BitBlaster {
   uint64_t VarValue(uint32_t var_id) const;
   bool BoolVarValue(uint32_t var_id) const;
 
+  // Gate nodes served from the structural hash table since the previous
+  // call (the `smt/strash_hits` counter).
+  uint64_t TakeStrashHits() { return std::exchange(strash_hits_, 0); }
+
  private:
+  struct StrashKeyHash {
+    size_t operator()(const std::vector<uint32_t>& key) const;
+  };
+
   Lit TrueLit() const { return true_lit_; }
   Lit FalseLit() const { return ~true_lit_; }
   Lit FreshLit();
@@ -67,11 +85,14 @@ class BitBlaster {
   Lit UltVectors(const std::vector<Lit>& a, const std::vector<Lit>& b, bool or_equal);
   Lit EqVectors(const std::vector<Lit>& a, const std::vector<Lit>& b);
 
-  // The cache-aware lowering of a gate node (every non-leaf op that builds
-  // gates, as opposed to pure bit wiring): blasts the children, then either
+  // The lowering of a gate node (every non-leaf op that builds gates, as
+  // opposed to pure bit wiring): blasts the children, then returns the
+  // outputs of a structurally equal node lowered earlier, or else either
   // replays a cached template or constructs the gates while recording one.
   // Boolean-sorted nodes return a single-literal vector.
   std::vector<Lit> BlastGateNode(SmtRef ref, const SmtNode& node);
+  std::vector<Lit> LowerGateNode(SmtRef ref, const SmtNode& node,
+                                 const std::vector<std::vector<Lit>>& kids);
   std::vector<Lit> ConstructGates(const SmtNode& node,
                                   const std::vector<std::vector<Lit>>& kids);
   std::vector<Lit> ReplayTemplate(const BlastTemplate& tpl, const std::vector<Lit>& inputs);
@@ -86,6 +107,10 @@ class BitBlaster {
   std::unordered_map<uint32_t, Lit> bool_cache_;                 // SmtRef.index -> lit
   std::unordered_map<uint32_t, std::vector<Lit>> var_bits_;      // var_id -> bits
   std::unordered_map<uint32_t, Lit> bool_var_lits_;              // var_id -> lit
+  // Structural hash table: [op, per operand: width, literal codes...] ->
+  // the node's output literals.
+  std::unordered_map<std::vector<uint32_t>, std::vector<Lit>, StrashKeyHash> strash_;
+  uint64_t strash_hits_ = 0;
 
   // Cross-solver memoization (optional).
   BlastCache* cache_ = nullptr;

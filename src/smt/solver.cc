@@ -61,6 +61,7 @@ CheckResult SmtSolver::SolveUnder(const std::vector<Lit>& assumptions) {
   span.Arg("vars", last_solve_.sat_vars);
   const auto kTiming = MetricScope::kTiming;
   CountMetric("smt/solves", kTiming);
+  CountMetric("smt/strash_hits", kTiming, blaster_->TakeStrashHits());
   CountMetric("smt/conflicts", kTiming, last_solve_.conflicts);
   CountMetric("smt/decisions", kTiming, last_solve_.decisions);
   CountMetric("smt/propagations", kTiming, last_solve_.propagations);

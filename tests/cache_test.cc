@@ -83,43 +83,62 @@ SmtRef BuildFormula(SmtContext& ctx) {
   return ctx.BoolAnd(ctx.Eq(mixed, ctx.Const(12, 1234)), ctx.Ult(x, y));
 }
 
+// Two multiplies whose first operands differ as expressions but blast to the
+// same literals (concat of slices vs. mask-and-or): the second is a
+// structural-hash hit, and the adder it feeds is recorded, then replayed.
+SmtRef BuildFormulaWithStrashHit(SmtContext& ctx) {
+  const SmtRef x = ctx.Var("x", 16);
+  const SmtRef y = ctx.Var("y", 16);
+  const SmtRef sliced = ctx.Concat(ctx.Extract(x, 15, 8), ctx.Extract(x, 7, 0));
+  const SmtRef masked =
+      ctx.Or(ctx.And(x, ctx.Const(16, 0xff00)), ctx.And(x, ctx.Const(16, 0x00ff)));
+  return ctx.Eq(ctx.Add(ctx.Mul(sliced, y), ctx.Mul(masked, y)), ctx.Const(16, 0x1234));
+}
+
 TEST(BlastCacheTest, ReplayProducesTheIdenticalSatInstance) {
-  BlastCache cache;
+  using Builder = SmtRef (*)(SmtContext&);
+  for (const Builder build : {&BuildFormula, &BuildFormulaWithStrashHit}) {
+    SCOPED_TRACE(build == &BuildFormula ? "BuildFormula" : "BuildFormulaWithStrashHit");
+    BlastCache cache;
 
-  // Recording solve.
-  SmtContext ctx1;
-  SmtSolver recorder(ctx1);
-  recorder.set_blast_cache(&cache);
-  recorder.Assert(BuildFormula(ctx1));
-  const CheckResult recorded = recorder.Check();
-  ASSERT_EQ(recorded, CheckResult::kSat);
-  const SmtModel recorded_model = recorder.ExtractModel();
-  EXPECT_GT(cache.misses(), 0u);
+    // Recording solve.
+    SmtContext ctx1;
+    SmtSolver recorder(ctx1);
+    recorder.set_blast_cache(&cache);
+    recorder.Assert(build(ctx1));
+    const CheckResult recorded = recorder.Check();
+    ASSERT_EQ(recorded, CheckResult::kSat);
+    const SmtModel recorded_model = recorder.ExtractModel();
+    EXPECT_GT(cache.misses(), 0u);
 
-  // Replay solve in a fresh context; baseline solve with no cache at all.
-  SmtContext ctx2;
-  SmtSolver replayer(ctx2);
-  replayer.set_blast_cache(&cache);
-  replayer.Assert(BuildFormula(ctx2));
-  ASSERT_EQ(replayer.Check(), CheckResult::kSat);
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.clauses_reused(), 0u);
+    // Replay solve in a fresh context; baseline solve with no cache at all.
+    SmtContext ctx2;
+    SmtSolver replayer(ctx2);
+    replayer.set_blast_cache(&cache);
+    replayer.Assert(build(ctx2));
+    ASSERT_EQ(replayer.Check(), CheckResult::kSat);
+    EXPECT_GT(cache.hits(), 0u);
+    EXPECT_GT(cache.clauses_reused(), 0u);
 
-  SmtContext ctx3;
-  SmtSolver baseline(ctx3);
-  baseline.Assert(BuildFormula(ctx3));
-  ASSERT_EQ(baseline.Check(), CheckResult::kSat);
+    SmtContext ctx3;
+    SmtSolver baseline(ctx3);
+    baseline.Assert(build(ctx3));
+    ASSERT_EQ(baseline.Check(), CheckResult::kSat);
 
-  // Replay is bit-exact: the replayed instance has the same variable count
-  // as the from-scratch encoding, and the CDCL search lands on the same
-  // model.
-  EXPECT_EQ(replayer.last_sat_vars(), baseline.last_sat_vars());
-  EXPECT_EQ(replayer.last_conflicts(), baseline.last_conflicts());
-  EXPECT_EQ(replayer.last_decisions(), baseline.last_decisions());
-  const SmtModel replayed_model = replayer.ExtractModel();
-  const SmtModel baseline_model = baseline.ExtractModel();
-  EXPECT_EQ(replayed_model.bit_values, baseline_model.bit_values);
-  EXPECT_EQ(replayed_model.bit_values, recorded_model.bit_values);
+    // Replay is bit-exact: the replayed instance has the same variable
+    // count as the recorded and the from-scratch encodings, and the CDCL
+    // search lands on the same model.
+    EXPECT_EQ(recorder.last_sat_vars(), baseline.last_sat_vars());
+    EXPECT_EQ(replayer.last_sat_vars(), baseline.last_sat_vars());
+    EXPECT_EQ(recorder.last_conflicts(), baseline.last_conflicts());
+    EXPECT_EQ(replayer.last_conflicts(), baseline.last_conflicts());
+    EXPECT_EQ(recorder.last_decisions(), baseline.last_decisions());
+    EXPECT_EQ(replayer.last_decisions(), baseline.last_decisions());
+    const SmtModel replayed_model = replayer.ExtractModel();
+    const SmtModel baseline_model = baseline.ExtractModel();
+    EXPECT_EQ(replayed_model.bit_values, baseline_model.bit_values);
+    EXPECT_EQ(replayed_model.bit_values, recorded_model.bit_values);
+  }
 }
 
 TEST(BlastCacheTest, UnsatVerdictsSurviveReplay) {

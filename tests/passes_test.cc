@@ -850,6 +850,39 @@ package main { ingress = ig; }
   EXPECT_EQ(result.verdict, TvVerdict::kSemanticDiff);
 }
 
+TEST(EliminateSlicesTest, RewrittenMultiplyOperandValidatesWithinASmallBudget) {
+  // The pass rebuilds hdr.h.a by mask-and-or where the original builds it
+  // from slices, so the multiply's operand is a different expression with
+  // the same bits. Structural hashing gives both versions one multiplier
+  // circuit; proving two separate 16-bit multipliers equal would exhaust
+  // the 5000-conflict budget.
+  auto program = Parser::ParseString(R"(
+header H { bit<16> a; bit<16> b; }
+struct Hdr { H h; }
+parser p(out Hdr hdr) { state start { pkt.extract(hdr.h); transition accept; } }
+control ig(inout Hdr hdr) {
+  apply {
+    hdr.h.a[13:6] = 8w141;
+    hdr.h.b = ~hdr.h.a * (hdr.h.a + hdr.h.b);
+  }
+}
+control dp(in Hdr hdr) { apply { pkt.emit(hdr.h); } }
+package main { parser = p; ingress = ig; deparser = dp; }
+)");
+  TypeCheck(*program);
+  auto transformed = program->Clone();
+  MakeEliminateSlicesPass()->Run(*transformed, BugConfig::None());
+  TypeCheck(*transformed);
+  TvOptions options;
+  options.conflict_budget = 5000;
+  options.query_time_limit_ms = 0;
+  options.program_budget_ms = 0;
+  const TvPassResult result = TranslationValidator::CompareVersions(
+      *program, *transformed, "EliminateSlices", /*cache=*/nullptr, options);
+  EXPECT_EQ(result.verdict, TvVerdict::kEquivalent)
+      << TvVerdictToString(result.verdict) << " — " << result.detail;
+}
+
 TEST(PassManagerTest, StandardPipelineHasTwelvePasses) {
   const PassManager pipeline = PassManager::StandardPipeline();
   EXPECT_EQ(pipeline.passes().size(), 12u);

@@ -135,6 +135,24 @@ TEST(SmtSolverTest, EquivalenceOfRewrittenExpressions) {
   EXPECT_EQ(solver.Check(), CheckResult::kUnsat);
 }
 
+TEST(SmtSolverTest, OperandsWithTheSameBitsShareOneCircuit) {
+  // A slice-built operand and its mask-and-or rewrite are different
+  // expressions that blast to the same literals. Structural hashing lowers
+  // both multiplies to one circuit, so the miter is refuted without a single
+  // conflict; two separate 16-bit multipliers would exhaust the budget.
+  SmtContext ctx;
+  const SmtRef x = ctx.Var("x", 16);
+  const SmtRef y = ctx.Var("y", 16);
+  const SmtRef sliced = ctx.Concat(ctx.Extract(x, 15, 8), ctx.Extract(x, 7, 0));
+  const SmtRef masked =
+      ctx.Or(ctx.And(x, ctx.Const(16, 0xff00)), ctx.And(x, ctx.Const(16, 0x00ff)));
+  SmtSolver solver(ctx);
+  solver.set_conflict_limit(1000);
+  solver.Assert(ctx.BoolNot(ctx.Eq(ctx.Mul(sliced, y), ctx.Mul(masked, y))));
+  EXPECT_EQ(solver.Check(), CheckResult::kUnsat);
+  EXPECT_EQ(solver.last_conflicts(), 0u);
+}
+
 TEST(SmtSolverTest, InequivalenceProducesWitness) {
   // x + 1 != x - 1 everywhere except... nowhere (always differs by 2, but
   // at width 1 they coincide!). Checks witness extraction at width 8.
