@@ -305,6 +305,39 @@ void SatSolver::RetainAssumptionTrail(const std::vector<Lit>& assumptions) {
   trail_assumptions_.assign(assumptions.begin(), assumptions.begin() + keep);
 }
 
+// MiniSat's analyzeFinal. `failed` is an assumption the trail already
+// falsifies, and every decision level on the trail belongs to an
+// assumption, so the literals with no reason clause above level 0 are
+// exactly the assumptions that were enqueued. Walking the trail backwards
+// from ~failed through reason clauses (lits[0] is the implied literal)
+// collects the ones the refutation depends on. Literals fixed at level 0
+// are consequences of the clause database alone and are not followed.
+void SatSolver::AnalyzeFinal(Lit failed) {
+  failed_assumptions_.assign(1, failed);
+  if (level_[failed.var()] == 0) {
+    return;
+  }
+  seen_[failed.var()] = true;
+  for (size_t i = trail_.size(); i > trail_limits_[0]; --i) {
+    const Lit lit = trail_[i - 1];
+    if (!seen_[lit.var()]) {
+      continue;
+    }
+    seen_[lit.var()] = false;
+    const int32_t reason = reason_[lit.var()];
+    if (reason < 0) {
+      failed_assumptions_.push_back(lit);
+      continue;
+    }
+    const Clause& clause = clauses_[static_cast<size_t>(reason)];
+    for (size_t k = 1; k < clause.lits.size(); ++k) {
+      if (level_[clause.lits[k].var()] > 0) {
+        seen_[clause.lits[k].var()] = true;
+      }
+    }
+  }
+}
+
 uint32_t SatSolver::Luby(uint32_t index) {
   // Luby sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
   uint32_t size = 1;
@@ -376,6 +409,7 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions) {
   solve_base_restarts_ = restarts_;
   solve_base_prefix_reused_lits_ = prefix_reused_lits_;
   solve_base_propagations_saved_ = propagations_saved_;
+  failed_assumptions_.clear();
   if (unsat_) {
     trail_assumptions_.clear();
     return SatResult::kUnsat;
@@ -488,6 +522,8 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions) {
         // The trail is conflict-free here (the contradiction is with a
         // not-yet-taken assumption), so the already-propagated prefix can
         // be kept — a repeat of this call answers kUnsat with zero work.
+        // The core reads the reasons on the trail, so it comes first.
+        AnalyzeFinal(assumption);
         RetainAssumptionTrail(assumptions);
         return SatResult::kUnsat;
       }

@@ -55,7 +55,8 @@ class SatSolver {
 
   // Solves under the given assumption literals. kUnsat means unsatisfiable
   // *under these assumptions*; the clause database is unaffected and later
-  // Solve calls with different assumptions behave independently.
+  // Solve calls with different assumptions behave independently, and
+  // failed_assumptions() names the assumptions responsible.
   //
   // Trail reuse: consecutive Solve calls whose assumption vectors share a
   // prefix skip re-propagating that prefix — the decision levels owned by
@@ -97,6 +98,23 @@ class SatSolver {
   // (CheckWithPreferences depends on this). It is only replaced by the next
   // kSat.
   bool ValueOf(uint32_t var) const { return var < model_.size() && model_[var] == kTrue; }
+
+  // Whether the model snapshot assigns `var`, i.e. `var` already existed at
+  // the last kSat. ValueOf reads false for later variables, which says
+  // nothing about the values they can take; a caller that reads the model
+  // as a witness for new literals must check this first.
+  bool ModelCovers(uint32_t var) const { return var < model_.size(); }
+
+  // After a Solve that returned kUnsat because an assumption was falsified:
+  // the failed-assumption core, a subset of that call's assumptions (as
+  // passed, in no particular order) that the clause database alone refutes.
+  // It always contains the falsified assumption itself. Computed the way
+  // MiniSat's analyzeFinal does, by walking the reason graph from that
+  // assumption back to the assumption decisions it rests on, so it costs
+  // one pass over the trail and no search. Empty after any other outcome:
+  // kSat, kUnknown, or kUnsat of the clause database itself (the empty set
+  // is then a valid core).
+  const std::vector<Lit>& failed_assumptions() const { return failed_assumptions_; }
 
   // Whether any Solve has ever produced a model (i.e. returned kSat).
   // Reading ValueOf before that is a caller bug; SmtSolver::ExtractModel
@@ -147,6 +165,7 @@ class SatSolver {
   bool Enqueue(Lit lit, int32_t reason_clause);
   int32_t Propagate();
   void RetainAssumptionTrail(const std::vector<Lit>& assumptions);
+  void AnalyzeFinal(Lit failed);
   void Analyze(int32_t conflict_clause, std::vector<Lit>& learned, uint32_t& backtrack_level);
   void Backtrack(uint32_t level);
   void BumpVar(uint32_t var);
@@ -195,6 +214,7 @@ class SatSolver {
   // Cleared whenever the trail is invalidated (AddClause, global unsat, a
   // budget exit that may leave a falsified clause under the trail).
   std::vector<Lit> trail_assumptions_;
+  std::vector<Lit> failed_assumptions_;  // core of the last assumption kUnsat
 
   uint64_t conflicts_ = 0;
   uint64_t decisions_ = 0;
@@ -211,7 +231,7 @@ class SatSolver {
   uint64_t conflict_limit_ = 0;
   uint64_t time_limit_ms_ = 0;
 
-  // Scratch for Analyze.
+  // Scratch for Analyze and AnalyzeFinal.
   std::vector<bool> seen_;
 };
 

@@ -1,5 +1,6 @@
 #include "src/smt/solver.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "src/obs/metrics.h"
@@ -111,51 +112,95 @@ CheckResult SmtSolver::CheckWithPreferences(const std::vector<SmtRef>& preferenc
   if (base != CheckResult::kSat) {
     return base;  // infeasible/budget-exhausted paths pay one solve, as before
   }
-  // Greedily accept preferences that keep the instance satisfiable, probing
-  // *blocks* with recursive halving instead of one literal at a time. The
-  // accepted set is identical to the sequential left-to-right scan: a block
-  // that is jointly satisfiable with the accepted set would have been
-  // accepted member-by-member (each probe assumes a subset of the block),
-  // and an unsatisfiable block splits until the individual culprits are
-  // rejected. The common case — long preference lists with no conflicts —
-  // costs O(1) solves instead of O(P).
+  // Greedily accept preferences that keep the instance satisfiable. The
+  // accepted set is the sequential left-to-right one (preference i is kept
+  // iff it is satisfiable together with the hard constraints, the
+  // assumptions and every preference kept before it), found with far fewer
+  // solves than one per preference:
   //
-  // A rejected block does not clobber the model: the SAT solver snapshots
-  // its model only on satisfiable outcomes, and the accepted set only grows
-  // at satisfiable solves, so after the recursion the model reflects
-  // exactly the accepted set.
+  //  - The model always satisfies everything in `assumed` (it only changes
+  //    at satisfiable solves of `assumed` plus accepted blocks), so a
+  //    preference the model already satisfies is accepted with no solve.
+  //    Preference gates are blasted after the base solve, so their
+  //    variables may postdate the model: ValueOf reads false for them, and
+  //    only variables the model covers count as evidence.
+  //  - The rest of a block is solved at once; if that is satisfiable, every
+  //    member is accepted, as the sequential scan would.
+  //  - Otherwise the failed-assumption core lies within `assumed` plus the
+  //    block up to its culprit: the last member whose literal is in the
+  //    core and not yet assumed. The members before the culprit are
+  //    scanned first. The culprit is then rejected with no solve if the
+  //    core now lies within `assumed` plus its own literal (so the
+  //    sequential scan's test for it is unsatisfiable), else re-tested.
+  //  - A budget-exhausted solve gives no core; that block splits in halves,
+  //    and a single member is rejected.
+  //
+  // Literals are compared, not indices: preferences may repeat each other or
+  // a path assumption. Rejected blocks do not clobber the model (the SAT
+  // solver snapshots it only on satisfiable outcomes).
   std::vector<Lit> pref_lits;
   pref_lits.reserve(preferences.size());
   for (const SmtRef& preference : preferences) {
     pref_lits.push_back(blaster_->BlastBool(preference));
   }
-  const std::function<void(size_t, size_t)> accept = [&](size_t begin, size_t end) {
-    if (begin == end) {
-      return;
+  const auto accept = [&](size_t index) {
+    assumed.push_back(pref_lits[index]);
+    if (accepted_out != nullptr) {
+      accepted_out->push_back(index);
     }
-    const size_t saved = assumed.size();
-    for (size_t i = begin; i < end; ++i) {
-      assumed.push_back(pref_lits[i]);
-    }
-    if (SolveUnder(assumed) == CheckResult::kSat) {
-      // The whole block is compatible with the accepted set. Recursion
-      // visits blocks left to right, so indices come out ascending.
-      if (accepted_out != nullptr) {
-        for (size_t i = begin; i < end; ++i) {
-          accepted_out->push_back(i);
+  };
+  // Whether `lit` is among the first `count` assumed literals.
+  const auto assumed_in = [&](size_t count, Lit lit) {
+    const auto last = assumed.begin() + count;
+    return std::find(assumed.begin(), last, lit) != last;
+  };
+  const std::function<void(size_t, size_t)> scan = [&](size_t begin, size_t end) {
+    while (begin < end) {
+      const Lit first = pref_lits[begin];
+      if (sat_->ModelCovers(first.var()) && sat_->ValueOf(first.var()) != first.negated()) {
+        accept(begin++);
+        continue;
+      }
+      const size_t saved = assumed.size();
+      assumed.insert(assumed.end(), pref_lits.begin() + begin, pref_lits.begin() + end);
+      const CheckResult result = SolveUnder(assumed);
+      assumed.resize(saved);
+      if (result == CheckResult::kSat) {
+        for (; begin < end; ++begin) {
+          accept(begin);
+        }
+        return;
+      }
+      // A copy: the solves below replace the SAT solver's core.
+      const std::vector<Lit> core = sat_->failed_assumptions();
+      const auto in_core = [&core](Lit lit) {
+        return std::find(core.begin(), core.end(), lit) != core.end();
+      };
+      size_t culprit = end;
+      for (size_t i = end; i-- > begin;) {
+        if (in_core(pref_lits[i]) && !assumed_in(saved, pref_lits[i])) {
+          culprit = i;
+          break;
         }
       }
-      return;
+      if (culprit == end) {
+        // No core to follow (the solve ran out of budget): split the block.
+        if (end - begin > 1) {
+          const size_t mid = begin + (end - begin) / 2;
+          scan(begin, mid);
+          scan(mid, end);
+        }
+        return;
+      }
+      scan(begin, culprit);
+      const Lit culprit_lit = pref_lits[culprit];
+      const bool refuted = std::all_of(core.begin(), core.end(), [&](Lit lit) {
+        return lit == culprit_lit || assumed_in(assumed.size(), lit);
+      });
+      begin = refuted ? culprit + 1 : culprit;
     }
-    assumed.resize(saved);
-    if (end - begin == 1) {
-      return;  // a single incompatible preference: rejected
-    }
-    const size_t mid = begin + (end - begin) / 2;
-    accept(begin, mid);
-    accept(mid, end);
   };
-  accept(0, pref_lits.size());
+  scan(0, pref_lits.size());
   return CheckResult::kSat;
 }
 

@@ -102,6 +102,14 @@ class SmtSolver {
   // the indices (ascending) of the preferences the pass kept — the set is
   // a pure function of per-subset satisfiability verdicts, so it is
   // identical whether or not the solver reuses trails between probes.
+  //
+  // Cost: one base solve, then no solve for a preference the current model
+  // already satisfies, one solve per satisfiable run of the rest, and
+  // typically one per rejected preference, which the SAT solver's
+  // failed-assumption core points at. Only budget-exhausted solves fall
+  // back to halving. The final model satisfies the hard constraints, the
+  // assumptions and every kept preference, but which such model it is
+  // depends on the order of the solves, not only on the kept set.
   CheckResult CheckWithPreferences(const std::vector<SmtRef>& preferences,
                                    const std::vector<SmtRef>& assumptions = {},
                                    std::vector<size_t>* accepted_out = nullptr);

@@ -340,11 +340,12 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
   // Solve each path for a concrete witness and build the test case. The
   // witness models come from a dedicated solver whose configuration is
   // fixed (never varied by --no-incremental): every solve it performs is
-  // determined by the path list and per-subset satisfiability verdicts —
-  // both pure functions of the program — so the packets, table entries and
-  // expected outputs it yields are byte-identical whether or not the probe
-  // solver above reused trails. (The probe solver's own models cannot be
-  // used here: its search history differs between the two modes.)
+  // determined by the path list and its own earlier verdicts, models and
+  // failed-assumption cores — all pure functions of the program — so the
+  // packets, table entries and expected outputs it yields are
+  // byte-identical whether or not the probe solver above reused trails.
+  // (The probe solver's own models cannot be used here: its search
+  // history differs between the two modes.)
   SmtSolver witness_solver(ctx);
   if (cache != nullptr) {
     witness_solver.set_blast_cache(&cache->blast());
@@ -360,10 +361,11 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
   for (size_t path_index = 0; path_index < paths.size(); ++path_index) {
     std::vector<SmtRef> preferences;
     // Preference budget: packet-shaping preferences claim the budget first,
-    // control-plane (action data) steering next, key asymmetry last — the
-    // greedy CheckWithPreferences pass costs one assumption solve per
-    // preference, so each later class gets a slightly larger cap instead
-    // of starving behind an unbounded earlier one.
+    // control-plane (action data) steering next, key asymmetry last. Each
+    // later class gets a slightly larger cap instead of starving behind an
+    // unbounded earlier one. The greedy CheckWithPreferences pass costs
+    // about one assumption solve per rejected preference; kept ones ride
+    // along in a satisfiable block or are already satisfied by the model.
     constexpr size_t kPacketCap = 96;
     constexpr size_t kTableCap = 144;
     constexpr size_t kKeyCap = 160;

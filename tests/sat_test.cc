@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/smt/sat.h"
 #include "src/support/rng.h"
 
@@ -272,6 +275,93 @@ TEST(SatSolverTest, AssumptionSolvesAgreeWithFreshSolves) {
         EXPECT_TRUE(satisfied);
       }
     }
+  }
+}
+
+// Failed-assumption cores: on random CNFs under random assumption vectors
+// (contradictory pairs a, ~a and literals fixed at level 0 included), every
+// kUnsat core must be a subset of that call's assumptions which a fresh
+// solver refutes on its own, an instance that is itself satisfiable must
+// get a non-empty core, and kSat must leave no core. Consecutive vectors
+// often share a prefix, so retained trails are exercised with reuse on.
+TEST(SatSolverTest, FailedAssumptionCoresAreRefutedSubsets) {
+  for (const bool reuse : {true, false}) {
+    Rng rng(4242);
+    size_t cores_checked = 0;
+    for (int round = 0; round < 30; ++round) {
+      constexpr uint32_t kVars = 24;
+      std::vector<std::vector<Lit>> clauses;
+      const uint32_t num_clauses = 30 + static_cast<uint32_t>(rng.Below(60));
+      for (uint32_t i = 0; i < num_clauses; ++i) {
+        std::vector<Lit> clause;
+        const uint64_t size = i < 3 ? 1 : 2 + rng.Below(2);  // a few level-0 units
+        for (uint64_t j = 0; j < size; ++j) {
+          clause.emplace_back(static_cast<uint32_t>(rng.Below(kVars)), rng.Chance(50));
+        }
+        clauses.push_back(clause);
+      }
+      const auto fresh_solver = [&clauses] {
+        SatSolver solver;
+        for (uint32_t i = 0; i < kVars; ++i) {
+          solver.NewVar();
+        }
+        for (const auto& clause : clauses) {
+          solver.AddClause(clause);
+        }
+        return solver;
+      };
+      const bool instance_sat = fresh_solver().Solve() == SatResult::kSat;
+
+      SatSolver solver = fresh_solver();
+      solver.set_trail_reuse(reuse);
+      std::vector<Lit> assumptions;
+      for (int step = 0; step < 20; ++step) {
+        // Mostly grow or shrink the previous vector (shared prefixes), now
+        // and then start over; sometimes add a literal and its negation, or
+        // a level-0 unit (or its negation).
+        if (rng.Chance(20)) {
+          assumptions.clear();
+        } else if (!assumptions.empty() && rng.Chance(30)) {
+          assumptions.resize(rng.Below(assumptions.size()));
+        }
+        const uint64_t extra = 1 + rng.Below(5);
+        for (uint64_t k = 0; k < extra; ++k) {
+          assumptions.emplace_back(static_cast<uint32_t>(rng.Below(kVars)), rng.Chance(50));
+        }
+        if (rng.Chance(15)) {
+          const Lit lit(static_cast<uint32_t>(rng.Below(kVars)), rng.Chance(50));
+          assumptions.insert(assumptions.begin() + rng.Below(assumptions.size() + 1), lit);
+          assumptions.push_back(~lit);
+        }
+        if (rng.Chance(25)) {
+          const Lit unit = clauses[rng.Below(3)][0];
+          assumptions.push_back(rng.Chance(50) ? unit : ~unit);
+        }
+
+        const SatResult result = solver.Solve(assumptions);
+        const std::vector<Lit>& core = solver.failed_assumptions();
+        ASSERT_EQ(result, fresh_solver().Solve(assumptions))
+            << "round " << round << " step " << step;
+        if (result == SatResult::kSat) {
+          EXPECT_TRUE(core.empty());
+          continue;
+        }
+        if (instance_sat) {
+          ASSERT_FALSE(core.empty()) << "round " << round << " step " << step;
+        }
+        if (core.empty()) {
+          continue;
+        }
+        for (const Lit& lit : core) {
+          EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), lit), assumptions.end())
+              << "round " << round << " step " << step;
+        }
+        EXPECT_EQ(fresh_solver().Solve(core), SatResult::kUnsat)
+            << "round " << round << " step " << step;
+        ++cores_checked;
+      }
+    }
+    EXPECT_GT(cores_checked, 100u);
   }
 }
 

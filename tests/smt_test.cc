@@ -1,5 +1,7 @@
 // Differential and contract tests for the incremental solver hot path:
-// assumption-trail reuse must change *work*, never verdicts or models.
+// assumption-trail reuse must change *work*, never verdicts or models, and
+// the core-guided preference search must keep exactly the preferences the
+// sequential scan keeps.
 
 #include <gtest/gtest.h>
 
@@ -225,6 +227,141 @@ TEST(SmtIncrementalTest, PreferenceAcceptanceIsModeIndependent) {
     const SmtModel model = solver.ExtractModel();
     EXPECT_NE(model.BitOf("x").bits(), 0u);
     EXPECT_NE(model.BitOf("y").bits(), 0u);
+  }
+}
+
+// A brand-new solver's verdict on `hard` plus `assumptions`.
+CheckResult FreshVerdict(SmtContext& ctx, const std::vector<SmtRef>& hard,
+                         const std::vector<SmtRef>& assumptions) {
+  SmtSolver fresh(ctx);
+  for (const SmtRef& constraint : hard) {
+    fresh.Assert(constraint);
+  }
+  return fresh.CheckUnderAssumptions(assumptions);
+}
+
+// The sequential greedy scan CheckWithPreferences must reproduce, with one
+// brand-new solver per prefix: preference i is kept iff it is satisfiable
+// together with the hard constraints, the assumptions and every preference
+// kept before it.
+std::vector<size_t> SequentialPreferenceScan(SmtContext& ctx, const std::vector<SmtRef>& hard,
+                                             const std::vector<SmtRef>& assumptions,
+                                             const std::vector<SmtRef>& preferences) {
+  std::vector<SmtRef> kept = assumptions;
+  std::vector<size_t> accepted;
+  for (size_t i = 0; i < preferences.size(); ++i) {
+    kept.push_back(preferences[i]);
+    if (FreshVerdict(ctx, hard, kept) == CheckResult::kSat) {
+      accepted.push_back(i);
+    } else {
+      kept.pop_back();
+    }
+  }
+  return accepted;
+}
+
+// The core-guided preference search against the sequential reference, on
+// random instances whose preference lists repeat earlier preferences,
+// negate them, restate path assumptions, and wrap fresh gates (x + 1 == c)
+// that are blasted only after the base solve. The kept indices must match
+// exactly, and the final model must satisfy the assumptions and every kept
+// preference. One solver per mode serves all of a round's calls, so models,
+// learned clauses and retained trails carry over between them.
+TEST(SmtIncrementalTest, PreferenceSearchMatchesSequentialScan) {
+  for (const bool enabled : {true, false}) {
+    Rng rng(20261017);
+    size_t rejected = 0;
+    for (int round = 0; round < 12; ++round) {
+      SmtContext ctx;
+      constexpr uint32_t kWidth = 4;
+      std::vector<SmtRef> vars;
+      for (int v = 0; v < 3; ++v) {
+        vars.push_back(ctx.Var("v" + std::to_string(v), kWidth));
+      }
+      const std::vector<SmtRef> hard = {
+          ctx.Ult(ctx.Add(vars[0], vars[1]), ctx.Const(kWidth, 12)),
+          ctx.BoolNot(ctx.Eq(vars[2], vars[0]))};
+      SmtSolver solver(ctx);
+      solver.set_incremental(enabled);
+      for (const SmtRef& constraint : hard) {
+        solver.Assert(constraint);
+      }
+      const auto random_atom = [&]() -> SmtRef {
+        const SmtRef var = vars[rng.Below(vars.size())];
+        const SmtRef constant = ctx.Const(kWidth, rng.Below(16));
+        switch (rng.Below(4)) {
+          case 0:
+            return ctx.Eq(var, constant);
+          case 1:
+            return ctx.Ult(var, constant);
+          case 2:
+            return ctx.BoolNot(ctx.Eq(ctx.Add(var, ctx.Const(kWidth, 1)), constant));
+          default:
+            return ctx.BoolNot(ctx.Eq(var, vars[rng.Below(vars.size())]));
+        }
+      };
+
+      for (int call = 0; call < 6; ++call) {
+        std::vector<SmtRef> assumptions;
+        const uint64_t num_assumptions = rng.Below(3);
+        for (uint64_t i = 0; i < num_assumptions; ++i) {
+          assumptions.push_back(random_atom());
+        }
+        std::vector<SmtRef> preferences;
+        const uint64_t num_preferences = 4 + rng.Below(20);
+        while (preferences.size() < num_preferences) {
+          const uint64_t kind = rng.Below(10);
+          if (kind == 0 && !preferences.empty()) {
+            preferences.push_back(preferences[rng.Below(preferences.size())]);
+          } else if (kind == 1 && !preferences.empty()) {
+            preferences.push_back(ctx.BoolNot(preferences[rng.Below(preferences.size())]));
+          } else if (kind == 2 && !assumptions.empty()) {
+            preferences.push_back(assumptions[rng.Below(assumptions.size())]);
+          } else {
+            preferences.push_back(random_atom());
+          }
+        }
+
+        std::vector<size_t> accepted;
+        const CheckResult result = solver.CheckWithPreferences(preferences, assumptions, &accepted);
+        ASSERT_EQ(result, FreshVerdict(ctx, hard, assumptions))
+            << "round " << round << " call " << call;
+        if (result != CheckResult::kSat) {
+          EXPECT_TRUE(accepted.empty());
+          continue;
+        }
+        ASSERT_EQ(accepted, SequentialPreferenceScan(ctx, hard, assumptions, preferences))
+            << "round " << round << " call " << call;
+        std::vector<SmtRef> kept = hard;
+        kept.insert(kept.end(), assumptions.begin(), assumptions.end());
+        for (const size_t index : accepted) {
+          kept.push_back(preferences[index]);
+        }
+        ExpectModelSatisfies(ctx, solver.ExtractModel(), kept);
+        rejected += preferences.size() - accepted.size();
+      }
+    }
+    EXPECT_GT(rejected, 50u);
+  }
+}
+
+// Preference gates are blasted after the base solve, so the base model has
+// no value for them and ValueOf reads false. Read naively, Not(x + 1 == 6)
+// looks satisfied by that model (its gate "is false") and would be kept;
+// under x == 5 it must be rejected and the model must keep x == 5.
+TEST(SmtIncrementalTest, PreferenceOverAGateNewerThanTheModelIsSolvedFor) {
+  for (const bool enabled : {true, false}) {
+    SmtContext ctx;
+    const SmtRef x = ctx.Var("x", 8);
+    SmtSolver solver(ctx);
+    solver.set_incremental(enabled);
+    solver.Assert(ctx.Eq(x, ctx.Const(8, 5)));
+    const std::vector<SmtRef> preferences = {
+        ctx.BoolNot(ctx.Eq(ctx.Add(x, ctx.Const(8, 1)), ctx.Const(8, 6)))};
+    std::vector<size_t> accepted;
+    ASSERT_EQ(solver.CheckWithPreferences(preferences, {}, &accepted), CheckResult::kSat);
+    EXPECT_TRUE(accepted.empty());
+    EXPECT_EQ(solver.ExtractModel().BitOf("x").bits(), 5u);
   }
 }
 
