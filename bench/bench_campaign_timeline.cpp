@@ -7,30 +7,31 @@
 
 #include <cstdio>
 
-#include "src/gauntlet/campaign.h"
+#include "src/runtime/parallel_campaign.h"
 
 int main() {
   using namespace gauntlet;
 
-  BugConfig remaining = BugConfig::All();
-  CampaignOptions options;
-  options.num_programs = 60;
-  options.generator.backend = GeneratorBackend::kTofino;
-  options.generator.p_wide_arith = 20;
-  options.testgen.max_tests = 6;
-  options.testgen.max_decisions = 5;
+  ParallelCampaignOptions options;
+  options.campaign.seed = 1001;  // rounds 1..6 run seeds 1001..1006
+  options.campaign.num_programs = 60;
+  options.campaign.generator.backend = GeneratorBackend::kTofino;
+  options.campaign.generator.p_wide_arith = 20;
+  options.campaign.testgen.max_tests = 6;
+  options.campaign.testgen.max_decisions = 5;
+  const FindFixResult result = RunFindFixCampaign(options, BugConfig::All(), 6);
 
   std::printf("=== campaign timeline: find -> fix -> repeat ===\n");
   std::printf("%-7s %-14s %-10s %-10s %-16s %s\n", "round", "faults left", "crash", "semantic",
               "distinct found", "fixed this round");
+  BugConfig remaining = BugConfig::All();
   int first_round_crash = 0;
   int first_round_semantic = 0;
   int late_semantic = 0;
   int late_crash = 0;
-  for (int round = 1; round <= 6 && !remaining.empty(); ++round) {
-    options.seed = 1000 + static_cast<uint64_t>(round);
-    const Campaign campaign(options);
-    const CampaignReport report = campaign.Run(remaining);
+  for (size_t i = 0; i < result.rounds.size(); ++i) {
+    const CampaignReport& report = result.rounds[i];
+    const int round = static_cast<int>(i) + 1;
     int crash_found = 0;
     int semantic_found = 0;
     for (const BugId bug : report.distinct_bugs) {
@@ -54,12 +55,9 @@ int main() {
       std::printf("%s ", BugIdToString(bug).c_str());
     }
     std::printf("\n");
-    if (report.distinct_bugs.empty()) {
-      break;
-    }
   }
   std::printf("\nfaults never detected: ");
-  for (const BugId bug : remaining.enabled()) {
+  for (const BugId bug : result.remaining.enabled()) {
     std::printf("%s ", BugIdToString(bug).c_str());
   }
   std::printf("\n\nshape checks (paper §7.1):\n");

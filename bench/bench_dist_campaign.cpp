@@ -88,7 +88,6 @@ int main() {
                   shards, ms, single_ms);
       return 1;
     }
-    std::printf("%s", outcome.suggestion.ToString().c_str());
   }
   return 0;
 }

@@ -12,44 +12,32 @@
 
 #include <cstdio>
 
-#include "src/gauntlet/campaign.h"
+#include "src/runtime/parallel_campaign.h"
 
 int main() {
   using namespace gauntlet;
 
-  CampaignOptions options;
-  options.seed = 2020;
-  options.num_programs = 40;
-  options.generator.backend = GeneratorBackend::kTofino;  // superset skeleton
-  options.generator.p_wide_arith = 20;
-  options.testgen.max_tests = 6;
-  options.testgen.max_decisions = 5;
+  ParallelCampaignOptions options;
+  options.campaign.seed = 2020;
+  options.campaign.num_programs = 40;
+  options.campaign.generator.backend = GeneratorBackend::kTofino;  // superset skeleton
+  options.campaign.generator.p_wide_arith = 20;
+  options.campaign.testgen.max_tests = 6;
+  options.campaign.testgen.max_decisions = 5;
 
   // "Filing" runs the paper's 4-month loop in miniature: find bugs, fix
   // them, fuzz again — crash bugs surface first, semantic bugs once the
   // crashes stop pre-empting the pipeline (§7.1).
   std::printf("filing: find -> fix -> repeat over the full fault catalogue...\n");
-  std::set<BugId> filed;
+  const FindFixResult filing = RunFindFixCampaign(options, BugConfig::All(), 6);
+  const std::set<BugId>& filed = filing.found;
   std::vector<Finding> all_findings;
   int undef_divergences = 0;
-  {
-    BugConfig remaining = BugConfig::All();
-    for (int round = 0; round < 6 && !remaining.empty(); ++round) {
-      CampaignOptions round_options = options;
-      round_options.seed = options.seed + static_cast<uint64_t>(round);
-      const CampaignReport report = Campaign(round_options).Run(remaining);
-      undef_divergences += report.undef_divergences;
-      for (const Finding& finding : report.findings) {
-        if (all_findings.size() < 64) {
-          all_findings.push_back(finding);
-        }
-      }
-      if (report.distinct_bugs.empty()) {
-        break;
-      }
-      for (const BugId bug : report.distinct_bugs) {
-        filed.insert(bug);
-        remaining.Disable(bug);
+  for (const CampaignReport& report : filing.rounds) {
+    undef_divergences += report.undef_divergences;
+    for (const Finding& finding : report.findings) {
+      if (all_findings.size() < 64) {
+        all_findings.push_back(finding);
       }
     }
   }
@@ -57,22 +45,10 @@ int main() {
   // Confirmation: an independent find->fix sequence (fresh seeds) must
   // re-detect each filed fault.
   std::printf("confirming with an independent campaign sequence...\n");
-  std::set<BugId> independent;
-  {
-    BugConfig remaining = BugConfig::All();
-    for (int round = 0; round < 6 && !remaining.empty(); ++round) {
-      CampaignOptions round_options = options;
-      round_options.seed = 7100 + static_cast<uint64_t>(round);
-      const CampaignReport report = Campaign(round_options).Run(remaining);
-      if (report.distinct_bugs.empty()) {
-        break;
-      }
-      for (const BugId bug : report.distinct_bugs) {
-        independent.insert(bug);
-        remaining.Disable(bug);
-      }
-    }
-  }
+  ParallelCampaignOptions independent_options = options;
+  independent_options.campaign.seed = 7100;
+  const std::set<BugId> independent =
+      RunFindFixCampaign(independent_options, BugConfig::All(), 6).found;
   std::set<BugId> confirmed;
   for (const BugId bug : filed) {
     if (independent.count(bug) > 0) {
@@ -86,7 +62,7 @@ int main() {
     after_fixes.Disable(bug);
   }
   std::printf("verifying fixes (confirmed faults disabled)...\n\n");
-  const CampaignReport fixed_report = Campaign(options).Run(after_fixes);
+  const CampaignReport fixed_report = ParallelCampaign(options).Run(after_fixes);
   std::set<BugId> fixed;
   for (const BugId bug : confirmed) {
     if (fixed_report.distinct_bugs.count(bug) == 0) {

@@ -27,8 +27,8 @@
 #include <string>
 
 #include "src/frontend/parser.h"
-#include "src/gauntlet/campaign.h"
 #include "src/gen/generator.h"
+#include "src/runtime/parallel_campaign.h"
 #include "src/testgen/testgen.h"
 #include "src/typecheck/typecheck.h"
 
@@ -46,16 +46,16 @@ double MillisSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-CampaignOptions Workload(size_t symbolic_table_entries) {
-  CampaignOptions options;
-  options.seed = kSeed;
-  options.num_programs = kPrograms;
+ParallelCampaignOptions Workload(size_t symbolic_table_entries) {
+  ParallelCampaignOptions options;
+  options.campaign.seed = kSeed;
+  options.campaign.num_programs = kPrograms;
   // The tight per-program budget CI campaigns use: both configurations cap
   // at the same number of tests per program, so the gate measures what one
   // solved scenario costs under each encoding — the "solver blowup" — not
   // the extra scenarios the richer encoding also enumerates.
-  options.testgen.max_tests = 8;
-  options.testgen.symbolic_table_entries = symbolic_table_entries;
+  options.campaign.testgen.max_tests = 8;
+  options.campaign.testgen.symbolic_table_entries = symbolic_table_entries;
   return options;
 }
 
@@ -69,7 +69,7 @@ RunResult RunCampaign(size_t symbolic_table_entries) {
   RunResult result;
   for (int rep = 0; rep < kReps; ++rep) {
     const Clock::time_point start = Clock::now();
-    CampaignReport report = Campaign(Workload(symbolic_table_entries)).Run(bugs);
+    CampaignReport report = ParallelCampaign(Workload(symbolic_table_entries)).Run(bugs);
     const double ms = MillisSince(start);
     if (rep == 0 || ms < result.best_ms) {
       result.best_ms = ms;
@@ -79,18 +79,18 @@ RunResult RunCampaign(size_t symbolic_table_entries) {
   return result;
 }
 
-// Scans the generated tests of the workload's program stream for multi-entry
-// control-plane state (the single-entry baseline can never produce it).
+// Scans the generated tests of the workload's program stream (the campaign's
+// per-index seeds) for multi-entry control-plane state (the single-entry
+// baseline can never produce it).
 int CountMultiEntryTests(size_t symbolic_table_entries) {
   int multi_entry_tests = 0;
-  GeneratorOptions generator_options;
-  generator_options.seed = kSeed;
-  ProgramGenerator generator(generator_options);
   TestGenOptions testgen;
   testgen.max_tests = 8;
   testgen.symbolic_table_entries = symbolic_table_entries;
   for (int i = 0; i < kPrograms; ++i) {
-    const ProgramPtr program = generator.Generate();
+    GeneratorOptions generator_options;
+    generator_options.seed = ParallelCampaign::ProgramSeed(kSeed, i);
+    const ProgramPtr program = ProgramGenerator(generator_options).Generate();
     std::vector<PacketTest> tests;
     try {
       tests = TestCaseGenerator(testgen).Generate(*program);

@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "src/gauntlet/campaign.h"
+#include "src/runtime/parallel_campaign.h"
 #include "src/target/lowering.h"
 #include "src/target/target.h"
 
@@ -62,20 +63,20 @@ int main() {
   // layer resolves it through the registry like any built-in, applies its
   // generator bias (single-target run), and must report zero findings —
   // the plugin compiles faithfully.
-  CampaignOptions options;
-  options.seed = 11;
-  options.num_programs = 10;
-  options.targets = {"plugin"};
-  options.testgen.max_tests = 6;
-  options.testgen.max_decisions = 5;
-  if (!Campaign(options).EffectiveGeneratorOptions().byte_aligned_fields) {
+  ParallelCampaignOptions options;
+  options.campaign.seed = 11;
+  options.campaign.num_programs = 10;
+  options.campaign.targets = {"plugin"};
+  options.campaign.testgen.max_tests = 6;
+  options.campaign.testgen.max_decisions = 5;
+  if (!Campaign(options.campaign).EffectiveGeneratorOptions().byte_aligned_fields) {
     std::fprintf(stderr, "FAIL: single-target campaign ignored the plugin's bias\n");
     return 1;
   }
-  const CampaignReport report = Campaign(options).Run(BugConfig::None());
+  const CampaignReport report = ParallelCampaign(options).Run(BugConfig::None());
   std::printf("smoke campaign: %d programs, %d tests, %zu findings\n",
               report.programs_generated, report.tests_generated, report.findings.size());
-  if (report.programs_generated != options.num_programs || !report.findings.empty()) {
+  if (report.programs_generated != options.campaign.num_programs || !report.findings.empty()) {
     std::fprintf(stderr, "FAIL: clean plugin campaign misbehaved\n");
     return 1;
   }

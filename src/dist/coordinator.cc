@@ -144,81 +144,7 @@ void RunWorkerProcesses(const ShardCoordinatorOptions& options,
   }
 }
 
-std::string FormatX100(uint64_t x100) {
-  std::ostringstream out;
-  out << (x100 / 100) << '.';
-  const uint64_t cents = x100 % 100;
-  out << static_cast<char>('0' + cents / 10) << static_cast<char>('0' + cents % 10);
-  return out.str();
-}
-
 }  // namespace
-
-std::string BudgetSuggestion::ToString() const {
-  std::ostringstream out;
-  out << "budget: observed " << FormatX100(tests_per_program_x100)
-      << " tests/program (shard means " << FormatX100(min_shard_tests_x100) << ".."
-      << FormatX100(max_shard_tests_x100) << "), " << FormatX100(findings_per_program_x100)
-      << " findings/program\n";
-  if (suggested_max_tests > current_max_tests) {
-    out << "budget: suggest raising testgen max_tests " << current_max_tests << " -> "
-        << suggested_max_tests << " (richest shard averages "
-        << FormatX100(max_shard_tests_x100) << " of " << current_max_tests
-        << "; paths are likely truncated)\n";
-  } else if (suggested_max_tests < current_max_tests) {
-    out << "budget: suggest lowering testgen max_tests " << current_max_tests << " -> "
-        << suggested_max_tests << " (mean yield uses under a quarter of the budget)\n";
-  } else {
-    out << "budget: testgen max_tests " << current_max_tests << " fits the observed yield\n";
-  }
-  return out.str();
-}
-
-BudgetSuggestion SuggestBudgets(const TestGenOptions& testgen,
-                                const std::vector<ShardResult>& shards) {
-  BudgetSuggestion suggestion;
-  suggestion.current_max_tests = testgen.max_tests;
-  suggestion.suggested_max_tests = testgen.max_tests;
-  uint64_t total_programs = 0;
-  uint64_t total_tests = 0;
-  uint64_t total_findings = 0;
-  bool first = true;
-  for (const ShardResult& shard : shards) {
-    const uint64_t programs = static_cast<uint64_t>(shard.report.programs_generated);
-    if (programs == 0) {
-      continue;  // an empty shard has no yield to learn from
-    }
-    const uint64_t tests = static_cast<uint64_t>(shard.report.tests_generated);
-    total_programs += programs;
-    total_tests += tests;
-    total_findings += shard.report.findings.size();
-    const uint64_t mean_x100 = tests * 100 / programs;
-    if (first || mean_x100 < suggestion.min_shard_tests_x100) {
-      suggestion.min_shard_tests_x100 = mean_x100;
-    }
-    if (first || mean_x100 > suggestion.max_shard_tests_x100) {
-      suggestion.max_shard_tests_x100 = mean_x100;
-    }
-    first = false;
-  }
-  if (total_programs == 0) {
-    return suggestion;
-  }
-  suggestion.tests_per_program_x100 = total_tests * 100 / total_programs;
-  suggestion.findings_per_program_x100 = total_findings * 100 / total_programs;
-  const uint64_t budget_x100 = static_cast<uint64_t>(testgen.max_tests) * 100;
-  if (budget_x100 == 0) {
-    return suggestion;
-  }
-  if (suggestion.max_shard_tests_x100 * 8 >= budget_x100 * 7) {
-    // The richest shard sits against the cap: enumeration is truncating
-    // paths, so the budget — not the programs — bounds coverage.
-    suggestion.suggested_max_tests = testgen.max_tests * 2;
-  } else if (suggestion.tests_per_program_x100 * 4 < budget_x100 && testgen.max_tests > 8) {
-    suggestion.suggested_max_tests = testgen.max_tests / 2 < 8 ? 8 : testgen.max_tests / 2;
-  }
-  return suggestion;
-}
 
 CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
                                        const BugConfig& bugs) {
@@ -388,9 +314,6 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
     }
     results.push_back(std::move(result));
   }
-  // Yield accounting reads the pristine per-shard reports, before the merge
-  // below moves their findings out.
-  outcome.suggestion = SuggestBudgets(options.campaign.testgen, results);
   for (ShardResult& result : results) {
     outcome.report.Merge(std::move(result.report));
     outcome.cache_stats.Merge(result.cache_stats);
@@ -400,21 +323,16 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
   // The single fold a one-process run performs, now on the cross-shard
   // merged state: raw shard registries/maps first (shard order), then the
   // report's deterministic domains exactly once.
-  if (options.campaign.metrics != nullptr) {
-    for (const ShardResult& result : results) {
+  for (const ShardResult& result : results) {
+    if (options.campaign.metrics != nullptr) {
       options.campaign.metrics->MergeFrom(result.metrics);
     }
-    outcome.report.RecordMetrics(*options.campaign.metrics);
-    if (options.campaign.use_cache) {
-      outcome.cache_stats.RecordMetrics(*options.campaign.metrics);
-    }
-  }
-  if (options.campaign.coverage != nullptr) {
-    for (const ShardResult& result : results) {
+    if (options.campaign.coverage != nullptr) {
       options.campaign.coverage->MergeFrom(result.coverage);
     }
-    outcome.report.RecordCoverage(*options.campaign.coverage, bugs);
   }
+  outcome.report.FoldInto(options.campaign.metrics, options.campaign.coverage,
+                          options.campaign.use_cache ? &outcome.cache_stats : nullptr, bugs);
 
   if (!options.corpus_dir.empty()) {
     std::vector<std::string> shard_corpora;

@@ -6,7 +6,6 @@
 
 #include "src/dist/shard.h"
 #include "src/gauntlet/campaign.h"
-#include "src/testgen/testgen.h"
 
 namespace gauntlet {
 
@@ -23,7 +22,7 @@ namespace gauntlet {
 //   * corpora     MergeCorpusStores (manifest union, earliest shard wins);
 //   * caches      MergeValidationCacheFiles (fingerprint dedup).
 //
-// then performs the single report fold (RecordMetrics/RecordCoverage) a
+// then performs the single report fold (CampaignReport::FoldInto) a
 // one-process run would perform. The deterministic sections of the merged
 // report, metrics.json, coverage.json and the corpus manifest are therefore
 // byte-identical to a single-process run of the same N/seed for ANY shard
@@ -69,35 +68,9 @@ struct ShardCoordinatorOptions {
   uint64_t stall_threshold_ms = 10000;
 };
 
-// The satellite auto-tuner: observed per-shard yield turned into an
-// advisory testgen-budget suggestion. Integer fixed-point (x100) so the
-// advice itself is deterministic; it is printed to stderr only and never
-// enters the report, metrics or coverage — deterministic sections are
-// unaffected.
-struct BudgetSuggestion {
-  uint64_t tests_per_program_x100 = 0;     // overall mean
-  uint64_t findings_per_program_x100 = 0;  // overall mean
-  uint64_t min_shard_tests_x100 = 0;       // leanest shard's mean
-  uint64_t max_shard_tests_x100 = 0;       // richest shard's mean
-  size_t current_max_tests = 0;
-  size_t suggested_max_tests = 0;
-
-  bool changed() const { return suggested_max_tests != current_max_tests; }
-  // The advisory block, one "budget: ..." line per fact.
-  std::string ToString() const;
-};
-
-// Suggests a max_tests budget from per-shard yield: a shard whose mean
-// tests/program reaches 7/8 of the budget is likely truncating paths
-// (suggest doubling); an overall mean under a quarter of the budget leaves
-// headroom to halve (floor 8). Shards that ran zero programs are ignored.
-BudgetSuggestion SuggestBudgets(const TestGenOptions& testgen,
-                                const std::vector<ShardResult>& shards);
-
 struct CoordinatorOutcome {
   CampaignReport report;  // merged across shards, folded once
   CacheStats cache_stats;
-  BudgetSuggestion suggestion;
   std::vector<ShardRange> shard_ranges;  // the topology that ran
 };
 

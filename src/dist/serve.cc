@@ -371,15 +371,9 @@ Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
       // Fold the campaign domains on the *copies*: the in-place fold
       // happens exactly once, after the accept loop — flushing mid-session
       // must not double-count into the shared sinks.
-      if (have_metrics) {
-        report_.RecordMetrics(metrics);
-        if (cache_ != nullptr) {
-          cache_->Stats().RecordMetrics(metrics);
-        }
-      }
-      if (have_coverage) {
-        report_.RecordCoverage(coverage, base_bugs_);
-      }
+      const CacheStats stats = cache_ != nullptr ? cache_->Stats() : CacheStats{};
+      report_.FoldInto(have_metrics ? &metrics : nullptr, have_coverage ? &coverage : nullptr,
+                       cache_ != nullptr ? &stats : nullptr, base_bugs_);
     }
     snapshot.requests_served = static_cast<uint64_t>(served_);
     snapshot.programs_done = static_cast<uint64_t>(served_);
@@ -498,15 +492,9 @@ int GauntletServer::Run() {
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (!folded_) {
       folded_ = true;
-      if (options_.campaign.metrics != nullptr) {
-        report_.RecordMetrics(*options_.campaign.metrics);
-        if (cache_ != nullptr) {
-          cache_->Stats().RecordMetrics(*options_.campaign.metrics);
-        }
-      }
-      if (options_.campaign.coverage != nullptr) {
-        report_.RecordCoverage(*options_.campaign.coverage, base_bugs_);
-      }
+      const CacheStats stats = cache_ != nullptr ? cache_->Stats() : CacheStats{};
+      report_.FoldInto(options_.campaign.metrics, options_.campaign.coverage,
+                       cache_ != nullptr ? &stats : nullptr, base_bugs_);
     }
   }
   phase_.store("done", std::memory_order_relaxed);

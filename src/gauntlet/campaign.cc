@@ -63,7 +63,7 @@ void CampaignReport::Merge(CampaignReport&& other) {
   // Latency first, before this->tests_generated absorbs other's counter: a
   // fault first detected in `other` saw every test *this* report generated
   // plus other's own pre-detection tests, so offsetting by the pre-merge
-  // prefix reproduces the serial counter exactly under index-order merging.
+  // prefix gives the counter a single in-order pass would have seen.
   // A fault already present here keeps its (earlier) detection record.
   for (auto& [bug, lat] : other.latency) {
     auto [it, inserted] = latency.try_emplace(bug, lat);
@@ -169,6 +169,19 @@ void CampaignReport::RecordCoverage(CoverageMap& map, const BugConfig& bugs) con
             detection.wall_micros > run_start_micros
                 ? detection.wall_micros - run_start_micros
                 : 0);
+  }
+}
+
+void CampaignReport::FoldInto(MetricsRegistry* metrics, CoverageMap* coverage,
+                              const CacheStats* cache_stats, const BugConfig& bugs) const {
+  if (metrics != nullptr) {
+    RecordMetrics(*metrics);
+    if (cache_stats != nullptr) {
+      cache_stats->RecordMetrics(*metrics);
+    }
+  }
+  if (coverage != nullptr) {
+    RecordCoverage(*coverage, bugs);
   }
 }
 
@@ -602,78 +615,6 @@ GeneratorOptions Campaign::EffectiveGeneratorOptions() const {
     generator = TargetRegistry::Get(options_.targets[0]).GeneratorBias(generator);
   }
   return generator;
-}
-
-FindFixResult RunFindFixCampaign(const CampaignOptions& base, const BugConfig& initial,
-                                 int max_rounds) {
-  FindFixResult result;
-  result.remaining = initial;
-  for (int round = 0; round < max_rounds && !result.remaining.empty(); ++round) {
-    CampaignOptions options = base;
-    options.seed = base.seed + static_cast<uint64_t>(round);
-    CampaignReport report = Campaign(options).Run(result.remaining);
-    const bool found_any = !report.distinct_bugs.empty();
-    for (const BugId bug : report.distinct_bugs) {
-      result.found.insert(bug);
-      result.remaining.Disable(bug);
-    }
-    result.rounds.push_back(std::move(report));
-    if (!found_any) {
-      break;
-    }
-  }
-  return result;
-}
-
-CampaignReport Campaign::Run(const BugConfig& bugs, CacheStats* stats_out) const {
-  CampaignReport report;
-  report.run_start_micros = TraceNowMicros();
-  GeneratorOptions generator_options = EffectiveGeneratorOptions();
-  generator_options.seed = options_.seed;
-  ProgramGenerator generator(generator_options);
-  const std::unique_ptr<ValidationCache> cache =
-      options_.use_cache ? std::make_unique<ValidationCache>() : nullptr;
-  {
-    // Serial driver: one live registry/buffer/map set for the whole run.
-    // The parallel driver (src/runtime/) installs per-worker sinks instead.
-    MetricsRegistry live;
-    CoverageMap live_coverage;
-    ScopedMetricsSink metrics_sink(options_.metrics != nullptr ? &live : nullptr);
-    ScopedCoverageSink coverage_sink(options_.coverage != nullptr ? &live_coverage : nullptr);
-    ScopedTraceSink trace_sink(options_.trace != nullptr ? options_.trace->NewBuffer(0)
-                                                         : nullptr);
-    for (int i = 0; i < options_.num_programs; ++i) {
-      ProgramPtr program;
-      {
-        TraceSpan span("generate", "gen");
-        program = generator.Generate();
-      }
-      ++report.programs_generated;
-      TestProgram(*program, bugs, i, report, cache.get());
-      if (options_.progress) {
-        options_.progress(static_cast<uint64_t>(i) + 1, report.findings.size());
-      }
-    }
-    if (options_.metrics != nullptr) {
-      options_.metrics->MergeFrom(live);
-    }
-    if (options_.coverage != nullptr) {
-      options_.coverage->MergeFrom(live_coverage);
-    }
-  }
-  if (options_.metrics != nullptr) {
-    report.RecordMetrics(*options_.metrics);
-    if (cache != nullptr) {
-      cache->Stats().RecordMetrics(*options_.metrics);
-    }
-  }
-  if (options_.coverage != nullptr) {
-    report.RecordCoverage(*options_.coverage, bugs);
-  }
-  if (stats_out != nullptr) {
-    *stats_out = cache != nullptr ? cache->Stats() : CacheStats{};
-  }
-  return report;
 }
 
 }  // namespace gauntlet

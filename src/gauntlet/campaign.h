@@ -140,7 +140,8 @@ struct CampaignReport {
 
   // Folds `other` into this report: counters add, findings append in
   // `other`'s order, distinct sets union. Merging per-program reports in
-  // program-index order reproduces the serial report exactly.
+  // program-index order gives the same report whatever the schedule or
+  // topology that produced them.
   void Merge(CampaignReport&& other);
 
   // Folds the report's outcome counters into `registry` under `campaign/...`
@@ -155,38 +156,28 @@ struct CampaignReport {
   // TestProgram) and the detection-latency domains. Deterministic except
   // detection-latency-wall, which carries the wall-clock stamps.
   void RecordCoverage(CoverageMap& map, const BugConfig& bugs) const;
+
+  // The single fold a finished run performs on its merged report: into
+  // `metrics` (when non-null) the report's counters, then `cache_stats`'
+  // counters (when non-null); into `coverage` (when non-null) the
+  // campaign-level domains. Every driver that owns sinks calls this once,
+  // after merging its raw worker/shard telemetry into them.
+  void FoldInto(MetricsRegistry* metrics, CoverageMap* coverage, const CacheStats* cache_stats,
+                const BugConfig& bugs) const;
 };
 
-// A multi-round find->fix sequence: each round runs a full campaign, then
-// disables ("fixes") every fault found before the next round — the paper's
-// 4-month dynamic in miniature (§7.1: crash bugs dominate early rounds,
-// semantic bugs surface once crashes stop pre-empting the pipeline).
-struct FindFixResult {
-  std::set<BugId> found;                 // cumulative distinct faults
-  std::vector<CampaignReport> rounds;    // per-round reports
-  BugConfig remaining;                   // faults never detected
-};
-FindFixResult RunFindFixCampaign(const CampaignOptions& base, const BugConfig& initial,
-                                 int max_rounds);
-
-// The end-to-end bug-finding campaign: generate random programs (§4), run
-// translation validation over the open pass pipeline (§5), and replay
-// generated test packets on every selected registered target (§6). Results
-// feed the Table 2 / Table 3 benchmarks.
+// The per-program bug detector: on one random program (§4), run
+// translation validation over the open pass pipeline (§5) and replay
+// generated test packets on every selected registered target (§6). The
+// loop over programs is ParallelCampaign::Run (src/runtime/), the one
+// campaign driver.
 class Campaign {
  public:
   explicit Campaign(CampaignOptions options) : options_(std::move(options)) {}
 
-  // `stats_out`, when non-null, receives the cache counters the run
-  // accumulated (zeros with use_cache off). They live outside the report:
-  // reports are bit-identical for any scheduling, hit patterns are not.
-  CampaignReport Run(const BugConfig& bugs, CacheStats* stats_out = nullptr) const;
-
   // Runs all three detection techniques on one program, recording findings
-  // into `report`. Public so drivers that own the program stream (the
-  // parallel campaign in src/runtime/) can reuse the detection machinery;
-  // const and self-contained, so concurrent calls on one Campaign are safe
-  // as long as each carries its own `cache` (or none).
+  // into `report`. Const and self-contained, so concurrent calls on one
+  // Campaign are safe as long as each carries its own `cache` (or none).
   void TestProgram(const Program& program, const BugConfig& bugs, int program_index,
                    CampaignReport& report, ValidationCache* cache = nullptr) const;
 

@@ -188,29 +188,24 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
   for (const auto& cache : caches) {
     merged_stats.Merge(cache->Stats());
   }
+  // Worker registries and coverage maps merge in worker-index order, then
+  // the campaign-level counters and domains are folded from the merged
+  // (schedule-independent) report — so the deterministic sections of
+  // metrics.json and coverage.json are bit-identical for any jobs value.
   if (options_.campaign.metrics != nullptr) {
     for (const MetricsRegistry& registry : worker_metrics) {
       options_.campaign.metrics->MergeFrom(registry);
     }
-    if (options_.fold_report_metrics) {
-      report.RecordMetrics(*options_.campaign.metrics);
-      if (!caches.empty()) {
-        merged_stats.RecordMetrics(*options_.campaign.metrics);
-      }
-    }
   }
   if (options_.campaign.coverage != nullptr) {
-    // Worker maps merge in worker-index order, exactly like the metrics
-    // registries, then the campaign-level domains are computed on the merged
-    // (schedule-independent) report — so coverage.json's deterministic
-    // section is bit-identical for any jobs value.
     for (const CoverageMap& map : worker_coverage) {
       options_.campaign.coverage->MergeFrom(map);
     }
-    report.run_start_micros = run_start_micros;
-    if (options_.fold_report_metrics) {
-      report.RecordCoverage(*options_.campaign.coverage, bugs);
-    }
+  }
+  report.run_start_micros = run_start_micros;
+  if (options_.fold_report_metrics) {
+    report.FoldInto(options_.campaign.metrics, options_.campaign.coverage,
+                    caches.empty() ? nullptr : &merged_stats, bugs);
   }
   if (stats_out != nullptr) {
     *stats_out = merged_stats;
@@ -257,6 +252,27 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
     emitter->Stop();
   }
   return report;
+}
+
+FindFixResult RunFindFixCampaign(const ParallelCampaignOptions& base, const BugConfig& initial,
+                                 int max_rounds) {
+  FindFixResult result;
+  result.remaining = initial;
+  for (int round = 0; round < max_rounds && !result.remaining.empty(); ++round) {
+    ParallelCampaignOptions options = base;
+    options.campaign.seed = base.campaign.seed + static_cast<uint64_t>(round);
+    CampaignReport report = ParallelCampaign(options).Run(result.remaining);
+    const bool found_any = !report.distinct_bugs.empty();
+    for (const BugId bug : report.distinct_bugs) {
+      result.found.insert(bug);
+      result.remaining.Disable(bug);
+    }
+    result.rounds.push_back(std::move(report));
+    if (!found_any) {
+      break;
+    }
+  }
+  return result;
 }
 
 }  // namespace gauntlet

@@ -2,7 +2,9 @@
 #define SRC_RUNTIME_PARALLEL_CAMPAIGN_H_
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/gauntlet/campaign.h"
 #include "src/runtime/corpus.h"
@@ -23,10 +25,9 @@ struct ParallelCampaignOptions {
   int index_begin = 0;
   // When false, the caller-provided metrics/coverage sinks receive only the
   // raw per-worker telemetry (merged in worker-index order) without the
-  // merged-report fold (CampaignReport::RecordMetrics/RecordCoverage, cache
-  // counters). Shard workers run unfolded: the coordinator folds exactly
-  // once on the cross-shard merged report, the same single fold a
-  // one-process run performs.
+  // merged-report fold (CampaignReport::FoldInto). Shard workers run
+  // unfolded: the coordinator folds exactly once on the cross-shard merged
+  // report, the same single fold a one-process run performs.
   bool fold_report_metrics = true;
   // When non-empty, every distinct finding is persisted as a
   // <key>.p4 / <key>.stf / <key>.finding.json reproducer triple here.
@@ -48,15 +49,16 @@ struct ParallelCampaignOptions {
   int snapshot_interval_ms = 1000;
 };
 
-// The scaled campaign driver (ROADMAP "parallel campaign workers"): shards
+// The campaign driver, the one loop over generated programs (`gauntlet
+// campaign` and its `fuzz` alias, shard workers, find->fix rounds): shards
 // the program loop across a WorkerPool. Campaign iterations are fully
 // independent — per-program state, per-program solver — and the hot path is
 // solver time, so throughput scales near-linearly with cores.
 //
-// Determinism: program i is generated from the derived seed
-// ProgramSeed(seed, i) (splitmix64-mixed, not the serial generator's
-// sequential stream), and every program's findings land in a per-program
-// slot merged in index order. The report is therefore bit-identical for any
+// Determinism: program i is generated from its own derived seed
+// ProgramSeed(seed, i) (splitmix64-mixed; no program depends on the ones
+// before it), and every program's findings land in a per-program slot
+// merged in index order. The report is therefore bit-identical for any
 // --jobs value, and `--jobs 1` *is* the serial baseline.
 //
 // Caching (campaign.use_cache): each worker owns one ValidationCache, so
@@ -81,6 +83,21 @@ class ParallelCampaign {
  private:
   ParallelCampaignOptions options_;
 };
+
+// A multi-round find->fix sequence: round r runs a full campaign at seed
+// base.campaign.seed + r, then disables ("fixes") every fault it found
+// before the next round — the paper's 4-month dynamic in miniature (§7.1:
+// crash bugs dominate early rounds, semantic bugs surface once crashes stop
+// pre-empting the pipeline). Stops after `max_rounds`, once no fault is
+// left, or after a round that found nothing. Like each round, the result
+// is identical for any base.jobs value.
+struct FindFixResult {
+  std::set<BugId> found;                 // cumulative distinct faults
+  std::vector<CampaignReport> rounds;    // per-round reports
+  BugConfig remaining;                   // faults never detected
+};
+FindFixResult RunFindFixCampaign(const ParallelCampaignOptions& base, const BugConfig& initial,
+                                 int max_rounds);
 
 }  // namespace gauntlet
 

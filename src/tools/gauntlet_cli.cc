@@ -4,9 +4,9 @@
 //                                           print the program after every pass
 //   gauntlet validate <file.p4> [--bug B]   translation-validate the pipeline
 //   gauntlet testgen <file.p4>              emit STF-style packet tests
-//   gauntlet fuzz [N] [seed] [--bug B ...]  random-program campaign (serial)
 //   gauntlet campaign [N] [seed] [--jobs J] [--corpus DIR] [--targets T,..]
-//                                           parallel campaign + STF corpus
+//                                           random-program campaign + STF corpus
+//   gauntlet fuzz ...                       alias of `campaign`
 //   gauntlet replay <file.p4> <file.stf>    re-run a stored reproducer
 //   gauntlet replay --corpus DIR            bulk-replay every stored triple
 //   gauntlet reduce <file.p4> --bug B       shrink a reproducer
@@ -467,9 +467,9 @@ void PrintReport(const CampaignReport& report) {
 }
 
 // Wires the telemetry destinations and the optional --progress heartbeat
-// into a (serial or parallel) campaign's options. The meter outlives the
-// run — callers Finish() it before printing the report so the stderr
-// heartbeat never interleaves with the stdout report.
+// into a campaign's options. The meter outlives the run — callers Finish()
+// it before printing the report so the stderr heartbeat never interleaves
+// with the stdout report.
 std::unique_ptr<ProgressMeter> WireCampaignTelemetry(const ParsedArgs& args,
                                                      Telemetry& telemetry,
                                                      CampaignOptions& options) {
@@ -484,34 +484,6 @@ std::unique_ptr<ProgressMeter> WireCampaignTelemetry(const ParsedArgs& args,
     options.progress = [raw](uint64_t done, uint64_t findings) { raw->Tick(done, findings); };
   }
   return meter;
-}
-
-int CmdFuzz(int argc, char** argv) {
-  const ParsedArgs args =
-      ParseCommandArgs(argc, argv, WithTelemetryFlags({"--bug", "--targets"}),
-                       /*max_positionals=*/2, kCacheSwitches);
-  const BugConfig bugs = BugsFromFlags(args);
-  Telemetry telemetry(args);
-  CampaignOptions options;
-  options.targets = TargetsFromFlags(args);
-  options.use_cache = !args.Has("--no-cache");
-  ApplySolverSwitches(args, options.tv, options.testgen);
-  if (args.positionals.size() >= 1) {
-    options.num_programs = ParseCount(args.positionals[0], "N", /*minimum=*/0);
-  }
-  if (args.positionals.size() >= 2) {
-    options.seed = static_cast<uint64_t>(ParseNumber(args.positionals[1], "seed"));
-  }
-  const std::unique_ptr<ProgressMeter> meter = WireCampaignTelemetry(args, telemetry, options);
-  CacheStats stats;
-  const CampaignReport report = Campaign(options).Run(bugs, &stats);
-  if (meter != nullptr) {
-    meter->Finish(static_cast<uint64_t>(report.programs_generated), report.findings.size());
-  }
-  PrintReport(report);
-  MaybePrintCacheStats(args, stats);
-  telemetry.Write();
-  return report.findings.empty() ? 0 : 1;
 }
 
 // `campaign --shards S`: the distributed path (src/dist/). The coordinator
@@ -567,9 +539,6 @@ int RunCampaignSharded(const ParsedArgs& args, const BugConfig& bugs, Telemetry&
                   outcome.report.findings.size());
   }
   PrintReport(outcome.report);
-  // Advisory only, and on stderr: the stdout report stays byte-identical
-  // to the single-process run.
-  std::fprintf(stderr, "%s", outcome.suggestion.ToString().c_str());
   MaybePrintCacheStats(args, outcome.cache_stats);
   telemetry.Write();
   if (!options.corpus_dir.empty()) {
@@ -705,15 +674,12 @@ int CmdShardWorker(int argc, char** argv) {
   // per-shard human view, so they get this shard's own fold.
   if (telemetry.registry_or_null() != nullptr) {
     telemetry.registry.MergeFrom(result.metrics);
-    result.report.RecordMetrics(telemetry.registry);
-    if (options.campaign.use_cache) {
-      result.cache_stats.RecordMetrics(telemetry.registry);
-    }
   }
   if (telemetry.coverage_or_null() != nullptr) {
     telemetry.coverage.MergeFrom(result.coverage);
-    result.report.RecordCoverage(telemetry.coverage, bugs);
   }
+  result.report.FoldInto(telemetry.registry_or_null(), telemetry.coverage_or_null(),
+                         options.campaign.use_cache ? &result.cache_stats : nullptr, bugs);
   telemetry.Write();
   return 0;
 }
@@ -1044,12 +1010,11 @@ int Usage(std::FILE* out) {
                "  compile <file.p4> [--bug B ...]\n"
                "  validate <file.p4> [--bug B ...] [--no-cache] [--cache-stats]\n"
                "  testgen <file.p4> [--no-cache] [--cache-stats]\n"
-               "  fuzz [N] [seed] [--bug B ...] [--targets T,...] [--no-cache] "
-               "[--cache-stats]\n"
                "  campaign [N] [seed] [--jobs J] [--corpus DIR] [--bug B ...] "
                "[--targets T,...] [--no-cache] [--cache-stats] [--cache-file F]\n"
                "  campaign ... --shards S [--shard-dir DIR] [--worker BIN]\n"
                "  campaign ... --status-dir DIR [--snapshot-interval MS]\n"
+               "  fuzz ...   (alias of campaign: same flags, output and exit code)\n"
                "  shard-worker --shard-begin B --shard-end E --seed S --result-out F\n"
                "               [--jobs J] [--corpus DIR] [--cache-file F] [--bug B ...]\n"
                "               [--status-dir DIR [--status-role R] [--snapshot-interval MS]]\n"
@@ -1072,12 +1037,12 @@ int Usage(std::FILE* out) {
                "--cache-stats prints hit/reuse counters to stderr\n"
                "--cache-file persists blast templates + per-program verdicts across\n"
                "runs (campaign reads and rewrites it; replay only validates it)\n"
-               "--no-budgets (validate/testgen/fuzz/campaign) lifts the wall-clock\n"
+               "--no-budgets (validate/testgen/campaign) lifts the wall-clock\n"
                "solver budgets so reports do not depend on machine load\n"
                "--no-incremental (same commands) disables the incremental solver hot\n"
                "path (assumption-trail reuse + block-summary memoization); reports\n"
                "are byte-identical either way, only the work spent differs\n"
-               "telemetry (validate/testgen/fuzz/campaign/replay):\n"
+               "telemetry (validate/testgen/campaign/replay):\n"
                "  --metrics-out F   write a versioned metrics.json run report\n"
                "  --trace-out F     write Chrome/Perfetto trace-event JSON\n"
                "  --coverage-out F  write a semantic coverage.json snapshot\n"
@@ -1137,10 +1102,7 @@ int main(int argc, char** argv) {
       }
       return CmdTestgen(args.positionals[0], args);
     }
-    if (command == "fuzz") {
-      return CmdFuzz(argc, argv);
-    }
-    if (command == "campaign") {
+    if (command == "campaign" || command == "fuzz") {
       return CmdCampaign(argc, argv);
     }
     if (command == "shard-worker") {

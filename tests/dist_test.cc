@@ -341,52 +341,6 @@ TEST_F(DistScratch, SubprocessModeRequiresWorkerBinary) {
   EXPECT_THROW(RunShardCoordinator(options, TwoFaults()), CompileError);
 }
 
-// --- the advisory budget tuner ---------------------------------------------
-
-ShardResult YieldShard(int index, int programs, int tests, int findings) {
-  ShardResult shard;
-  shard.range = {index, index * programs, (index + 1) * programs};
-  shard.report.programs_generated = programs;
-  shard.report.tests_generated = tests;
-  shard.report.findings.resize(static_cast<size_t>(findings));
-  return shard;
-}
-
-TEST(SuggestBudgetsTest, SaturatedShardDoublesTheBudget) {
-  TestGenOptions testgen;
-  testgen.max_tests = 8;
-  std::vector<ShardResult> shards;
-  shards.push_back(YieldShard(0, 10, 75, 3));  // mean 7.5 >= 7/8 of 8
-  shards.push_back(YieldShard(1, 10, 40, 1));
-  const BudgetSuggestion suggestion = SuggestBudgets(testgen, shards);
-  EXPECT_EQ(suggestion.current_max_tests, 8u);
-  EXPECT_EQ(suggestion.suggested_max_tests, 16u);
-  EXPECT_TRUE(suggestion.changed());
-  EXPECT_EQ(suggestion.max_shard_tests_x100, 750u);
-  EXPECT_EQ(suggestion.min_shard_tests_x100, 400u);
-  EXPECT_EQ(suggestion.tests_per_program_x100, 575u);
-  EXPECT_NE(suggestion.ToString().find("budget:"), std::string::npos);
-}
-
-TEST(SuggestBudgetsTest, IdleCampaignHalvesAndQuietStreamHolds) {
-  TestGenOptions testgen;
-  testgen.max_tests = 32;
-  std::vector<ShardResult> idle;
-  idle.push_back(YieldShard(0, 10, 30, 0));  // mean 3 < 32/4
-  idle.push_back(YieldShard(1, 10, 50, 0));
-  EXPECT_EQ(SuggestBudgets(testgen, idle).suggested_max_tests, 16u);
-
-  std::vector<ShardResult> steady;
-  steady.push_back(YieldShard(0, 10, 160, 2));  // mean 16: inside the band
-  EXPECT_FALSE(SuggestBudgets(testgen, steady).changed());
-
-  // Empty shards are ignored, not divided by.
-  std::vector<ShardResult> sparse;
-  sparse.push_back(YieldShard(0, 0, 0, 0));
-  sparse.push_back(YieldShard(1, 10, 160, 1));
-  EXPECT_FALSE(SuggestBudgets(testgen, sparse).changed());
-}
-
 // --- serve mode ------------------------------------------------------------
 
 constexpr const char* kCleanProgram = R"(

@@ -1,12 +1,14 @@
 // The src/runtime/ subsystem: worker pool, parallel campaign determinism
-// (same seed, any --jobs -> bit-identical report), and the STF corpus
-// store -> replay round trip.
+// (same seed, any --jobs -> bit-identical report), find->fix rounds, and the
+// STF corpus store -> replay round trip.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <string>
 
 #include "src/cache/verdict_cache.h"
 #include "src/frontend/parser.h"
@@ -177,6 +179,44 @@ TEST(ParallelCampaignTest, ProgramSeedsAreDecorrelated) {
   EXPECT_NE(s0, s1);
   EXPECT_NE(s0, 1u);  // index 0 must still be mixed
   EXPECT_NE(ParallelCampaign::ProgramSeed(1, 0), ParallelCampaign::ProgramSeed(2, 0));
+}
+
+// --- find->fix rounds --------------------------------------------------------
+
+TEST(FindFixCampaignTest, RoundsMatchAcrossJobsAndNeverRefindAFixedFault) {
+  // Every catalogued fault seeded: each round runs on the campaign driver,
+  // so the whole sequence — every round's findings and distinct faults, the
+  // cumulative set and the leftovers — must be identical at one worker and
+  // at four. A fault found in round r is disabled before round r + 1, so no
+  // later round may report it again.
+  const BugConfig all = BugConfig::All();
+  const FindFixResult serial = RunFindFixCampaign(SmallCampaign(8, 1), all, 4);
+  const FindFixResult parallel = RunFindFixCampaign(SmallCampaign(8, 4), all, 4);
+  ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
+  for (size_t round = 0; round < serial.rounds.size(); ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectIdenticalReports(serial.rounds[round], parallel.rounds[round]);
+  }
+  EXPECT_EQ(serial.found, parallel.found);
+  EXPECT_EQ(serial.remaining.enabled(), parallel.remaining.enabled());
+
+  ASSERT_GE(serial.rounds.size(), 2u) << "the sequence never reached a second round";
+  std::set<BugId> fixed;
+  for (size_t round = 0; round < serial.rounds.size(); ++round) {
+    const CampaignReport& report = serial.rounds[round];
+    EXPECT_EQ(report.programs_generated, 8);
+    for (const Finding& finding : report.findings) {
+      if (finding.attributed.has_value()) {
+        EXPECT_EQ(fixed.count(*finding.attributed), 0u)
+            << BugIdToString(*finding.attributed) << " found again in round " << round;
+      }
+    }
+    fixed.insert(report.distinct_bugs.begin(), report.distinct_bugs.end());
+  }
+  EXPECT_EQ(fixed, serial.found);
+  for (const BugId bug : all.enabled()) {
+    EXPECT_NE(serial.found.count(bug) != 0, serial.remaining.Has(bug)) << BugIdToString(bug);
+  }
 }
 
 // --- corpus store + replay round trip --------------------------------------

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/frontend/parser.h"
-#include "src/gauntlet/campaign.h"
+#include "src/runtime/parallel_campaign.h"
 #include "src/target/target.h"
 #include "src/testgen/testgen.h"
 #include "src/typecheck/typecheck.h"
@@ -297,13 +297,13 @@ TEST_P(TargetConformance, CampaignAgainstThisTargetFindsItsSeededFaults) {
   for (const BugId bug : target.CatalogueFaults()) {
     bugs.Enable(bug);
   }
-  CampaignOptions options;
-  options.seed = 99;
-  options.num_programs = 40;
-  options.targets = {GetParam()};
-  options.testgen.max_tests = 6;
-  options.testgen.max_decisions = 5;
-  const CampaignReport report = Campaign(options).Run(bugs);
+  ParallelCampaignOptions options;
+  options.campaign.seed = 99;
+  options.campaign.num_programs = 40;
+  options.campaign.targets = {GetParam()};
+  options.campaign.testgen.max_tests = 6;
+  options.campaign.testgen.max_decisions = 5;
+  const CampaignReport report = ParallelCampaign(options).Run(bugs);
   EXPECT_FALSE(report.distinct_bugs.empty())
       << "no seeded " << GetParam() << " fault found in 40 random programs";
   for (const BugId bug : report.distinct_bugs) {
