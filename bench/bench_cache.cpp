@@ -18,6 +18,7 @@
 
 #include "src/cache/verdict_cache.h"
 #include "src/gen/generator.h"
+#include "src/obs/metrics.h"
 #include "src/passes/pass.h"
 #include "src/tv/validator.h"
 
@@ -101,7 +102,9 @@ int main() {
   std::printf("%d programs x 2 validations, best of %d reps: uncached %.1f ms, "
               "cached %.1f ms (%.2fx)\n",
               kPrograms, kReps, best_uncached, best_cached, best_uncached / best_cached);
-  std::printf("%s\n", stats.ToString().c_str());
+  MetricsRegistry registry;
+  stats.RecordMetrics(registry);
+  std::printf("%s\n", MetricsTextSummary(registry).c_str());
 
   if (uncached_verdicts != cached_verdicts) {
     std::fprintf(stderr, "FAIL: verdicts differ between cached and uncached validation\n");

@@ -80,13 +80,6 @@ class BlastCache {
   uint64_t clauses_reused() const { return clauses_reused_; }
   size_t size() const { return templates_.size(); }
 
-  // The full memo table, for cross-run serialization (src/cache/cache_file).
-  // Templates are context-independent by construction, which is what makes
-  // persisting them sound.
-  const std::unordered_map<Fingerprint, BlastTemplate, FingerprintHash>& templates() const {
-    return templates_;
-  }
-
  private:
   std::unordered_map<Fingerprint, BlastTemplate, FingerprintHash> templates_;
   uint64_t hits_ = 0;

@@ -33,9 +33,9 @@ namespace gauntlet {
 // SmtContext they were built in. Callers must call BeginContext() whenever
 // they start interpreting into a new context (the validator does so at
 // every Validate/CompareVersions entry). The key → semantics-fingerprint
-// side table is context-free and survives BeginContext; it is what
-// --cache-file persists across runs, letting a warm run skip the canonical
-// DAG hashing behind version fingerprints.
+// side table is context-free and survives BeginContext, letting later
+// contexts of the same owner skip the canonical DAG hashing behind version
+// fingerprints.
 class SummaryCache {
  public:
   // Drops every cached BlockSemantics (their SmtRefs belong to the previous
@@ -73,10 +73,6 @@ class SummaryCache {
   }
   void RecordSemanticsFingerprint(const Fingerprint& key, const Fingerprint& fp) {
     stored_fingerprints_.emplace(key, fp);
-  }
-  // Ordered for deterministic serialization (src/cache/cache_file).
-  const std::map<Fingerprint, Fingerprint>& stored_fingerprints() const {
-    return stored_fingerprints_;
   }
 
   uint64_t hits() const { return hits_; }

@@ -1,7 +1,5 @@
 #include "src/cache/verdict_cache.h"
 
-#include <sstream>
-
 #include "src/obs/metrics.h"
 #include "src/sym/interpreter.h"
 
@@ -34,15 +32,6 @@ void CacheStats::RecordMetrics(MetricsRegistry& registry) const {
   registry.Count("cache/verdict_misses", kTiming, verdict_misses);
 }
 
-std::string CacheStats::ToString() const {
-  // Render through the registry so --cache-stats and metrics.json can never
-  // drift apart: same names, same key-sorted order, and histograms (when a
-  // stat grows one) get the same p50/p90/p99 summary.
-  MetricsRegistry registry;
-  RecordMetrics(registry);
-  return MetricsTextSummary(registry);
-}
-
 const VerdictCache::Entry* VerdictCache::Find(const Fingerprint& before,
                                               const Fingerprint& after) {
   auto it = entries_.find(CombineFingerprints(before, after));
@@ -69,7 +58,12 @@ Fingerprint SemanticsFingerprint(StructHasher& hasher, const BlockSemantics& sem
 }
 
 void ValidationCache::BeginProgram(uint64_t program_key) {
-  FlushProgramVerdicts();
+  if (current_program_key_ != 0) {
+    auto& archived = stored_verdicts_[current_program_key_];
+    for (const auto& [key, entry] : verdicts_.entries()) {
+      archived.emplace(key, entry);
+    }
+  }
   verdicts_.Clear();
   current_program_key_ = program_key;
   if (program_key != 0) {
@@ -80,24 +74,6 @@ void ValidationCache::BeginProgram(uint64_t program_key) {
       }
     }
   }
-}
-
-void ValidationCache::FlushProgramVerdicts() {
-  if (current_program_key_ == 0) {
-    return;
-  }
-  auto& archived = stored_verdicts_[current_program_key_];
-  for (const auto& [key, entry] : verdicts_.entries()) {
-    archived.emplace(key, entry);
-  }
-}
-
-void ValidationCache::PreloadVerdict(uint64_t program_key, const Fingerprint& key,
-                                     VerdictCache::Entry entry) {
-  if (program_key == 0) {
-    return;
-  }
-  stored_verdicts_[program_key].emplace(key, std::move(entry));
 }
 
 CacheStats ValidationCache::Stats() const {

@@ -1,7 +1,8 @@
 #ifndef SRC_CACHE_VERDICT_CACHE_H_
 #define SRC_CACHE_VERDICT_CACHE_H_
 
-#include <string>
+#include <cstdint>
+#include <map>
 #include <unordered_map>
 
 #include "src/cache/blast_cache.h"
@@ -15,9 +16,9 @@ struct BlockSemantics;
 class MetricsRegistry;
 
 // Counters describing what the memoization subsystem saved. Aggregated
-// per worker and surfaced by `gauntlet ... --cache-stats`; never part of a
-// campaign report (hit patterns depend on work scheduling, reports must
-// stay bit-identical for any --jobs value).
+// per worker and surfaced in the timing section of `--metrics-out`; never
+// part of a campaign report (hit patterns depend on work scheduling,
+// reports must stay bit-identical for any --jobs value).
 struct CacheStats {
   uint64_t blast_hits = 0;          // gate nodes replayed from a template
   uint64_t blast_misses = 0;        // gate nodes recorded for the first time
@@ -29,17 +30,13 @@ struct CacheStats {
   uint64_t summary_hits = 0;    // blocks whose interpretation was memoized
   uint64_t summary_misses = 0;  // blocks interpreted and recorded
   uint64_t summary_fps_reused = 0;  // canonical DAG hashes skipped via the
-                                    // persisted key → fingerprint table
+                                    // key → fingerprint side table
 
   void Merge(const CacheStats& other);
 
   // Folds the counters into `registry` under stable `cache/...` names
   // (timing scope — hit patterns are schedule-dependent, see above).
   void RecordMetrics(MetricsRegistry& registry) const;
-
-  // Stable key-sorted rendering, one `cache/<counter> <value>` line per
-  // counter — greppable in scripts and diffable in CI.
-  std::string ToString() const;
 };
 
 // Caches the outcome of whole equivalence queries: the verdict the
@@ -73,8 +70,8 @@ class VerdictCache {
   const Entry* Find(const Fingerprint& before, const Fingerprint& after);
   void Insert(const Fingerprint& before, const Fingerprint& after, TvPassResult result,
               uint32_t queries);
-  // Insert under an already-combined (before, after) key — the reload path
-  // of cross-run persistence, where only the combined key was stored.
+  // Insert under an already-combined (before, after) key — how
+  // ValidationCache::BeginProgram restores a program's archived verdicts.
   void InsertByKey(const Fingerprint& key, Entry entry) {
     entries_.emplace(key, std::move(entry));
   }
@@ -103,19 +100,20 @@ class VerdictCache {
 // version-level failure state before fingerprinting).
 Fingerprint SemanticsFingerprint(StructHasher& hasher, const BlockSemantics& semantics);
 
-// Everything one campaign worker (or one CLI invocation) threads through
-// validation and test generation. Blast templates are worker-lifetime —
-// replay is bit-exact, so sharing them across programs never perturbs a
-// result. Verdict entries are scoped to one program via BeginProgram():
-// cross-program verdict reuse would make a worker's answers depend on which
-// programs it happened to process, and parallel campaign reports must stay
-// bit-identical for any scheduling.
+// Everything one campaign worker, serve session or CLI invocation threads
+// through validation and test generation. A cache lives exactly as long as
+// its owner, so no answer depends on an earlier run. Blast templates are
+// owner-lifetime — replay is bit-exact, so sharing them across programs
+// never perturbs a result. Verdict entries are scoped to one program via
+// BeginProgram(): cross-program verdict reuse would make a worker's answers
+// depend on which programs it happened to process, and parallel campaign
+// reports must stay bit-identical for any scheduling.
 //
-// Cross-run persistence (src/cache/cache_file) keeps that scoping: stored
-// verdicts are grouped under a caller-supplied *program key* (a content hash
-// of the program), and BeginProgram(key) preloads exactly that program's
-// stored entries — a warm worker answers a program's queries from what any
-// previous run learned about *that program*, never from a neighbour.
+// Verdicts are archived under a caller-supplied *program key* (a content
+// hash of the program), and BeginProgram(key) preloads exactly that
+// program's archived entries — a serve session that sees the same program
+// twice answers the second submission from what it learned about *that
+// program*, never from a neighbour.
 class ValidationCache {
  public:
   BlastCache& blast() { return blast_; }
@@ -128,19 +126,6 @@ class ValidationCache {
   // the new one.
   void BeginProgram(uint64_t program_key = 0);
 
-  // Archives the open program's verdicts (call before serializing).
-  void Seal() { FlushProgramVerdicts(); }
-
-  // The reload path: installs one stored verdict under `program_key`.
-  void PreloadVerdict(uint64_t program_key, const Fingerprint& key, VerdictCache::Entry entry);
-
-  // Stored verdicts, grouped by program key in key order (deterministic
-  // serialization).
-  const std::map<uint64_t, std::map<Fingerprint, VerdictCache::Entry>>& stored_verdicts()
-      const {
-    return stored_verdicts_;
-  }
-
   // Counters accumulated since construction (verdict-layer counters are
   // kept across BeginProgram).
   CacheStats Stats() const;
@@ -148,14 +133,11 @@ class ValidationCache {
   void CountShortCircuit() { ++pairs_short_circuited_; }
 
  private:
-  void FlushProgramVerdicts();
-
   BlastCache blast_;
   VerdictCache verdicts_;
   SummaryCache summaries_;
   uint64_t current_program_key_ = 0;
-  // Verdicts archived per program key; ordered maps so serialization is
-  // deterministic for any insertion order.
+  // Verdicts archived per program key.
   std::map<uint64_t, std::map<Fingerprint, VerdictCache::Entry>> stored_verdicts_;
   uint64_t queries_skipped_ = 0;
   uint64_t pairs_short_circuited_ = 0;

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <memory>
 
-#include "src/cache/cache_file.h"
 #include "src/obs/health.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
@@ -33,23 +32,10 @@ std::string ResultPath(const std::string& scratch, int shard) {
 std::string ShardCorpusPath(const std::string& scratch, int shard) {
   return (fs::path(scratch) / ("shard-" + std::to_string(shard) + "-corpus")).string();
 }
-std::string ShardCachePath(const std::string& scratch, int shard) {
-  return (fs::path(scratch) / ("shard-" + std::to_string(shard) + ".cache")).string();
-}
 // Each fleet worker publishes live status under its own subdirectory of the
 // coordinator's status dir — the layout `gauntlet status` scans.
 std::string ShardStatusDir(const std::string& status_dir, int shard) {
   return (fs::path(status_dir) / ("shard-" + std::to_string(shard))).string();
-}
-
-void CopyFileBytes(const std::string& from, const std::string& to) {
-  std::string content;
-  if (!ReadFile(from, &content)) {
-    throw CompileError("cannot open '" + from + "'");
-  }
-  if (!WriteFileAtomic(to, content)) {
-    throw CompileError("cannot write '" + to + "'");
-  }
 }
 
 // Child argv for one shard: the topology flags the coordinator owns, then
@@ -73,10 +59,6 @@ std::vector<std::string> WorkerArgv(const ShardCoordinatorOptions& options,
   if (!options.corpus_dir.empty()) {
     argv.push_back("--corpus");
     argv.push_back(ShardCorpusPath(scratch, range.index));
-  }
-  if (!options.cache_file.empty()) {
-    argv.push_back("--cache-file");
-    argv.push_back(ShardCachePath(scratch, range.index));
   }
   if (!options.status_dir.empty()) {
     argv.push_back("--status-dir");
@@ -169,15 +151,6 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
   fs::create_directories(scratch, ec);
   if (ec || !fs::is_directory(scratch)) {
     throw CompileError("cannot create shard scratch directory '" + scratch + "'");
-  }
-
-  // Every shard warm-starts from an identical copy of the campaign's cache
-  // file (when one exists) — the per-worker rule of the parallel campaign,
-  // lifted to processes.
-  if (!options.cache_file.empty() && fs::exists(options.cache_file)) {
-    for (const ShardRange& range : ranges) {
-      CopyFileBytes(options.cache_file, ShardCachePath(scratch, range.index));
-    }
   }
 
   // --- live fleet status (src/obs/snapshot.h + health.h) -------------------
@@ -288,9 +261,6 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
       if (!options.corpus_dir.empty()) {
         worker.corpus_dir = ShardCorpusPath(scratch, range.index);
       }
-      if (!options.cache_file.empty()) {
-        worker.cache_file = ShardCachePath(scratch, range.index);
-      }
       const ShardResult result = RunShardWorker(worker, bugs);
       done_offset += static_cast<uint64_t>(result.report.programs_generated);
       findings_offset += result.report.findings.size();
@@ -314,9 +284,10 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
     }
     results.push_back(std::move(result));
   }
+  CacheStats cache_stats;
   for (ShardResult& result : results) {
     outcome.report.Merge(std::move(result.report));
-    outcome.cache_stats.Merge(result.cache_stats);
+    cache_stats.Merge(result.cache_stats);
   }
   outcome.report.run_start_micros = run_start_micros;
 
@@ -332,7 +303,7 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
     }
   }
   outcome.report.FoldInto(options.campaign.metrics, options.campaign.coverage,
-                          options.campaign.use_cache ? &outcome.cache_stats : nullptr, bugs);
+                          options.campaign.use_cache ? &cache_stats : nullptr, bugs);
 
   if (!options.corpus_dir.empty()) {
     std::vector<std::string> shard_corpora;
@@ -344,14 +315,6 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
       }
     }
     MergeCorpusStores(options.corpus_dir, shard_corpora);
-  }
-  if (!options.cache_file.empty()) {
-    std::vector<std::string> shard_caches;
-    shard_caches.reserve(ranges.size());
-    for (const ShardRange& range : ranges) {
-      shard_caches.push_back(ShardCachePath(scratch, range.index));
-    }
-    MergeValidationCacheFiles(options.cache_file, shard_caches);
   }
 
   if (private_scratch) {

@@ -20,7 +20,7 @@ namespace gauntlet {
 //   * metrics     MetricsRegistry::MergeFrom (sums/maxes commute);
 //   * coverage    CoverageMap::MergeFrom (counts sum);
 //   * corpora     MergeCorpusStores (manifest union, earliest shard wins);
-//   * caches      MergeValidationCacheFiles (fingerprint dedup).
+//   * cache stats CacheStats::Merge (counters sum).
 //
 // then performs the single report fold (CampaignReport::FoldInto) a
 // one-process run would perform. The deterministic sections of the merged
@@ -37,12 +37,11 @@ struct ShardCoordinatorOptions {
   CampaignOptions campaign;
   int shards = 1;
   int jobs = 1;  // worker threads per shard
-  // Final merged corpus / cache-file destinations; empty = off.
+  // Final merged corpus destination; empty = off.
   std::string corpus_dir;
-  std::string cache_file;
-  // Where per-shard artifacts (result files, shard corpora, shard cache
-  // copies) live. Empty = a private directory under the system temp dir,
-  // removed after a successful merge; non-empty = kept for inspection.
+  // Where per-shard artifacts (result files, shard corpora) live. Empty =
+  // a private directory under the system temp dir, removed after a
+  // successful merge; non-empty = kept for inspection.
   std::string scratch_dir;
   // Path to a `gauntlet` binary: shards run as child `shard-worker`
   // processes. Empty = shards run in-process (the results still round-trip
@@ -70,7 +69,6 @@ struct ShardCoordinatorOptions {
 
 struct CoordinatorOutcome {
   CampaignReport report;  // merged across shards, folded once
-  CacheStats cache_stats;
   std::vector<ShardRange> shard_ranges;  // the topology that ran
 };
 

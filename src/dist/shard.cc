@@ -289,7 +289,6 @@ ShardResult RunShardWorker(const ShardWorkerOptions& options, const BugConfig& b
   campaign.fold_report_metrics = false;
   campaign.jobs = options.jobs;
   campaign.corpus_dir = options.corpus_dir;
-  campaign.cache_file = options.cache_file;
   // The worker protocol always carries telemetry: collection is
   // observation-only (reports are bit-identical either way), and the
   // coordinator needs the raw registries to reproduce a single-process

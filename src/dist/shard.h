@@ -53,7 +53,7 @@ struct ShardResult {
 };
 
 // Versioned line-oriented serialization ("gauntletshard 1", hex-encoded
-// strings — the src/cache/cache_file format family). Findings round-trip
+// strings, read through src/support/line_record). Findings round-trip
 // without their repro_test packets: corpus triples are written shard-side,
 // so the coordinator needs findings only for the merged report and the
 // single fold. Malformed input fails loudly with CompileError.
@@ -75,8 +75,6 @@ struct ShardWorkerOptions {
   // Shard-private corpus directory; empty = no corpus. The coordinator
   // merges shard corpora with MergeCorpusStores afterwards.
   std::string corpus_dir;
-  // Shard-private warm-start cache file (load + rewrite); empty = none.
-  std::string cache_file;
   // Live-status directory for this shard (src/obs/snapshot.h); empty = no
   // snapshots/heartbeats. The coordinator points each worker at its own
   // subdirectory of the fleet status dir and aggregates the heartbeats.

@@ -442,11 +442,10 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
     RecordConstructCoverage(census);
   }
   if (cache != nullptr) {
-    // Blast templates persist across programs; verdict entries are scoped
-    // to this program's content hash (see ValidationCache), keeping results
-    // independent of which programs this worker happened to process before
-    // — and letting a --cache-file warm start reload exactly this program's
-    // verdicts from an earlier run.
+    // Blast templates carry over between programs; verdict entries are
+    // scoped to this program's content hash (see ValidationCache), keeping
+    // results independent of which programs this worker happened to
+    // process before.
     cache->BeginProgram(HashProgram(program));
   }
 

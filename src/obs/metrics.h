@@ -73,7 +73,7 @@ class MetricsRegistry {
   void Absorb(std::string_view name, const Metric& metric);
 
   // Sorted by name (std::map), which is what makes every downstream
-  // rendering — JSON report, --cache-stats dump — stable.
+  // rendering — JSON report, MetricsTextSummary — stable.
   const std::map<std::string, Metric, std::less<>>& metrics() const { return metrics_; }
 
   // Counter/gauge value, or 0 if absent.

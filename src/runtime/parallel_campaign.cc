@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/cache/cache_file.h"
 #include "src/cache/verdict_cache.h"
 #include "src/gen/generator.h"
 #include "src/obs/coverage.h"
@@ -58,17 +57,6 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
     caches.resize(static_cast<size_t>(jobs < 1 ? 1 : jobs));
     for (auto& cache : caches) {
       cache = std::make_unique<ValidationCache>();
-    }
-    if (!options_.cache_file.empty()) {
-      // Parse the warm-start file once and copy the loaded state (plain
-      // value maps) into every worker. Each worker starting from the
-      // identical state is what keeps per-program answers independent of
-      // which worker claims which program — reports stay bit-identical for
-      // any jobs value.
-      LoadValidationCacheFile(options_.cache_file, *caches.front());
-      for (size_t i = 1; i < caches.size(); ++i) {
-        *caches[i] = *caches.front();
-      }
     }
   }
 
@@ -209,19 +197,6 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
   }
   if (stats_out != nullptr) {
     *stats_out = merged_stats;
-  }
-
-  // Persist the merged worker caches for the next run. The file contents may
-  // depend on scheduling (which worker recorded a template first), but every
-  // stored template replays bit-exactly and every verdict is definitive, so
-  // any merge order warms later runs identically.
-  if (!options_.cache_file.empty() && !caches.empty()) {
-    std::vector<ValidationCache*> cache_ptrs;
-    cache_ptrs.reserve(caches.size());
-    for (const auto& cache : caches) {
-      cache_ptrs.push_back(cache.get());
-    }
-    SaveValidationCacheFile(options_.cache_file, cache_ptrs);
   }
 
   // Corpus writes happen after the merge, in finding order, so the stored

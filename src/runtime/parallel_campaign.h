@@ -32,12 +32,6 @@ struct ParallelCampaignOptions {
   // When non-empty, every distinct finding is persisted as a
   // <key>.p4 / <key>.stf / <key>.finding.json reproducer triple here.
   std::string corpus_dir;
-  // When non-empty (and campaign.use_cache is on), warm-starts every worker
-  // from this serialized cache (src/cache/cache_file) and rewrites it with
-  // the merged worker caches after the run — repeated CI campaigns reuse
-  // blast templates and per-program verdicts across processes. Every worker
-  // loads the identical file, so reports stay bit-identical for any --jobs.
-  std::string cache_file;
   // When non-empty, the run publishes live telemetry into this directory
   // (src/obs/snapshot.h): an atomic snapshot.json + heartbeat.json every
   // snapshot_interval_ms, driven by a mutex-protected live accumulator the
@@ -61,10 +55,11 @@ struct ParallelCampaignOptions {
 // merged in index order. The report is therefore bit-identical for any
 // --jobs value, and `--jobs 1` *is* the serial baseline.
 //
-// Caching (campaign.use_cache): each worker owns one ValidationCache, so
-// workers never contend and — because blast-template replay is bit-exact
-// and verdict entries are program-scoped — the report stays bit-identical
-// for any scheduling and any jobs count, cache on or off.
+// Caching (campaign.use_cache): each worker owns one ValidationCache for
+// the length of the run, so workers never contend and — because
+// blast-template replay is bit-exact and verdict entries are
+// program-scoped — the report stays bit-identical for any scheduling and
+// any jobs count, cache on or off.
 class ParallelCampaign {
  public:
   explicit ParallelCampaign(ParallelCampaignOptions options)

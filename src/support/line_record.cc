@@ -106,8 +106,6 @@ T LineReader::Decimal(const char* what) {
 
 uint64_t LineReader::U64(const char* what) { return Decimal<uint64_t>(what); }
 
-uint32_t LineReader::U32(const char* what) { return Decimal<uint32_t>(what); }
-
 int LineReader::Int(const char* what) { return Decimal<int>(what); }
 
 std::string LineReader::HexString(const char* what) {

@@ -10,7 +10,7 @@ namespace gauntlet {
 
 // ---------------------------------------------------------------------------
 // The line-record formats: versioned text files of whitespace-separated
-// tokens, one record per line (the cache file, shard results). Strings
+// tokens, one record per line (shard results). Strings
 // travel as hex tokens so whitespace and arbitrary bytes survive.
 // ---------------------------------------------------------------------------
 
@@ -25,7 +25,7 @@ std::string ToHexToken(std::string_view text);
 // token instead of reserving memory it names.
 class LineReader {
  public:
-  // `format` names the file kind in errors ("cache file", "shard result").
+  // `format` names the file kind in errors ("shard result").
   LineReader(std::istream& in, std::string format);
 
   // Moves to the next non-empty line; false at end of input. The current
@@ -41,7 +41,6 @@ class LineReader {
   // The whole token as a decimal within the type's range; only Int takes
   // a '-' sign.
   uint64_t U64(const char* what);
-  uint32_t U32(const char* what);
   int Int(const char* what);
   // A ToHexToken token, decoded.
   std::string HexString(const char* what);

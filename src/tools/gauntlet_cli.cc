@@ -38,7 +38,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/cache/cache_file.h"
 #include "src/cache/verdict_cache.h"
 #include "src/dist/coordinator.h"
 #include "src/dist/serve.h"
@@ -135,11 +134,11 @@ ParsedArgs ParseCommandArgs(int argc, char** argv,
   return parsed;
 }
 
-// The two cache switches shared by the validating commands, plus the
-// telemetry heartbeat switch, the wall-clock-budget kill switch and the
+// The cache switch shared by the validating commands, plus the telemetry
+// heartbeat switch, the wall-clock-budget kill switch and the
 // incremental-solving A/B switch they all accept.
-const std::vector<std::string> kCacheSwitches = {"--no-cache", "--cache-stats", "--progress",
-                                                "--no-budgets", "--no-incremental"};
+const std::vector<std::string> kCacheSwitches = {"--no-cache", "--progress", "--no-budgets",
+                                                "--no-incremental"};
 
 // The telemetry output flags shared by every instrumented command.
 const std::vector<std::string> kTelemetryFlags = {"--metrics-out", "--trace-out",
@@ -251,19 +250,6 @@ struct ScopedTelemetry {
   ScopedCoverageSink coverage_sink;
   ScopedTraceSink trace_sink;
 };
-
-void MaybePrintCacheStats(const ParsedArgs& args, const CacheStats& stats) {
-  if (!args.Has("--cache-stats")) {
-    return;
-  }
-  if (args.Has("--no-cache")) {
-    // All-zero counters from a disabled cache read as "cache never hit";
-    // say what actually happened instead.
-    std::fprintf(stderr, "cache: disabled (--no-cache)\n");
-    return;
-  }
-  std::fprintf(stderr, "%s\n", stats.ToString().c_str());
-}
 
 // Strict decimal parse; rejects "abc", "4x", out-of-range and empty
 // strings instead of the silent-zero behavior of atoi.
@@ -410,7 +396,6 @@ int CmdValidate(const std::string& path, const BugConfig& bugs, const ParsedArgs
   if (cache_ptr != nullptr && telemetry.registry_or_null() != nullptr) {
     cache.Stats().RecordMetrics(telemetry.registry);
   }
-  MaybePrintCacheStats(args, cache.Stats());
   telemetry.Write();
   return problems == 0 ? 0 : 1;
 }
@@ -445,7 +430,6 @@ int CmdTestgen(const std::string& path, const ParsedArgs& args) {
   if (cache_ptr != nullptr && telemetry.registry_or_null() != nullptr) {
     cache.Stats().RecordMetrics(telemetry.registry);
   }
-  MaybePrintCacheStats(args, cache.Stats());
   telemetry.Write();
   // No tests means no coverage — scripts piping this into a replay harness
   // must be able to gate on it.
@@ -499,7 +483,6 @@ int RunCampaignSharded(const ParsedArgs& args, const BugConfig& bugs, Telemetry&
   options.shards = ParseCount(args.Last("--shards"), "--shards", /*minimum=*/1);
   options.jobs = parallel.jobs;
   options.corpus_dir = parallel.corpus_dir;
-  options.cache_file = parallel.cache_file;
   options.status_dir = parallel.status_dir;
   options.snapshot_interval_ms = parallel.snapshot_interval_ms;
   if (args.Has("--shard-dir")) {
@@ -539,7 +522,6 @@ int RunCampaignSharded(const ParsedArgs& args, const BugConfig& bugs, Telemetry&
                   outcome.report.findings.size());
   }
   PrintReport(outcome.report);
-  MaybePrintCacheStats(args, outcome.cache_stats);
   telemetry.Write();
   if (!options.corpus_dir.empty()) {
     std::fprintf(stderr, "corpus: %d reproducers under %s (all runs)\n",
@@ -551,9 +533,8 @@ int RunCampaignSharded(const ParsedArgs& args, const BugConfig& bugs, Telemetry&
 int CmdCampaign(int argc, char** argv) {
   const ParsedArgs args = ParseCommandArgs(
       argc, argv,
-      WithTelemetryFlags({"--jobs", "--corpus", "--bug", "--targets", "--cache-file",
-                          "--shards", "--shard-dir", "--worker", "--status-dir",
-                          "--snapshot-interval"}),
+      WithTelemetryFlags({"--jobs", "--corpus", "--bug", "--targets", "--shards",
+                          "--shard-dir", "--worker", "--status-dir", "--snapshot-interval"}),
       /*max_positionals=*/2, kCacheSwitches);
   const BugConfig bugs = BugsFromFlags(args);
   Telemetry telemetry(args);
@@ -570,12 +551,6 @@ int CmdCampaign(int argc, char** argv) {
       options.snapshot_interval_ms =
           ParseCount(args.Last("--snapshot-interval"), "--snapshot-interval", /*minimum=*/1);
     }
-  }
-  if (args.Has("--cache-file")) {
-    if (args.Has("--no-cache")) {
-      throw CliUsageError("--cache-file needs the cache; drop --no-cache");
-    }
-    options.cache_file = args.Last("--cache-file");
   }
   if (args.positionals.size() >= 1) {
     options.campaign.num_programs = ParseCount(args.positionals[0], "N", /*minimum=*/0);
@@ -597,13 +572,11 @@ int CmdCampaign(int argc, char** argv) {
   }
   const std::unique_ptr<ProgressMeter> meter =
       WireCampaignTelemetry(args, telemetry, options.campaign);
-  CacheStats stats;
-  const CampaignReport report = ParallelCampaign(options).Run(bugs, &stats);
+  const CampaignReport report = ParallelCampaign(options).Run(bugs);
   if (meter != nullptr) {
     meter->Finish(static_cast<uint64_t>(report.programs_generated), report.findings.size());
   }
   PrintReport(report);
-  MaybePrintCacheStats(args, stats);
   telemetry.Write();
   if (!options.corpus_dir.empty()) {
     // Stat-only count; the corpus dedups across runs, so the directory can
@@ -622,8 +595,8 @@ int CmdShardWorker(int argc, char** argv) {
   const ParsedArgs args = ParseCommandArgs(
       argc, argv,
       WithTelemetryFlags({"--shard-begin", "--shard-end", "--seed", "--jobs", "--result-out",
-                          "--corpus", "--cache-file", "--bug", "--targets", "--status-dir",
-                          "--status-role", "--snapshot-interval"}),
+                          "--corpus", "--bug", "--targets", "--status-dir", "--status-role",
+                          "--snapshot-interval"}),
       /*max_positionals=*/0, {"--no-cache", "--no-budgets", "--no-incremental"});
   for (const char* required : {"--shard-begin", "--shard-end", "--seed", "--result-out"}) {
     if (!args.Has(required)) {
@@ -647,12 +620,6 @@ int CmdShardWorker(int argc, char** argv) {
   }
   if (args.Has("--corpus")) {
     options.corpus_dir = args.Last("--corpus");
-  }
-  if (args.Has("--cache-file")) {
-    if (args.Has("--no-cache")) {
-      throw CliUsageError("--cache-file needs the cache; drop --no-cache");
-    }
-    options.cache_file = args.Last("--cache-file");
   }
   if (args.Has("--status-dir")) {
     options.status_dir = args.Last("--status-dir");
@@ -825,20 +792,11 @@ int CmdSubmit(int argc, char** argv) {
 
 int CmdReplay(int argc, char** argv) {
   const ParsedArgs args = ParseCommandArgs(
-      argc, argv, WithTelemetryFlags({"--bug", "--targets", "--corpus", "--cache-file"}),
+      argc, argv, WithTelemetryFlags({"--bug", "--targets", "--corpus"}),
       /*max_positionals=*/2, {"--progress"});
   const BugConfig bugs = BugsFromFlags(args);
   Telemetry telemetry(args);
   const std::vector<std::string> targets = TargetsFromFlags(args);
-  if (args.Has("--cache-file")) {
-    // Replay performs no solver queries, so the warm-start file is loaded
-    // (validating it — a corrupt *or missing* file must fail the CI job
-    // that carries it, not the next campaign) and left unchanged on disk.
-    ValidationCache cache;
-    if (!LoadValidationCacheFile(args.Last("--cache-file"), cache)) {
-      throw CompileError("cache file '" + args.Last("--cache-file") + "' does not exist");
-    }
-  }
 
   // Bulk mode: replay every stored triple in a corpus directory and gate
   // on the summary (the corpus-driven regression run).
@@ -1008,24 +966,23 @@ int Usage(std::FILE* out) {
   std::fprintf(out,
                "usage: gauntlet <command> [args]\n"
                "  compile <file.p4> [--bug B ...]\n"
-               "  validate <file.p4> [--bug B ...] [--no-cache] [--cache-stats]\n"
-               "  testgen <file.p4> [--no-cache] [--cache-stats]\n"
+               "  validate <file.p4> [--bug B ...] [--no-cache]\n"
+               "  testgen <file.p4> [--no-cache]\n"
                "  campaign [N] [seed] [--jobs J] [--corpus DIR] [--bug B ...] "
-               "[--targets T,...] [--no-cache] [--cache-stats] [--cache-file F]\n"
+               "[--targets T,...] [--no-cache]\n"
                "  campaign ... --shards S [--shard-dir DIR] [--worker BIN]\n"
                "  campaign ... --status-dir DIR [--snapshot-interval MS]\n"
                "  fuzz ...   (alias of campaign: same flags, output and exit code)\n"
                "  shard-worker --shard-begin B --shard-end E --seed S --result-out F\n"
-               "               [--jobs J] [--corpus DIR] [--cache-file F] [--bug B ...]\n"
+               "               [--jobs J] [--corpus DIR] [--bug B ...]\n"
                "               [--status-dir DIR [--status-role R] [--snapshot-interval MS]]\n"
                "  serve --socket PATH [--corpus DIR] [--bug B ...] [--targets T,...]\n"
                "        [--max-requests N] [--status-dir DIR [--snapshot-interval MS]]\n"
                "  submit <file.p4> --socket PATH [--bug B ...] [--targets T,...]\n"
                "  submit --shutdown --socket PATH\n"
                "  status <status-dir> [--json] [--watch] [--interval MS] [--stall-ms MS]\n"
-               "  replay <file.p4> <file.stf> [--bug B ...] [--targets T,...] "
-               "[--cache-file F]\n"
-               "  replay --corpus DIR [--bug B ...] [--targets T,...] [--cache-file F]\n"
+               "  replay <file.p4> <file.stf> [--bug B ...] [--targets T,...]\n"
+               "  replay --corpus DIR [--bug B ...] [--targets T,...]\n"
                "  reduce <file.p4> --bug B [...]\n"
                "  coverage <coverage.json> [--require-detected]\n"
                "  coverage <before.json> <after.json>\n"
@@ -1033,10 +990,8 @@ int Usage(std::FILE* out) {
                "\n"
                "registered targets: %s   (--targets defaults to all of them)\n"
                "--bug names come from `gauntlet bugs`; --jobs must be >= 1\n"
-               "validation memoization is on by default: --no-cache disables it,\n"
-               "--cache-stats prints hit/reuse counters to stderr\n"
-               "--cache-file persists blast templates + per-program verdicts across\n"
-               "runs (campaign reads and rewrites it; replay only validates it)\n"
+               "validation memoization is on by default: --no-cache disables it;\n"
+               "each cache lives for one process (hit/reuse counters: --metrics-out)\n"
                "--no-budgets (validate/testgen/campaign) lifts the wall-clock\n"
                "solver budgets so reports do not depend on machine load\n"
                "--no-incremental (same commands) disables the incremental solver hot\n"

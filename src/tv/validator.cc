@@ -118,9 +118,10 @@ VersionSemantics InterpretVersion(SymbolicInterpreter& interpreter, const Progra
 // The canonical fingerprint of a whole version: every block's role plus its
 // semantics fingerprint, in block order. Equal fingerprints imply the
 // versions are input-output equivalent block by block. Blocks with a
-// summary key consult the cache's persisted key → fingerprint table first —
-// the mapping is functional, so a stored fingerprint equals what canonical
-// hashing would compute, and a warm --cache-file run skips the DAG walk.
+// summary key consult the cache's key → fingerprint side table first — the
+// mapping is functional, so a stored fingerprint equals what canonical
+// hashing would compute, and a block seen in an earlier version skips the
+// DAG walk.
 Fingerprint VersionFingerprint(StructHasher& hasher, const VersionSemantics& version,
                                SummaryCache* summaries) {
   Fingerprint fp = FingerprintOfString("version-semantics");

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/cache/cache_file.h"
 #include "src/cache/summary_cache.h"
 #include "src/cache/verdict_cache.h"
 #include "src/frontend/parser.h"
@@ -274,6 +273,33 @@ TEST(VerdictCacheTest, BeginProgramScopesVerdictsButKeepsTemplates) {
   EXPECT_GE(cache.Stats().verdict_misses, verdicts);
 }
 
+TEST(VerdictCacheTest, ReenteringAProgramKeyPreloadsItsVerdicts) {
+  // The per-program archive: verdicts learned under a program key come back
+  // when that key is entered again (a serve session seeing the same program
+  // twice), and never under any other key.
+  auto program = Parser::ParseString(kMultiPassProgram);
+  ValidationCache cache;
+  const TranslationValidator validator(PassManager::StandardPipeline());
+  cache.BeginProgram(/*program_key=*/0x1234);
+  const TvReport first =
+      validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &cache);
+  const size_t verdict_count = cache.verdicts().size();
+  ASSERT_GT(verdict_count, 0u);
+
+  cache.BeginProgram(0x9999);
+  EXPECT_EQ(cache.verdicts().size(), 0u);
+  cache.BeginProgram(0x1234);
+  EXPECT_EQ(cache.verdicts().size(), verdict_count);
+
+  // Re-validating under the restored key answers from the archive with the
+  // identical verdicts.
+  const uint64_t hits_before = cache.Stats().verdict_hits;
+  const TvReport second =
+      validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &cache);
+  ExpectSameVerdicts(first, second);
+  EXPECT_GT(cache.Stats().verdict_hits, hits_before);
+}
+
 // --- block-summary memoization (src/cache/summary_cache) -------------------
 
 TEST(SummaryCacheTest, UnchangedBlocksInterpretOncePerContext) {
@@ -355,135 +381,6 @@ TEST(SummaryCacheTest, HitReturnsTheIdenticalSemantics) {
   ASSERT_NE(memo_diff, nullptr);
   EXPECT_EQ(cold_diff->counterexample.bit_values, memo_diff->counterexample.bit_values);
   EXPECT_EQ(cold_diff->counterexample.bool_values, memo_diff->counterexample.bool_values);
-}
-
-// --- cross-run persistence (src/cache/cache_file) --------------------------
-
-TEST(CacheFileTest, RoundTripRestoresTemplatesAndProgramScopedVerdicts) {
-  // Populate a cache the way a campaign does: validate a program under a
-  // program key, then serialize and reload into a fresh cache.
-  auto program = Parser::ParseString(kMultiPassProgram);
-  ValidationCache original;
-  original.BeginProgram(/*program_key=*/0x1234);
-  const TranslationValidator validator(PassManager::StandardPipeline());
-  validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &original);
-  ASSERT_GT(original.blast().size(), 0u);
-  ASSERT_GT(original.verdicts().size(), 0u);
-  const size_t verdict_count = original.verdicts().size();
-
-  std::stringstream stream;
-  SaveValidationCaches({&original}, stream);
-
-  ValidationCache reloaded;
-  LoadValidationCache(stream, reloaded);
-  EXPECT_EQ(reloaded.blast().size(), original.blast().size());
-  ASSERT_EQ(reloaded.stored_verdicts().count(0x1234), 1u);
-  EXPECT_EQ(reloaded.stored_verdicts().at(0x1234).size(), verdict_count);
-
-  // The verdicts are program-scoped: entering a different program preloads
-  // nothing, entering the stored key preloads everything.
-  reloaded.BeginProgram(0x9999);
-  EXPECT_EQ(reloaded.verdicts().size(), 0u);
-  reloaded.BeginProgram(0x1234);
-  EXPECT_EQ(reloaded.verdicts().size(), verdict_count);
-
-  // A warm re-validation answers every pass pair from the reloaded state
-  // with the identical verdicts.
-  const TvReport cold = validator.Validate(*program, BugConfig::None());
-  const TvReport warm =
-      validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &reloaded);
-  ASSERT_EQ(warm.pass_results.size(), cold.pass_results.size());
-  for (size_t i = 0; i < warm.pass_results.size(); ++i) {
-    EXPECT_EQ(warm.pass_results[i].verdict, cold.pass_results[i].verdict);
-    EXPECT_EQ(warm.pass_results[i].pass_name, cold.pass_results[i].pass_name);
-  }
-}
-
-TEST(CacheFileTest, SemanticDiffWitnessSurvivesTheRoundTrip) {
-  // A stored kSemanticDiff entry must reload with its witness model intact —
-  // the reuse path hands the witness back instead of re-solving for one.
-  VerdictCache::Entry entry;
-  entry.queries = 2;
-  entry.result.pass_name = "Predication";
-  entry.result.verdict = TvVerdict::kSemanticDiff;
-  entry.result.detail = "solver found a disagreeing input";
-  entry.result.counterexample.bit_values.emplace("hdr.h.a", BitValue(8, 0xab));
-  entry.result.counterexample.bool_values.emplace("hdr.h.$valid", true);
-  ValidationCache original;
-  original.PreloadVerdict(7, Fingerprint{1, 2}, entry);
-
-  std::stringstream stream;
-  SaveValidationCaches({&original}, stream);
-  ValidationCache reloaded;
-  LoadValidationCache(stream, reloaded);
-
-  const auto& group = reloaded.stored_verdicts().at(7);
-  ASSERT_EQ(group.size(), 1u);
-  const VerdictCache::Entry& back = group.at(Fingerprint{1, 2});
-  EXPECT_EQ(back.queries, 2u);
-  EXPECT_EQ(back.result.verdict, TvVerdict::kSemanticDiff);
-  EXPECT_EQ(back.result.detail, "solver found a disagreeing input");
-  EXPECT_EQ(back.result.counterexample.bit_values.at("hdr.h.a").bits(), 0xabu);
-  EXPECT_TRUE(back.result.counterexample.bool_values.at("hdr.h.$valid"));
-}
-
-TEST(CacheFileTest, SummaryFingerprintsSurviveTheRoundTrip) {
-  // A validated program records block-summary → semantics fingerprints; the
-  // v2 cache file persists them so a warm run can skip the canonical DAG
-  // hashing behind version fingerprints.
-  auto program = Parser::ParseString(kMultiPassProgram);
-  ValidationCache original;
-  const TranslationValidator validator(PassManager::StandardPipeline());
-  validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &original);
-  ASSERT_FALSE(original.summaries().stored_fingerprints().empty());
-
-  std::stringstream stream;
-  SaveValidationCaches({&original}, stream);
-  ValidationCache reloaded;
-  LoadValidationCache(stream, reloaded);
-  EXPECT_EQ(reloaded.summaries().stored_fingerprints(),
-            original.summaries().stored_fingerprints());
-
-  // A warm validation against the reloaded table reuses stored fingerprints
-  // and reaches identical verdicts.
-  const TvReport cold = validator.Validate(*program, BugConfig::None());
-  const TvReport warm =
-      validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &reloaded);
-  ExpectSameVerdicts(cold, warm);
-  EXPECT_GT(reloaded.Stats().summary_fps_reused, 0u);
-}
-
-TEST(CacheFileTest, VersionOneFilesStillLoad) {
-  // A v1 file (no summaries section) is a valid cold start for the summary
-  // layer; its blast/verdict sections load normally.
-  std::stringstream v1(
-      "gauntletcache 1\n"
-      "blast 0\n"
-      "programs 1\n"
-      "prog 7 1\n"
-      "1 2 2 0 - - 0 0\n");
-  ValidationCache cache;
-  LoadValidationCache(v1, cache);
-  EXPECT_EQ(cache.stored_verdicts().at(7).size(), 1u);
-  EXPECT_TRUE(cache.summaries().stored_fingerprints().empty());
-}
-
-TEST(CacheFileTest, MalformedInputFailsLoudly) {
-  ValidationCache cache;
-  {
-    std::stringstream garbage("not a cache file\n");
-    EXPECT_THROW(LoadValidationCache(garbage, cache), CompileError);
-  }
-  {
-    std::stringstream wrong_version("gauntletcache 99\n");
-    EXPECT_THROW(LoadValidationCache(wrong_version, cache), CompileError);
-  }
-  {
-    std::stringstream truncated("gauntletcache 1\nblast 2\n1 2 0 0 0 0 0 0\n");
-    EXPECT_THROW(LoadValidationCache(truncated, cache), CompileError);
-  }
-  // A missing file is a cold start, not an error.
-  EXPECT_FALSE(LoadValidationCacheFile("/nonexistent/gauntlet.cache", cache));
 }
 
 // --- end-to-end bit-identity ----------------------------------------------

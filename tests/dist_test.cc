@@ -1,7 +1,7 @@
 // The src/dist/ subsystem: index-space partitioning, shard-result
 // round-tripping, the coordinator's shard-merge identity contract (any
 // shard topology x --jobs x cache on/off -> byte-identical deterministic
-// output), the advisory budget tuner, and the serve-mode round trip.
+// output), and the serve-mode round trip.
 
 #include <gtest/gtest.h>
 
@@ -247,43 +247,6 @@ TEST_F(DistScratch, ShardMergeReproducesSingleProcessRun) {
   }
 }
 
-TEST_F(DistScratch, ShardMergeWithCacheFileStaysIdentical) {
-  const BugConfig bugs = TwoFaults();
-  const int num_programs = 16;
-
-  ParallelCampaignOptions single;
-  single.campaign = SmallCampaign(num_programs);
-  single.cache_file = Path("single.cache");
-  single.jobs = 1;
-  const CampaignReport reference = ParallelCampaign(single).Run(bugs);
-  ASSERT_TRUE(fs::exists(single.cache_file));
-
-  // Cold 4-shard fleet, each shard with a private copy of the (initially
-  // absent) shared cache file; the coordinator merges the shard caches back.
-  ShardCoordinatorOptions options;
-  options.campaign = SmallCampaign(num_programs);
-  options.shards = 4;
-  options.jobs = 2;
-  options.cache_file = Path("fleet.cache");
-  const CoordinatorOutcome cold = RunShardCoordinator(options, bugs);
-  ExpectIdenticalReports(reference, cold.report);
-  ASSERT_TRUE(fs::exists(options.cache_file));
-
-  // Warm restart of the fleet from its merged cache: identical again, and
-  // the warm-start file demonstrably hits.
-  const CoordinatorOutcome warm = RunShardCoordinator(options, bugs);
-  ExpectIdenticalReports(reference, warm.report);
-  EXPECT_GT(warm.cache_stats.verdict_hits, 0u);
-
-  // The merged fleet cache also warm-starts a single-process run.
-  ParallelCampaignOptions reheat = single;
-  reheat.cache_file = options.cache_file;
-  CacheStats reheat_stats;
-  const CampaignReport reheated = ParallelCampaign(reheat).Run(bugs, &reheat_stats);
-  ExpectIdenticalReports(reference, reheated);
-  EXPECT_GT(reheat_stats.verdict_hits, 0u);
-}
-
 // A coordinator with a status directory publishes its own snapshot, a
 // heartbeat per shard, and a fleet view that reads back complete — while
 // the merged deterministic output stays identical to a status-off run.
@@ -439,6 +402,37 @@ TEST_F(DistScratch, ServeMaxRequestsBoundsTheLoop) {
   EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
   loop.join();
   EXPECT_EQ(server.served(), 1);
+}
+
+// A serve session owns one validation cache for its lifetime: submitting
+// the same program twice answers the second time from the verdicts the
+// first one archived under the program's content hash, with the identical
+// verdict.
+TEST_F(DistScratch, ServeResubmissionAnswersFromTheVerdictCache) {
+  MetricsRegistry metrics;
+  ServeOptions options;
+  options.socket_path = Path("sock");
+  options.campaign = SmallCampaign(/*num_programs=*/0);
+  options.campaign.metrics = &metrics;
+  GauntletServer server(std::move(options), BugConfig::None());
+  server.Start();
+  std::thread loop([&server] { server.Run(); });
+
+  const std::string payload =
+      BuildSubmitPayload(kPredicationProgram, {"predication-lost-else"}, {});
+  const std::string first = SendServeRequest(server.socket_path(), payload);
+  const std::string second = SendServeRequest(server.socket_path(), payload);
+  SendServeRequest(server.socket_path(), BuildShutdownPayload());
+  loop.join();
+
+  // The two answers differ only in the submission index.
+  const std::string first_index = "\"program_index\":0,";
+  const std::string second_index = "\"program_index\":1,";
+  const size_t at = second.find(second_index);
+  ASSERT_NE(at, std::string::npos) << second;
+  EXPECT_EQ(second.substr(0, at) + first_index + second.substr(at + second_index.size()), first);
+  EXPECT_NE(first.find("predication-lost-else"), std::string::npos) << first;
+  EXPECT_GT(metrics.Value("cache/verdict_hits"), 0u);
 }
 
 // A client that hangs up before its verdict costs the server nothing: the

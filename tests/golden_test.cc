@@ -1,5 +1,6 @@
 // Byte-identity goldens for every persisted artifact writer, plus the
-// deterministic truncation/mutation sweep over their readers.
+// deterministic truncation/mutation sweep over their readers and over the
+// P4 and STF source parsers.
 //
 // Each golden is the exact output of one writer for one fixed input. The
 // inputs carry the characters escaping has to get right: quotes,
@@ -12,11 +13,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <thread>
 
-#include "src/cache/cache_file.h"
-#include "src/cache/verdict_cache.h"
+#include "src/cache/struct_hash.h"
 #include "src/dist/serve.h"
 #include "src/dist/shard.h"
 #include "src/frontend/parser.h"
@@ -26,6 +27,7 @@
 #include "src/obs/snapshot.h"
 #include "src/runtime/corpus.h"
 #include "src/support/rng.h"
+#include "src/target/stf.h"
 
 namespace gauntlet {
 namespace {
@@ -228,35 +230,6 @@ ShardResult GoldenShardResult() {
   result.cache_stats.queries_skipped = 6;
   result.cache_stats.pairs_short_circuited = 7;
   return result;
-}
-
-void FillGoldenCache(ValidationCache& cache) {
-  BlastTemplate tpl;
-  tpl.input_count = 2;
-  tpl.fresh_count = 1;
-  tpl.clause_count = 2;
-  tpl.events = {-1, 2, 3};
-  tpl.clause_lits = {TemplateLit{2}, TemplateLit{7}, TemplateLit{3}, TemplateLit{5},
-                     TemplateLit{6}};
-  tpl.outputs = {TemplateLit{6}};
-  cache.blast().Insert(Fingerprint{11, 12}, tpl);
-
-  VerdictCache::Entry diff;
-  diff.queries = 2;
-  diff.result.pass_name = "Predication";
-  diff.result.verdict = TvVerdict::kSemanticDiff;
-  diff.result.detail = "solver found a disagreeing input: " + kAwkward;
-  diff.result.counterexample.bit_values.emplace("hdr.h.a", BitValue(8, 0xab));
-  diff.result.counterexample.bit_values.emplace("hdr.h.wide", BitValue(64, ~uint64_t{0}));
-  diff.result.counterexample.bool_values.emplace("hdr.h.$valid", true);
-  cache.PreloadVerdict(7, Fingerprint{1, 2}, diff);
-  VerdictCache::Entry same;
-  same.result.pass_name = "ConstantFolding";
-  same.result.verdict = TvVerdict::kEquivalent;
-  cache.PreloadVerdict(7, Fingerprint{3, 4}, same);
-  cache.PreloadVerdict(9, Fingerprint{5, 6}, same);
-
-  cache.summaries().RecordSemanticsFingerprint(Fingerprint{21, 22}, Fingerprint{23, 24});
 }
 
 // --- the goldens -------------------------------------------------------------
@@ -463,19 +436,6 @@ cov 67656e2d636f6e737472756374 0 69662d656c7365 6
 cache 1 2 3 4 5 6 7
 )golden";
 
-const char* const kCacheFileGolden = R"golden(gauntletcache 2
-blast 1
-11 12 2 1 2 3 -1 2 3 5 2 7 3 5 6 1 6
-programs 2
-prog 7 2
-1 2 2 2 5072656469636174696f6e 736f6c76657220666f756e642061206469736167726565696e6720696e7075743a207122625c6e0a7409630121 2 6864722e682e61 8 171 6864722e682e77696465 64 18446744073709551615 1 6864722e682e2476616c6964 1
-3 4 0 0 436f6e7374616e74466f6c64696e67 - 0 0
-prog 9 1
-5 6 0 0 436f6e7374616e74466f6c64696e67 - 0 0
-summaries 1
-21 22 23 24
-)golden";
-
 const char* const kServeCleanGolden = R"golden({"version":1,"status":"ok","program_index":0,"tests_generated":1,"findings":[]})golden";
 
 const char* const kServeFindingsGolden = R"golden({"version":1,"status":"ok","program_index":1,"tests_generated":6,"findings":[{"method":"translation-validation","kind":"semantic","component":"Predication","attributed":"predication-lost-else"}]})golden";
@@ -489,14 +449,6 @@ const char* const kServeBadBugGolden = R"golden({"version":1,"status":"error","e
 std::string ShardResultText(const ShardResult& result) {
   std::ostringstream out;
   SaveShardResult(result, out);
-  return out.str();
-}
-
-std::string CacheFileText() {
-  ValidationCache cache;
-  FillGoldenCache(cache);
-  std::ostringstream out;
-  SaveValidationCaches({&cache}, out);
   return out.str();
 }
 
@@ -543,8 +495,6 @@ TEST(ArtifactGoldenTest, TraceJson) { EXPECT_EQ(TraceJson(GoldenTraceEvents()), 
 TEST(ArtifactGoldenTest, ShardResult) {
   EXPECT_EQ(ShardResultText(GoldenShardResult()), kShardResultGolden);
 }
-
-TEST(ArtifactGoldenTest, ValidationCacheFile) { EXPECT_EQ(CacheFileText(), kCacheFileGolden); }
 
 class GoldenScratch : public ::testing::Test {
  protected:
@@ -662,12 +612,6 @@ TEST(ArtifactGoldenTest, ReadersRoundTripTheirGoldens) {
 
   std::istringstream shard_in(kShardResultGolden);
   EXPECT_EQ(ShardResultText(LoadShardResult(shard_in)), kShardResultGolden);
-  std::istringstream cache_in(kCacheFileGolden);
-  ValidationCache cache;
-  LoadValidationCache(cache_in, cache);
-  std::ostringstream cache_out;
-  SaveValidationCaches({&cache}, cache_out);
-  EXPECT_EQ(cache_out.str(), kCacheFileGolden);
 }
 
 // --- readers survive truncation and corruption --------------------------------
@@ -675,9 +619,11 @@ TEST(ArtifactGoldenTest, ReadersRoundTripTheirGoldens) {
 // Feeds every prefix of `golden`, then a fixed-seed set of single-byte
 // mutations of it, to `parse`. Each input must parse or be rejected
 // cleanly: CompileError is the only exception allowed through, and a crash
-// or a hang fails the run. A prefix that ends before the golden's last
-// `closer` byte is a torn write and must be rejected.
-void SweepReader(const std::string& golden, char closer,
+// or a hang fails the run. With a `closer`, a prefix that ends before the
+// golden's last `closer` byte is a torn write and must be rejected; without
+// one (source text), a prefix ending on a declaration or line boundary is a
+// valid, shorter input.
+void SweepReader(const std::string& golden, std::optional<char> closer,
                  const std::function<bool(const std::string&)>& parse) {
   const auto accepted = [&parse](const std::string& input) {
     try {
@@ -687,10 +633,12 @@ void SweepReader(const std::string& golden, char closer,
     }
   };
   ASSERT_TRUE(parse(golden));
-  const size_t torn = golden.rfind(closer, golden.size() - 2);
+  const size_t torn = closer.has_value() ? golden.rfind(*closer, golden.size() - 2) : 0;
   for (size_t cut = 0; cut < golden.size(); ++cut) {
     const bool ok = accepted(golden.substr(0, cut));
-    EXPECT_TRUE(cut > torn || !ok) << "torn prefix of " << cut << " bytes parsed";
+    if (closer.has_value()) {
+      EXPECT_TRUE(cut > torn || !ok) << "torn prefix of " << cut << " bytes parsed";
+    }
   }
   static const std::string kInteresting = std::string("{}[]\":,\\ \n-019afx") + '\0' + '\xff';
   Rng rng(0x6a756e6b);
@@ -727,17 +675,38 @@ TEST(ArtifactGoldenTest, ReadersRejectTruncatedAndMutatedInputCleanly) {
          LoadShardResult(in);
          return true;
        }},
-      {kCacheFileGolden,
-       [](const std::string& text) {
-         std::istringstream in(text);
-         ValidationCache cache;
-         LoadValidationCache(in, cache);
-         return true;
-       }},
   };
   for (const auto& [golden, parse] : readers) {
     SCOPED_TRACE(golden.substr(0, golden.find('\n')));
     SweepReader(golden, golden[0] == '{' ? '}' : '\n', parse);
+  }
+}
+
+// A mini-corpus reproducer's STF half (tofino-action-data-endian-swap):
+// table entries with action data, then one packet/expect pair.
+constexpr const char* kEndianSwapStf = R"(test path2
+add t8 8w0 act7(7w0,16w44622)
+add t8 8w0 act7(7w127,16w20913)
+add t8 8w255 act7(7w0,16w44622)
+add t8 8w1 act7(7w0,16w44622)
+packet be4e8/17
+expect ae4e0/17
+)";
+
+TEST(ArtifactGoldenTest, SourceParsersRejectTruncatedAndMutatedInputCleanly) {
+  {
+    SCOPED_TRACE("P4 parser");
+    SweepReader(kPredicationProgram, std::nullopt, [](const std::string& text) {
+      Parser::ParseString(text);
+      return true;
+    });
+  }
+  {
+    SCOPED_TRACE("STF parser");
+    SweepReader(kEndianSwapStf, std::nullopt, [](const std::string& text) {
+      ParseStf(text);
+      return true;
+    });
   }
 }
 

@@ -10,7 +10,6 @@
 #include <set>
 #include <string>
 
-#include "src/cache/verdict_cache.h"
 #include "src/frontend/parser.h"
 #include "src/runtime/corpus.h"
 #include "src/runtime/parallel_campaign.h"
@@ -139,37 +138,6 @@ TEST(ParallelCampaignTest, MultiEntryEncodingKeepsJobsBitIdentity) {
   ExpectIdenticalReports(serial, parallel);
   // The workload genuinely exercises the multi-entry scenarios.
   EXPECT_GT(serial.distinct_bugs.count(BugId::kBmv2TablePriorityInversion), 0u);
-}
-
-TEST(ParallelCampaignTest, CacheFileWarmStartKeepsReportsBitIdentical) {
-  // Cross-run persistence: a campaign writes its cache file; re-running warm
-  // must produce the identical report (for any jobs count) while actually
-  // hitting the persisted templates and verdicts.
-  const fs::path cache_file =
-      fs::temp_directory_path() / "gauntlet_cache_file_test.cache";
-  fs::remove(cache_file);
-
-  BugConfig bugs;
-  bugs.Enable(BugId::kPredicationLostElse);
-  bugs.Enable(BugId::kBmv2TableMissRunsFirstAction);
-  ParallelCampaignOptions options = SmallCampaign(12, 1);
-  options.cache_file = cache_file.string();
-
-  const CampaignReport cold = ParallelCampaign(options).Run(bugs);
-  ASSERT_TRUE(fs::exists(cache_file));
-
-  CacheStats warm_stats;
-  const CampaignReport warm = ParallelCampaign(options).Run(bugs, &warm_stats);
-  ExpectIdenticalReports(cold, warm);
-  EXPECT_GT(warm_stats.blast_hits, 0u);
-  EXPECT_GT(warm_stats.verdict_hits, 0u);
-
-  ParallelCampaignOptions parallel_options = options;
-  parallel_options.jobs = 8;
-  const CampaignReport warm_parallel = ParallelCampaign(parallel_options).Run(bugs);
-  ExpectIdenticalReports(cold, warm_parallel);
-
-  fs::remove(cache_file);
 }
 
 TEST(ParallelCampaignTest, ProgramSeedsAreDecorrelated) {

@@ -4,8 +4,6 @@
 #include <functional>
 #include <sstream>
 
-#include "src/cache/cache_file.h"
-#include "src/cache/verdict_cache.h"
 #include "src/dist/shard.h"
 #include "src/obs/coverage.h"
 #include "src/obs/health.h"
@@ -264,14 +262,13 @@ TEST(JsonTest, RejectsWhatNoWriterProduces) {
 // --- line records --------------------------------------------------------------
 
 TEST(LineReaderTest, ReadsStrictNumbersAndHexStrings) {
-  std::istringstream in("head 18446744073709551615 -2147483648 4294967295\n\nnext " +
+  std::istringstream in("head 18446744073709551615 -2147483648\n\nnext " +
                         ToHexToken(std::string("a b\n\xff", 5)) + " " + ToHexToken("") + "\n");
   LineReader reader(in, "test file");
   reader.RequireLine("head");
   reader.ExpectWord("head");
   EXPECT_EQ(reader.U64("u64"), UINT64_MAX);
   EXPECT_EQ(reader.Int("int"), INT32_MIN);
-  EXPECT_EQ(reader.U32("u32"), UINT32_MAX);
   reader.RequireLine("next");  // blank lines are skipped
   reader.ExpectWord("next");
   EXPECT_EQ(reader.HexString("text"), std::string("a b\n\xff", 5));
@@ -284,7 +281,6 @@ TEST(LineReaderTest, EveryMalformedFieldNamesTheLine) {
       {"18446744073709551616", [](LineReader& r) { r.U64("n"); }},
       {"-1", [](LineReader& r) { r.U64("n"); }},
       {"+1", [](LineReader& r) { r.U64("n"); }},
-      {"4294967296", [](LineReader& r) { r.U32("n"); }},
       {"2147483648", [](LineReader& r) { r.Int("n"); }},
       {"-2147483649", [](LineReader& r) { r.Int("n"); }},
       {"-", [](LineReader& r) { r.Int("n"); }},
@@ -383,13 +379,6 @@ const ReaderDefect kReaderDefects[] = {
      [](std::string* error) {
        Snapshot snapshot;
        return ParseSnapshotJson(R"({"version":1,"phase":"done","shards":[}})", &snapshot, error);
-     }},
-    {"CacheFileCountPastMemory",
-     [](std::string*) {
-       std::istringstream in("gauntletcache 2\nblast 1\n0 0 0 0 0 1152921504606846976");
-       ValidationCache cache;
-       LoadValidationCache(in, cache);
-       return true;
      }},
     {"ShardResultFindingCountPastMemory",
      ShardReader("gauntletshard 1\nrange 0 0 4\ncounters 0 0 0 0 0 0\n"
