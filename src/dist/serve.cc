@@ -32,14 +32,20 @@ namespace {
 // not a P4 program.
 constexpr uint32_t kMaxFramePayload = 16u << 20;
 
+// Graceful-stop flag: SIGTERM/SIGINT drain the server instead of killing it
+// mid-write. sig_atomic_t is the only thing a handler may touch.
+volatile std::sig_atomic_t g_serve_stop = 0;
+
 // Loops a read over EINTR and short reads. False on orderly EOF before any
-// byte; throws on EOF mid-datum (a truncated frame is a protocol error).
+// byte; throws on EOF mid-datum (a truncated frame is a protocol error). A
+// stop signal ends the retries: the read fails, so a connected client that
+// never sends cannot hold a SIGTERM drain hostage.
 bool ReadExact(int fd, char* data, size_t length, bool eof_ok_at_start) {
   size_t done = 0;
   while (done < length) {
     const ssize_t got = read(fd, data + done, length - done);
     if (got < 0) {
-      if (errno == EINTR) {
+      if (errno == EINTR && g_serve_stop == 0) {
         continue;
       }
       throw CompileError("serve: socket read failed");
@@ -114,15 +120,12 @@ std::string ErrorJson(const std::string& message) {
 const std::vector<uint64_t> kRequestLatencyBounds = {
     100, 300, 1000, 3000, 10000, 30000, 100000, 300000, 1000000, 3000000};
 
-// Graceful-stop flag (satellite: SIGTERM/SIGINT drain the server instead of
-// killing it mid-write). sig_atomic_t is the only thing a handler may touch.
-volatile std::sig_atomic_t g_serve_stop = 0;
-
 void HandleStopSignal(int) { g_serve_stop = 1; }
 
 // Installs the stop handlers for the lifetime of Run() and restores the
-// previous dispositions afterwards. No SA_RESTART: a pending stop must make
-// accept() return EINTR so the loop condition re-checks the flag.
+// previous dispositions (and a clear flag) afterwards. No SA_RESTART: a
+// pending stop must make accept() and read() return EINTR so the loop
+// condition re-checks the flag.
 class ScopedStopSignals {
  public:
   explicit ScopedStopSignals(bool install) : installed_(install) {
@@ -143,6 +146,7 @@ class ScopedStopSignals {
     }
     sigaction(SIGTERM, &old_term_, nullptr);
     sigaction(SIGINT, &old_int_, nullptr);
+    g_serve_stop = 0;
   }
   ScopedStopSignals(const ScopedStopSignals&) = delete;
   ScopedStopSignals& operator=(const ScopedStopSignals&) = delete;

@@ -27,13 +27,6 @@ std::string DetectionMethodToString(DetectionMethod method) {
   return "<invalid>";
 }
 
-std::optional<DetectionMethod> DetectionMethodFromString(const std::string& text) {
-  if (text == "crash") return DetectionMethod::kCrash;
-  if (text == "translation-validation") return DetectionMethod::kTranslationValidation;
-  if (text == "packet-test") return DetectionMethod::kPacketTest;
-  return std::nullopt;
-}
-
 std::map<BugLocation, int> CampaignReport::DistinctByLocation() const {
   std::map<BugLocation, int> counts;
   for (const BugId bug : distinct_bugs) {

@@ -32,10 +32,6 @@ enum class DetectionMethod {
 
 std::string DetectionMethodToString(DetectionMethod method);
 
-// Inverse of DetectionMethodToString; nullopt for unknown text. Used when
-// deserializing findings from shard-result files (src/dist/).
-std::optional<DetectionMethod> DetectionMethodFromString(const std::string& text);
-
 // One detected compiler bug occurrence.
 struct Finding {
   int program_index = 0;
@@ -161,7 +157,7 @@ struct CampaignReport {
   // `metrics` (when non-null) the report's counters, then `cache_stats`'
   // counters (when non-null); into `coverage` (when non-null) the
   // campaign-level domains. Every driver that owns sinks calls this once,
-  // after merging its raw worker/shard telemetry into them.
+  // after merging its raw per-worker telemetry into them.
   void FoldInto(MetricsRegistry* metrics, CoverageMap* coverage, const CacheStats* cache_stats,
                 const BugConfig& bugs) const;
 };

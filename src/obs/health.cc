@@ -3,7 +3,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
@@ -209,60 +208,23 @@ FleetStatus CollectFleetStatus(const std::string& status_dir, uint64_t stall_thr
   FleetStatus fleet;
   fleet.collected_unix_ms = UnixNowMillis();
   fleet.stall_threshold_ms = stall_threshold_ms;
-
-  WorkerStatus root;
-  bool has_root = false;
-  if (fs::is_directory(status_dir)) {
-    has_root = ReadWorkerStatus(status_dir, fleet.collected_unix_ms, stall_threshold_ms, &root);
-    if (has_root) {
-      fleet.workers.push_back(root);
-    }
-    std::vector<std::string> subdirs;
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(status_dir, ec)) {
-      if (entry.is_directory()) {
-        subdirs.push_back(entry.path().string());
-      }
-    }
-    std::sort(subdirs.begin(), subdirs.end());
-    for (const std::string& subdir : subdirs) {
-      WorkerStatus worker;
-      if (ReadWorkerStatus(subdir, fleet.collected_unix_ms, stall_threshold_ms, &worker)) {
-        fleet.workers.push_back(std::move(worker));
-      }
-    }
+  WorkerStatus driver;
+  if (!fs::is_directory(status_dir) ||
+      !ReadWorkerStatus(status_dir, fleet.collected_unix_ms, stall_threshold_ms, &driver)) {
+    return fleet;
   }
-
-  for (const WorkerStatus& worker : fleet.workers) {
-    if (worker.health.unhealthy()) {
-      ++fleet.unhealthy_workers;
-    }
+  if (driver.health.unhealthy()) {
+    fleet.unhealthy_workers = 1;
   }
-  if (has_root && root.has_heartbeat) {
-    // A coordinator/campaign/serve driver already aggregates its own fleet.
-    fleet.programs_total = root.heartbeat.programs_total;
-    fleet.programs_done = root.heartbeat.programs_done;
-    fleet.tests_generated = root.heartbeat.tests_generated;
-    fleet.findings = root.heartbeat.findings;
-    fleet.requests_served = root.heartbeat.requests_served;
-    fleet.started_unix_ms = root.heartbeat.started_unix_ms;
-  } else {
-    for (const WorkerStatus& worker : fleet.workers) {
-      if (!worker.has_heartbeat) {
-        continue;
-      }
-      fleet.programs_total += worker.heartbeat.programs_total;
-      fleet.programs_done += worker.heartbeat.programs_done;
-      fleet.tests_generated += worker.heartbeat.tests_generated;
-      fleet.findings += worker.heartbeat.findings;
-      fleet.requests_served += worker.heartbeat.requests_served;
-      if (fleet.started_unix_ms == 0 ||
-          (worker.heartbeat.started_unix_ms != 0 &&
-           worker.heartbeat.started_unix_ms < fleet.started_unix_ms)) {
-        fleet.started_unix_ms = worker.heartbeat.started_unix_ms;
-      }
-    }
+  if (driver.has_heartbeat) {
+    fleet.programs_total = driver.heartbeat.programs_total;
+    fleet.programs_done = driver.heartbeat.programs_done;
+    fleet.tests_generated = driver.heartbeat.tests_generated;
+    fleet.findings = driver.heartbeat.findings;
+    fleet.requests_served = driver.heartbeat.requests_served;
+    fleet.started_unix_ms = driver.heartbeat.started_unix_ms;
   }
+  fleet.workers.push_back(std::move(driver));
   return fleet;
 }
 

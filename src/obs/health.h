@@ -10,13 +10,12 @@
 namespace gauntlet {
 
 // ---------------------------------------------------------------------------
-// Heartbeats and fleet health (the supervisor side of src/obs/snapshot.h).
+// Heartbeats and driver health (the supervisor side of src/obs/snapshot.h).
 //
 // Every driver with a status directory publishes `heartbeat.json` next to
 // its snapshot: one small, flat JSON object carrying identity (role, pid),
-// phase, progress counters and two wall-clock stamps. A supervisor — the
-// shard coordinator, or `gauntlet status` — evaluates a heartbeat against
-// three signals:
+// phase, progress counters and two wall-clock stamps. A supervisor
+// (`gauntlet status`) evaluates a heartbeat against three signals:
 //
 //   * phase == "done"                the worker finished; age is irrelevant
 //   * kill(pid, 0) liveness          a gone process is dead, not stalled
@@ -108,15 +107,13 @@ struct WorkerStatus {
 };
 
 struct FleetStatus {
-  // Root driver first (when it published), then subdirectory workers in
-  // directory-name order.
+  // The directory's one driver, when it published; empty otherwise.
   std::vector<WorkerStatus> workers;
   uint64_t collected_unix_ms = 0;
   uint64_t stall_threshold_ms = kDefaultStallThresholdMs;
 
-  // Aggregate progress: the root driver's own counters when it published a
-  // heartbeat (a coordinator already sums its fleet), else summed over the
-  // workers found.
+  // Progress: the driver's heartbeat counters (zero when its heartbeat is
+  // missing or unreadable).
   uint64_t programs_total = 0;
   uint64_t programs_done = 0;
   uint64_t tests_generated = 0;
@@ -131,11 +128,11 @@ struct FleetStatus {
   bool complete() const;
 };
 
-// Scans `status_dir` and its immediate subdirectories for heartbeat files
-// and evaluates each (EvaluateHeartbeat with the real clock + liveness).
-// Directories with neither heartbeat nor snapshot are skipped; an empty
-// result means the path is not a status directory. Never throws on file
-// contents — corrupt artifacts become kCorrupt workers.
+// Reads the driver's heartbeat and snapshot in `status_dir` and evaluates
+// the heartbeat (EvaluateHeartbeat with the real clock + liveness). A
+// directory with neither file yields no workers: the path is not a status
+// directory. Never throws on file contents — a corrupt heartbeat makes the
+// driver a kCorrupt worker.
 FleetStatus CollectFleetStatus(const std::string& status_dir, uint64_t stall_threshold_ms);
 
 // The human dashboard: one row per worker (role, pid, phase, progress,

@@ -57,32 +57,28 @@ void MetricsRegistry::Observe(std::string_view name, MetricScope scope,
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   for (const auto& [name, metric] : other.metrics_) {
-    Absorb(name, metric);
-  }
-}
-
-void MetricsRegistry::Absorb(std::string_view name, const Metric& metric) {
-  Metric& mine = Slot(name, metric.scope, metric.kind);
-  switch (metric.kind) {
-    case MetricKind::kCounter:
-      mine.value += metric.value;
-      break;
-    case MetricKind::kGauge:
-      mine.value = std::max(mine.value, metric.value);
-      break;
-    case MetricKind::kHistogram:
-      if (mine.counts.empty()) {
-        mine.bounds = metric.bounds;
-        mine.counts = metric.counts;
-      } else {
-        GAUNTLET_BUG_CHECK(mine.bounds == metric.bounds,
-                           "histogram '" + std::string(name) + "' merged with different bounds");
-        for (size_t i = 0; i < mine.counts.size(); ++i) {
-          mine.counts[i] += metric.counts[i];
+    Metric& mine = Slot(name, metric.scope, metric.kind);
+    switch (metric.kind) {
+      case MetricKind::kCounter:
+        mine.value += metric.value;
+        break;
+      case MetricKind::kGauge:
+        mine.value = std::max(mine.value, metric.value);
+        break;
+      case MetricKind::kHistogram:
+        if (mine.counts.empty()) {
+          mine.bounds = metric.bounds;
+          mine.counts = metric.counts;
+        } else {
+          GAUNTLET_BUG_CHECK(mine.bounds == metric.bounds,
+                             "histogram '" + name + "' merged with different bounds");
+          for (size_t i = 0; i < mine.counts.size(); ++i) {
+            mine.counts[i] += metric.counts[i];
+          }
         }
-      }
-      mine.value += metric.value;
-      break;
+        mine.value += metric.value;
+        break;
+    }
   }
 }
 

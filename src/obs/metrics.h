@@ -65,13 +65,6 @@ class MetricsRegistry {
   // the same result for any scheduling of the underlying work.
   void MergeFrom(const MetricsRegistry& other);
 
-  // Folds one raw metric (scope/kind/value/buckets carried verbatim) into
-  // this registry with MergeFrom's semantics. The deserialization entry
-  // point: a registry read back from a shard-result file (src/dist/)
-  // re-absorbs metric by metric — Observe cannot reconstruct histogram
-  // buckets from serialized counts.
-  void Absorb(std::string_view name, const Metric& metric);
-
   // Sorted by name (std::map), which is what makes every downstream
   // rendering — JSON report, MetricsTextSummary — stable.
   const std::map<std::string, Metric, std::less<>>& metrics() const { return metrics_; }

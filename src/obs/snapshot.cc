@@ -73,21 +73,6 @@ std::string SnapshotJson(const Snapshot& snapshot) {
   out << "  \"findings\": " << snapshot.findings << ",\n";
   out << "  \"distinct_bugs\": " << snapshot.distinct_bugs << ",\n";
   out << "  \"requests_served\": " << snapshot.requests_served;
-  if (!snapshot.shards.empty()) {
-    out << ",\n  \"shards\": [\n";
-    bool first = true;
-    for (const ShardHealthSummary& shard : snapshot.shards) {
-      if (!first) {
-        out << ",\n";
-      }
-      first = false;
-      out << "    {\"role\": " << JsonQuoted(shard.role) << ", \"state\": "
-          << JsonQuoted(shard.state) << ", \"programs_total\": " << shard.programs_total
-          << ", \"programs_done\": " << shard.programs_done << ", \"findings\": "
-          << shard.findings << ", \"age_ms\": " << shard.age_ms << "}";
-    }
-    out << "\n  ]";
-  }
   if (!snapshot.metrics_json.empty()) {
     // Embed the MetricsJson object verbatim, minus its trailing newline.
     std::string metrics = snapshot.metrics_json;

@@ -9,57 +9,42 @@
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 namespace gauntlet {
 
 // ---------------------------------------------------------------------------
 // Live telemetry snapshots (ROADMAP "soak campaigns" observability layer).
 //
-// A long-running driver — `campaign`, a shard worker, the shard coordinator,
-// or `serve` — periodically publishes its state-so-far as one JSON file,
-// `snapshot.json`, inside its status directory. Snapshots are written
-// atomically (WriteFileAtomic, src/support/file_io.h), so a reader polling
-// the path mid-write sees either the previous snapshot or the new one, never
-// a torn file. Alongside it lives `heartbeat.json` (src/obs/health.h): a small
-// liveness record a supervisor can evaluate without parsing the full
-// snapshot.
+// A long-running driver — `campaign` or `serve` — periodically publishes
+// its state-so-far as one JSON file, `snapshot.json`, inside its status
+// directory. Snapshots are written atomically (WriteFileAtomic,
+// src/support/file_io.h), so a reader polling the path mid-write sees either
+// the previous snapshot or the new one, never a torn file. Alongside it
+// lives `heartbeat.json` (src/obs/health.h): a small liveness record a
+// supervisor can evaluate without parsing the full snapshot.
 //
 // Everything in a snapshot is *observation-only and timing-scoped*: the
 // numbers reflect completion order, wall clocks and scheduling, and no final
 // artifact (report, metrics.json, coverage.json, corpus) ever derives from
 // them. Deterministic sections therefore stay byte-identical with snapshots
-// on or off, for any --jobs x --shards combination — the invariant every CI
-// identity gate diffs.
+// on or off, for any --jobs value — the invariant every CI identity gate
+// diffs.
 //
-// Status-directory layout:
+// Status-directory layout (one driver per directory):
 //
-//   STATUS_DIR/snapshot.json         the driver's own snapshot
-//   STATUS_DIR/heartbeat.json        the driver's own heartbeat
-//   STATUS_DIR/shard-<i>/...         one subdirectory per fleet worker
+//   STATUS_DIR/snapshot.json         the driver's snapshot
+//   STATUS_DIR/heartbeat.json        the driver's heartbeat
 //
-// `gauntlet status <STATUS_DIR>` reads the directory and its immediate
-// subdirectories (src/obs/health.h, CollectFleetStatus).
+// `gauntlet status <STATUS_DIR>` reads both (src/obs/health.h,
+// CollectFleetStatus).
 // ---------------------------------------------------------------------------
 
 // Schema version of snapshot.json. Bump on renamed keys or layout changes.
 inline constexpr int kSnapshotVersion = 1;
 
-// A fleet coordinator's per-worker health digest, embedded in its snapshot
-// so one file carries the whole fleet view.
-struct ShardHealthSummary {
-  std::string role;   // e.g. "shard-3"
-  std::string state;  // WorkerHealthToString, or "starting" before the
-                      // worker's first heartbeat lands
-  uint64_t programs_total = 0;
-  uint64_t programs_done = 0;
-  uint64_t findings = 0;
-  uint64_t age_ms = 0;  // heartbeat age when the snapshot was taken
-};
-
 struct Snapshot {
-  std::string role;   // "campaign", "coordinator", "serve", "shard-<i>"
-  std::string phase;  // e.g. "testing", "running-shards", "serving", "done"
+  std::string role;   // "campaign" or "serve"
+  std::string phase;  // e.g. "testing", "merging", "serving", "done"
   int64_t pid = 0;
   uint64_t started_unix_ms = 0;
   uint64_t updated_unix_ms = 0;
@@ -71,8 +56,6 @@ struct Snapshot {
   uint64_t findings = 0;
   uint64_t distinct_bugs = 0;
   uint64_t requests_served = 0;
-  // Fleet view (coordinator snapshots only).
-  std::vector<ShardHealthSummary> shards;
   // A full MetricsJson rendering of the state so far (run_report.h layout),
   // embedded verbatim as the "metrics" member. Empty = omitted.
   std::string metrics_json;
@@ -82,10 +65,8 @@ struct Snapshot {
 std::string SnapshotJson(const Snapshot& snapshot);
 
 // Parses the flat fields of a snapshot back. The embedded "metrics" object
-// and "shards" array must parse but are not reconstructed — `gauntlet
-// status` re-derives the fleet view from the per-worker heartbeat files
-// instead. False + *error on malformed input (a torn or truncated file must
-// read as corrupt, never half-load).
+// must parse but is not reconstructed. False + *error on malformed input (a
+// torn or truncated file must read as corrupt, never half-load).
 bool ParseSnapshotJson(const std::string& text, Snapshot* out, std::string* error);
 
 // The reader side of the flat status records (snapshot.json,

@@ -87,8 +87,8 @@ const BugInfo& GetBugInfo(BugId id);
 std::string BugIdToString(BugId id);
 
 // Inverse of BugIdToString: catalogue name -> id, nullopt for unknown
-// names. Deserialization entry point for shard-result files (src/dist/)
-// and fault-name CLI flags.
+// names. Resolves fault names that arrive as text, such as serve
+// submission headers.
 std::optional<BugId> BugIdFromString(const std::string& name);
 
 // The set of faults enabled for one compiler instantiation.

@@ -364,38 +364,6 @@ bool CorpusStore::HasKey(const std::string& key) const {
   return manifest_.HasKey(key);
 }
 
-int MergeCorpusStores(const std::string& destination,
-                      const std::vector<std::string>& shard_directories) {
-  std::error_code ec;
-  fs::create_directories(destination, ec);
-  if (ec || !fs::is_directory(destination)) {
-    throw CompileError("corpus: cannot create directory '" + destination + "'");
-  }
-  CorpusManifest merged = LoadCorpusManifest(destination);
-  int copied = 0;
-  for (const std::string& shard_dir : shard_directories) {
-    const CorpusManifest shard = LoadCorpusManifest(shard_dir);
-    for (const auto& [key, entry] : shard.entries()) {
-      if (merged.HasKey(key)) {
-        continue;  // earliest shard wins — the single-process dedup order
-      }
-      for (const char* extension : {".p4", ".stf", ".finding.json"}) {
-        const fs::path source = fs::path(shard_dir) / (key + extension);
-        if (fs::exists(source)) {
-          WriteOrThrow(fs::path(destination) / (key + extension),
-                           ReadOrThrow(source));
-        }
-      }
-      merged.Insert(entry);
-      ++copied;
-    }
-  }
-  if (!merged.empty()) {
-    SaveCorpusManifest(destination, merged);
-  }
-  return copied;
-}
-
 int CountCorpus(const std::string& directory) {
   if (CorpusHasManifest(directory)) {
     return LoadCorpusManifest(directory).size();

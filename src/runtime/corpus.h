@@ -37,8 +37,7 @@ struct CorpusManifestEntry {
 // The corpus index: every stored triple, keyed by reproducer key, with an
 // O(1) fingerprint lookup on the side. Lives as `manifest.json` next to the
 // triples, so dedup and lookup never rescan the directory — at large corpus
-// sizes (millions of findings) the directory walk is the cost that matters —
-// and a cross-shard corpus merge is a manifest union instead of a rescan.
+// sizes (millions of findings) the directory walk is the cost that matters.
 class CorpusManifest {
  public:
   void Insert(CorpusManifestEntry entry);
@@ -132,16 +131,6 @@ class CorpusStore {
   CorpusManifest manifest_;
   int stored_ = 0;
 };
-
-// Merges shard corpus directories into `destination` as a manifest union in
-// shard-index order: a key present in several shards keeps the earliest
-// shard's triple — under contiguous index-space sharding that is the triple
-// the single-process run would have stored, so the merged corpus (manifest
-// included) is byte-identical to it. Source directories may be legacy
-// manifest-less corpora (they are indexed on the fly). Returns the number
-// of reproducers copied into the destination.
-int MergeCorpusStores(const std::string& destination,
-                      const std::vector<std::string>& shard_directories);
 
 // One stored reproducer read back from a corpus directory.
 struct CorpusEntry {

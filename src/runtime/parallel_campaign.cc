@@ -36,12 +36,10 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
 
   // The single-target generator bias resolves once, up front: every derived
   // per-program seed reshapes the same effective options.
-  // `generate` takes the *global* program index (shard offset applied), so
-  // shard runs draw the identical per-index program stream.
   GeneratorOptions generator_options = campaign.EffectiveGeneratorOptions();
-  const auto generate = [&generator_options, this](int global_index) {
+  const auto generate = [&generator_options, this](int index) {
     GeneratorOptions per_program = generator_options;
-    per_program.seed = ProgramSeed(options_.campaign.seed, global_index);
+    per_program.seed = ProgramSeed(options_.campaign.seed, index);
     return ProgramGenerator(per_program).Generate();
   };
 
@@ -101,10 +99,9 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
     const uint64_t started_ms = UnixNowMillis();
     emitter = std::make_unique<StatusEmitter>(
         options_.status_dir, options_.snapshot_interval_ms,
-        [this, &live, &phase, &programs_done, &findings_found, &tests_generated, total,
-         started_ms]() {
+        [&live, &phase, &programs_done, &findings_found, &tests_generated, total, started_ms]() {
           Snapshot snapshot;
-          snapshot.role = options_.status_role;
+          snapshot.role = "campaign";
           snapshot.phase = phase.load(std::memory_order_relaxed);
           snapshot.pid = static_cast<int64_t>(getpid());
           snapshot.started_unix_ms = started_ms;
@@ -141,18 +138,17 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
                                    ? worker_traces[static_cast<size_t>(worker)]
                                    : nullptr);
     CampaignReport& slot = slots[static_cast<size_t>(index)];
-    const int global_index = options_.index_begin + index;
     ProgramPtr program;
     {
       TraceSpan span("generate", "gen");
-      program = generate(global_index);
+      program = generate(index);
     }
     ++slot.programs_generated;
     ValidationCache* cache =
         (!caches.empty() && worker >= 0 && worker < static_cast<int>(caches.size()))
             ? caches[static_cast<size_t>(worker)].get()
             : nullptr;
-    campaign.TestProgram(*program, bugs, global_index, slot, cache);
+    campaign.TestProgram(*program, bugs, index, slot, cache);
     findings_found.fetch_add(slot.findings.size(), std::memory_order_relaxed);
     tests_generated.fetch_add(static_cast<uint64_t>(slot.tests_generated),
                               std::memory_order_relaxed);
@@ -191,10 +187,8 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
     }
   }
   report.run_start_micros = run_start_micros;
-  if (options_.fold_report_metrics) {
-    report.FoldInto(options_.campaign.metrics, options_.campaign.coverage,
-                    caches.empty() ? nullptr : &merged_stats, bugs);
-  }
+  report.FoldInto(options_.campaign.metrics, options_.campaign.coverage,
+                  caches.empty() ? nullptr : &merged_stats, bugs);
   if (stats_out != nullptr) {
     *stats_out = merged_stats;
   }

@@ -16,19 +16,6 @@ struct ParallelCampaignOptions {
   // Worker threads; 0 = one per hardware thread. Any jobs value produces
   // the identical report (determinism is per-program, not per-schedule).
   int jobs = 1;
-  // Global index of the first program: this run covers program indices
-  // [index_begin, index_begin + campaign.num_programs). Per-program seeds,
-  // finding indices and detection latencies all use the *global* index, so
-  // a shard of a larger campaign (src/dist/) reproduces exactly the
-  // programs — and findings — the single-process run would have assigned
-  // to that index range.
-  int index_begin = 0;
-  // When false, the caller-provided metrics/coverage sinks receive only the
-  // raw per-worker telemetry (merged in worker-index order) without the
-  // merged-report fold (CampaignReport::FoldInto). Shard workers run
-  // unfolded: the coordinator folds exactly once on the cross-shard merged
-  // report, the same single fold a one-process run performs.
-  bool fold_report_metrics = true;
   // When non-empty, every distinct finding is persisted as a
   // <key>.p4 / <key>.stf / <key>.finding.json reproducer triple here.
   std::string corpus_dir;
@@ -39,13 +26,12 @@ struct ParallelCampaignOptions {
   // timing-scoped — the final report and every deterministic section stay
   // byte-identical with status on or off.
   std::string status_dir;
-  std::string status_role = "campaign";
   int snapshot_interval_ms = 1000;
 };
 
 // The campaign driver, the one loop over generated programs (`gauntlet
-// campaign` and its `fuzz` alias, shard workers, find->fix rounds): shards
-// the program loop across a WorkerPool. Campaign iterations are fully
+// campaign` and its `fuzz` alias, find->fix rounds): hands program indices
+// to a WorkerPool one at a time. Campaign iterations are fully
 // independent — per-program state, per-program solver — and the hot path is
 // solver time, so throughput scales near-linearly with cores.
 //

@@ -39,9 +39,7 @@
 #include <vector>
 
 #include "src/cache/verdict_cache.h"
-#include "src/dist/coordinator.h"
 #include "src/dist/serve.h"
-#include "src/dist/shard.h"
 #include "src/frontend/parser.h"
 #include "src/frontend/printer.h"
 #include "src/gauntlet/campaign.h"
@@ -470,71 +468,11 @@ std::unique_ptr<ProgressMeter> WireCampaignTelemetry(const ParsedArgs& args,
   return meter;
 }
 
-// `campaign --shards S`: the distributed path (src/dist/). The coordinator
-// owns the topology; the merged deterministic output is byte-identical to
-// the single-process run for any shard count — the CI shard-identity gate.
-int RunCampaignSharded(const ParsedArgs& args, const BugConfig& bugs, Telemetry& telemetry,
-                       ParallelCampaignOptions& parallel) {
-  if (args.Has("--trace-out")) {
-    throw CliUsageError("--trace-out is per-process; it cannot be combined with --shards");
-  }
-  ShardCoordinatorOptions options;
-  options.campaign = parallel.campaign;
-  options.shards = ParseCount(args.Last("--shards"), "--shards", /*minimum=*/1);
-  options.jobs = parallel.jobs;
-  options.corpus_dir = parallel.corpus_dir;
-  options.status_dir = parallel.status_dir;
-  options.snapshot_interval_ms = parallel.snapshot_interval_ms;
-  if (args.Has("--shard-dir")) {
-    options.scratch_dir = args.Last("--shard-dir");
-  }
-  if (args.Has("--worker")) {
-    options.worker_binary = args.Last("--worker");
-    // Children parse their own campaign flags; forward the ones the
-    // coordinator does not own.
-    if (args.Has("--bug")) {
-      for (const std::string& name : args.flags.at("--bug")) {
-        options.worker_flags.push_back("--bug");
-        options.worker_flags.push_back(name);
-      }
-    }
-    if (args.Has("--targets")) {
-      for (const std::string& list : args.flags.at("--targets")) {
-        options.worker_flags.push_back("--targets");
-        options.worker_flags.push_back(list);
-      }
-    }
-    if (args.Has("--no-cache")) {
-      options.worker_flags.push_back("--no-cache");
-    }
-    if (args.Has("--no-budgets")) {
-      options.worker_flags.push_back("--no-budgets");
-    }
-    if (args.Has("--no-incremental")) {
-      options.worker_flags.push_back("--no-incremental");
-    }
-  }
-  const std::unique_ptr<ProgressMeter> meter =
-      WireCampaignTelemetry(args, telemetry, options.campaign);
-  const CoordinatorOutcome outcome = RunShardCoordinator(options, bugs);
-  if (meter != nullptr) {
-    meter->Finish(static_cast<uint64_t>(outcome.report.programs_generated),
-                  outcome.report.findings.size());
-  }
-  PrintReport(outcome.report);
-  telemetry.Write();
-  if (!options.corpus_dir.empty()) {
-    std::fprintf(stderr, "corpus: %d reproducers under %s (all runs)\n",
-                 CountCorpus(options.corpus_dir), options.corpus_dir.c_str());
-  }
-  return outcome.report.findings.empty() ? 0 : 1;
-}
-
 int CmdCampaign(int argc, char** argv) {
   const ParsedArgs args = ParseCommandArgs(
       argc, argv,
-      WithTelemetryFlags({"--jobs", "--corpus", "--bug", "--targets", "--shards",
-                          "--shard-dir", "--worker", "--status-dir", "--snapshot-interval"}),
+      WithTelemetryFlags(
+          {"--jobs", "--corpus", "--bug", "--targets", "--status-dir", "--snapshot-interval"}),
       /*max_positionals=*/2, kCacheSwitches);
   const BugConfig bugs = BugsFromFlags(args);
   Telemetry telemetry(args);
@@ -564,12 +502,6 @@ int CmdCampaign(int argc, char** argv) {
   if (args.Has("--corpus")) {
     options.corpus_dir = args.Last("--corpus");
   }
-  if ((args.Has("--worker") || args.Has("--shard-dir")) && !args.Has("--shards")) {
-    throw CliUsageError("--worker/--shard-dir only apply to a sharded campaign (--shards)");
-  }
-  if (args.Has("--shards")) {
-    return RunCampaignSharded(args, bugs, telemetry, options);
-  }
   const std::unique_ptr<ProgressMeter> meter =
       WireCampaignTelemetry(args, telemetry, options.campaign);
   const CampaignReport report = ParallelCampaign(options).Run(bugs);
@@ -585,70 +517,6 @@ int CmdCampaign(int argc, char** argv) {
                  CountCorpus(options.corpus_dir), options.corpus_dir.c_str());
   }
   return report.findings.empty() ? 0 : 1;
-}
-
-// The coordinator's child process: one shard of the global index space,
-// its result serialized to --result-out. Exits 0 whether or not it found
-// anything — findings are data for the coordinator, which owns the
-// campaign-level exit code.
-int CmdShardWorker(int argc, char** argv) {
-  const ParsedArgs args = ParseCommandArgs(
-      argc, argv,
-      WithTelemetryFlags({"--shard-begin", "--shard-end", "--seed", "--jobs", "--result-out",
-                          "--corpus", "--bug", "--targets", "--status-dir", "--status-role",
-                          "--snapshot-interval"}),
-      /*max_positionals=*/0, {"--no-cache", "--no-budgets", "--no-incremental"});
-  for (const char* required : {"--shard-begin", "--shard-end", "--seed", "--result-out"}) {
-    if (!args.Has(required)) {
-      throw CliUsageError(std::string("shard-worker requires ") + required);
-    }
-  }
-  const BugConfig bugs = BugsFromFlags(args);
-  Telemetry telemetry(args);
-  ShardWorkerOptions options;
-  options.range.begin = ParseCount(args.Last("--shard-begin"), "--shard-begin", /*minimum=*/0);
-  options.range.end = ParseCount(args.Last("--shard-end"), "--shard-end", /*minimum=*/0);
-  if (options.range.end < options.range.begin) {
-    throw CliUsageError("--shard-end must be >= --shard-begin");
-  }
-  options.campaign.seed = static_cast<uint64_t>(ParseNumber(args.Last("--seed"), "--seed"));
-  options.campaign.targets = TargetsFromFlags(args);
-  options.campaign.use_cache = !args.Has("--no-cache");
-  ApplySolverSwitches(args, options.campaign.tv, options.campaign.testgen);
-  if (args.Has("--jobs")) {
-    options.jobs = ParseCount(args.Last("--jobs"), "--jobs", /*minimum=*/1);
-  }
-  if (args.Has("--corpus")) {
-    options.corpus_dir = args.Last("--corpus");
-  }
-  if (args.Has("--status-dir")) {
-    options.status_dir = args.Last("--status-dir");
-    if (args.Has("--status-role")) {
-      options.status_role = args.Last("--status-role");
-    }
-    if (args.Has("--snapshot-interval")) {
-      options.snapshot_interval_ms =
-          ParseCount(args.Last("--snapshot-interval"), "--snapshot-interval", /*minimum=*/1);
-    }
-  } else if (args.Has("--status-role") || args.Has("--snapshot-interval")) {
-    throw CliUsageError("--status-role/--snapshot-interval only apply with --status-dir");
-  }
-  options.trace = telemetry.collector_or_null();
-  const ShardResult result = RunShardWorker(options, bugs);
-  SaveShardResultFile(args.Last("--result-out"), result);
-  // The result file above stays *unfolded* (the coordinator folds the
-  // cross-shard merge exactly once); the side-channel telemetry files are a
-  // per-shard human view, so they get this shard's own fold.
-  if (telemetry.registry_or_null() != nullptr) {
-    telemetry.registry.MergeFrom(result.metrics);
-  }
-  if (telemetry.coverage_or_null() != nullptr) {
-    telemetry.coverage.MergeFrom(result.coverage);
-  }
-  result.report.FoldInto(telemetry.registry_or_null(), telemetry.coverage_or_null(),
-                         options.campaign.use_cache ? &result.cache_stats : nullptr, bugs);
-  telemetry.Write();
-  return 0;
 }
 
 // `gauntlet serve`: the long-lived submission service (src/dist/serve).
@@ -706,10 +574,10 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
-// `gauntlet status <dir>`: the fleet inspector. Reads the snapshot +
-// heartbeat artifacts a --status-dir run publishes and prints a dashboard
-// (or --json for machines). Exit 0 healthy, 1 on any stalled/dead/corrupt
-// worker; --watch polls until the fleet completes or turns unhealthy.
+// `gauntlet status <dir>`: the live-status inspector. Reads the snapshot +
+// heartbeat a --status-dir run publishes and prints a dashboard (or --json
+// for machines). Exit 0 healthy, 1 when the driver is stalled, dead or
+// corrupt; --watch polls until the run completes or turns unhealthy.
 int CmdStatus(int argc, char** argv) {
   const ParsedArgs args = ParseCommandArgs(argc, argv, {"--interval", "--stall-ms"},
                                            /*max_positionals=*/1, {"--json", "--watch"});
@@ -970,12 +838,8 @@ int Usage(std::FILE* out) {
                "  testgen <file.p4> [--no-cache]\n"
                "  campaign [N] [seed] [--jobs J] [--corpus DIR] [--bug B ...] "
                "[--targets T,...] [--no-cache]\n"
-               "  campaign ... --shards S [--shard-dir DIR] [--worker BIN]\n"
                "  campaign ... --status-dir DIR [--snapshot-interval MS]\n"
                "  fuzz ...   (alias of campaign: same flags, output and exit code)\n"
-               "  shard-worker --shard-begin B --shard-end E --seed S --result-out F\n"
-               "               [--jobs J] [--corpus DIR] [--bug B ...]\n"
-               "               [--status-dir DIR [--status-role R] [--snapshot-interval MS]]\n"
                "  serve --socket PATH [--corpus DIR] [--bug B ...] [--targets T,...]\n"
                "        [--max-requests N] [--status-dir DIR [--snapshot-interval MS]]\n"
                "  submit <file.p4> --socket PATH [--bug B ...] [--targets T,...]\n"
@@ -1004,17 +868,14 @@ int Usage(std::FILE* out) {
                "  --progress        throttled heartbeat on stderr\n"
                "`coverage` renders a snapshot (one file; --require-detected gates on\n"
                "blind spots) or diffs two; a diff exits 1 on any deterministic change\n"
-               "--shards partitions [0,N) into S contiguous shards; merged output is\n"
-               "byte-identical to the single-process run (--worker runs shards as\n"
-               "child processes, --shard-dir keeps per-shard artifacts)\n"
                "`serve` accepts P4 programs over a unix socket and streams JSON\n"
                "verdicts; `submit` is its client (exit 0 clean, 1 on findings);\n"
                "SIGTERM/SIGINT drain serve gracefully (sinks flushed before exit)\n"
-               "--status-dir (campaign/shard-worker/serve) publishes atomic live\n"
-               "snapshot.json + heartbeat.json every --snapshot-interval ms;\n"
-               "`status` reads them: a per-worker dashboard with health verdicts\n"
-               "(exit 1 on stalled/dead/corrupt workers; --watch polls until the\n"
-               "fleet completes, --stall-ms tunes the stall threshold)\n",
+               "--status-dir (campaign/serve) publishes atomic live snapshot.json +\n"
+               "heartbeat.json every --snapshot-interval ms; `status` reads them:\n"
+               "a dashboard with the run's health verdict (exit 1 when it is\n"
+               "stalled/dead/corrupt; --watch polls until the run completes,\n"
+               "--stall-ms tunes the stall threshold)\n",
                targets.c_str());
   return out == stdout ? 0 : 2;
 }
@@ -1059,9 +920,6 @@ int main(int argc, char** argv) {
     }
     if (command == "campaign" || command == "fuzz") {
       return CmdCampaign(argc, argv);
-    }
-    if (command == "shard-worker") {
-      return CmdShardWorker(argc, argv);
     }
     if (command == "serve") {
       return CmdServe(argc, argv);

@@ -1,70 +1,33 @@
-// The src/dist/ subsystem: index-space partitioning, shard-result
-// round-tripping, the coordinator's shard-merge identity contract (any
-// shard topology x --jobs x cache on/off -> byte-identical deterministic
-// output), and the serve-mode round trip.
+// The src/dist/ subsystem: serve mode's round trip, its verdict cache,
+// request bounds, telemetry flushing, and its survival of misbehaving
+// clients and stop signals.
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <thread>
 
-#include "src/dist/coordinator.h"
 #include "src/dist/serve.h"
-#include "src/dist/shard.h"
-#include "src/frontend/parser.h"
 #include "src/obs/coverage.h"
-#include "src/obs/health.h"
 #include "src/obs/run_report.h"
 #include "src/obs/snapshot.h"
 #include "src/runtime/corpus.h"
-#include "src/runtime/parallel_campaign.h"
 
 namespace gauntlet {
 namespace {
 
 namespace fs = std::filesystem;
-
-// --- partitioning ----------------------------------------------------------
-
-TEST(PartitionTest, CoversSpaceContiguouslyWithBalancedSizes) {
-  const std::vector<ShardRange> ranges = PartitionIndexSpace(17, 4);
-  ASSERT_EQ(ranges.size(), 4u);
-  int expected_begin = 0;
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    EXPECT_EQ(ranges[i].index, static_cast<int>(i));
-    EXPECT_EQ(ranges[i].begin, expected_begin);
-    expected_begin = ranges[i].end;
-  }
-  EXPECT_EQ(ranges.back().end, 17);
-  // Sizes differ by at most one, earlier shards take the extra program.
-  EXPECT_EQ(ranges[0].size(), 5);
-  EXPECT_EQ(ranges[1].size(), 4);
-  EXPECT_EQ(ranges[2].size(), 4);
-  EXPECT_EQ(ranges[3].size(), 4);
-}
-
-TEST(PartitionTest, SurplusShardsComeBackEmpty) {
-  const std::vector<ShardRange> ranges = PartitionIndexSpace(2, 5);
-  ASSERT_EQ(ranges.size(), 5u);
-  EXPECT_EQ(ranges[0].size(), 1);
-  EXPECT_EQ(ranges[1].size(), 1);
-  for (size_t i = 2; i < ranges.size(); ++i) {
-    EXPECT_EQ(ranges[i].size(), 0);
-    EXPECT_EQ(ranges[i].begin, ranges[i].end);
-  }
-  for (const ShardRange& range : PartitionIndexSpace(0, 3)) {
-    EXPECT_EQ(range.size(), 0);
-  }
-}
 
 // --- shared fixtures -------------------------------------------------------
 
@@ -84,61 +47,21 @@ CampaignOptions SmallCampaign(int num_programs) {
   return options;
 }
 
-BugConfig TwoFaults() {
-  BugConfig bugs;
-  bugs.Enable(BugId::kTypeCheckerShiftCrash);
-  bugs.Enable(BugId::kBmv2TableMissRunsFirstAction);
-  return bugs;
-}
-
-// Equality over every deterministic report field. wall_micros inside the
-// latency records and run_start_micros are wall-clock and excluded; the
-// repro packets are compared only when both sides carry them (shard-result
-// files drop repro_test by design — corpus triples are written shard-side).
-void ExpectIdenticalReports(const CampaignReport& a, const CampaignReport& b) {
-  EXPECT_EQ(a.programs_generated, b.programs_generated);
-  EXPECT_EQ(a.programs_with_crash, b.programs_with_crash);
-  EXPECT_EQ(a.programs_with_semantic, b.programs_with_semantic);
-  EXPECT_EQ(a.tests_generated, b.tests_generated);
-  EXPECT_EQ(a.undef_divergences, b.undef_divergences);
-  EXPECT_EQ(a.structural_mismatches, b.structural_mismatches);
-  EXPECT_EQ(a.distinct_bugs, b.distinct_bugs);
-  EXPECT_EQ(a.unattributed_components, b.unattributed_components);
-  ASSERT_EQ(a.latency.size(), b.latency.size());
-  for (const auto& [bug, lat] : a.latency) {
-    const auto it = b.latency.find(bug);
-    ASSERT_NE(it, b.latency.end());
-    EXPECT_EQ(lat.first_program_index, it->second.first_program_index);
-    EXPECT_EQ(lat.tests_at_detection, it->second.tests_at_detection);
-    EXPECT_EQ(lat.findings, it->second.findings);
+// A raw client connection, for clients that break the request protocol.
+// -1 on failure.
+int ConnectRawClient(const std::string& socket_path) {
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
   }
-  ASSERT_EQ(a.findings.size(), b.findings.size());
-  for (size_t i = 0; i < a.findings.size(); ++i) {
-    const Finding& fa = a.findings[i];
-    const Finding& fb = b.findings[i];
-    EXPECT_EQ(fa.program_index, fb.program_index);
-    EXPECT_EQ(fa.method, fb.method);
-    EXPECT_EQ(fa.kind, fb.kind);
-    EXPECT_EQ(fa.component, fb.component);
-    EXPECT_EQ(fa.attributed, fb.attributed);
-    EXPECT_EQ(fa.detail, fb.detail);
+  sockaddr_un address = {};
+  address.sun_family = AF_UNIX;
+  std::strncpy(address.sun_path, socket_path.c_str(), sizeof(address.sun_path) - 1);
+  if (connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) != 0) {
+    close(fd);
+    return -1;
   }
-}
-
-// Every file under `dir`, keyed by relative path — the whole corpus
-// directory (triples, finding metadata, manifest) must match byte-for-byte.
-std::map<std::string, std::string> DirSnapshot(const std::string& dir) {
-  std::map<std::string, std::string> files;
-  for (const fs::directory_entry& entry : fs::recursive_directory_iterator(dir)) {
-    if (!entry.is_regular_file()) {
-      continue;
-    }
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream body;
-    body << in.rdbuf();
-    files[fs::relative(entry.path(), dir).string()] = body.str();
-  }
-  return files;
+  return fd;
 }
 
 class DistScratch : public ::testing::Test {
@@ -154,155 +77,6 @@ class DistScratch : public ::testing::Test {
   std::string Path(const std::string& leaf) const { return root_ + "/" + leaf; }
   std::string root_;
 };
-
-// --- shard-result serialization --------------------------------------------
-
-TEST_F(DistScratch, ShardResultRoundTripsThroughFile) {
-  ShardWorkerOptions options;
-  options.campaign = SmallCampaign(12);
-  options.range = {/*index=*/1, /*begin=*/4, /*end=*/12};
-  options.jobs = 2;
-  const ShardResult original = RunShardWorker(options, TwoFaults());
-  EXPECT_EQ(original.report.programs_generated, 8);
-
-  const std::string path = Path("shard.result");
-  SaveShardResultFile(path, original);
-  const ShardResult loaded = LoadShardResultFile(path);
-
-  EXPECT_EQ(loaded.range.begin, original.range.begin);
-  EXPECT_EQ(loaded.range.end, original.range.end);
-  ExpectIdenticalReports(original.report, loaded.report);
-  // The raw per-shard telemetry survives byte-identically (both sections:
-  // the serialization carries timing metrics too, the coordinator decides
-  // what to surface).
-  EXPECT_EQ(MetricsJson(loaded.metrics), MetricsJson(original.metrics));
-  EXPECT_EQ(CoverageJson(loaded.coverage), CoverageJson(original.coverage));
-  EXPECT_EQ(loaded.cache_stats.blast_hits, original.cache_stats.blast_hits);
-  EXPECT_EQ(loaded.cache_stats.verdict_hits, original.cache_stats.verdict_hits);
-}
-
-TEST_F(DistScratch, ShardResultLoadFailsLoudly) {
-  EXPECT_THROW(LoadShardResultFile(Path("never-written.result")), CompileError);
-  {
-    std::ofstream out(Path("bad.result"));
-    out << "not-a-shard-result 1\n";
-  }
-  EXPECT_THROW(LoadShardResultFile(Path("bad.result")), CompileError);
-  {
-    std::ofstream out(Path("truncated.result"));
-    out << "gauntletshard 1\nrange 0 0 4\n";
-  }
-  EXPECT_THROW(LoadShardResultFile(Path("truncated.result")), CompileError);
-}
-
-// --- the shard-merge identity contract -------------------------------------
-
-// Runs the same campaign single-process and as a 1/4-shard fleet (in-process
-// workers, results round-tripped through files) across jobs 1 and 4, and
-// asserts the merged deterministic output is byte-identical everywhere the
-// CI gate looks: report, metrics.json deterministic section, coverage.json
-// deterministic section, and the corpus directory.
-TEST_F(DistScratch, ShardMergeReproducesSingleProcessRun) {
-  const BugConfig bugs = TwoFaults();
-  const int num_programs = 20;
-
-  MetricsRegistry single_metrics;
-  CoverageMap single_coverage;
-  ParallelCampaignOptions single;
-  single.campaign = SmallCampaign(num_programs);
-  single.campaign.metrics = &single_metrics;
-  single.campaign.coverage = &single_coverage;
-  single.corpus_dir = Path("corpus-single");
-  single.jobs = 1;
-  const CampaignReport reference = ParallelCampaign(single).Run(bugs);
-  ASSERT_FALSE(reference.findings.empty())
-      << "campaign tripped nothing; the identity check would be vacuous";
-  const std::string reference_metrics = DeterministicSection(MetricsJson(single_metrics));
-  const std::string reference_coverage =
-      DeterministicSection(CoverageJson(single_coverage));
-  const auto reference_corpus = DirSnapshot(single.corpus_dir);
-  ASSERT_FALSE(reference_corpus.empty());
-
-  for (const int shards : {1, 4}) {
-    for (const int jobs : {1, 4}) {
-      MetricsRegistry metrics;
-      CoverageMap coverage;
-      ShardCoordinatorOptions options;
-      options.campaign = SmallCampaign(num_programs);
-      options.campaign.metrics = &metrics;
-      options.campaign.coverage = &coverage;
-      options.shards = shards;
-      options.jobs = jobs;
-      options.corpus_dir =
-          Path("corpus-s" + std::to_string(shards) + "-j" + std::to_string(jobs));
-      const CoordinatorOutcome outcome = RunShardCoordinator(options, bugs);
-
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " jobs=" + std::to_string(jobs));
-      ASSERT_EQ(outcome.shard_ranges.size(), static_cast<size_t>(shards));
-      ExpectIdenticalReports(reference, outcome.report);
-      EXPECT_EQ(DeterministicSection(MetricsJson(metrics)), reference_metrics);
-      EXPECT_EQ(DeterministicSection(CoverageJson(coverage)), reference_coverage);
-      EXPECT_EQ(DirSnapshot(options.corpus_dir), reference_corpus);
-    }
-  }
-}
-
-// A coordinator with a status directory publishes its own snapshot, a
-// heartbeat per shard, and a fleet view that reads back complete — while
-// the merged deterministic output stays identical to a status-off run.
-TEST_F(DistScratch, CoordinatorPublishesFleetStatusAndStaysIdentical) {
-  const BugConfig bugs = TwoFaults();
-  const int num_programs = 12;
-
-  ShardCoordinatorOptions plain;
-  plain.campaign = SmallCampaign(num_programs);
-  plain.shards = 2;
-  plain.jobs = 2;
-  const CoordinatorOutcome reference = RunShardCoordinator(plain, bugs);
-
-  ShardCoordinatorOptions observed = plain;
-  observed.status_dir = Path("status");
-  observed.snapshot_interval_ms = 10;
-  const CoordinatorOutcome outcome = RunShardCoordinator(observed, bugs);
-  ExpectIdenticalReports(reference.report, outcome.report);
-
-  // The coordinator's own final snapshot carries the finished fleet totals.
-  Snapshot snapshot;
-  std::string error;
-  std::ifstream in(SnapshotPathIn(observed.status_dir), std::ios::binary);
-  std::ostringstream body;
-  body << in.rdbuf();
-  ASSERT_TRUE(ParseSnapshotJson(body.str(), &snapshot, &error)) << error;
-  EXPECT_EQ(snapshot.role, "coordinator");
-  EXPECT_EQ(snapshot.phase, "done");
-  EXPECT_EQ(snapshot.programs_total, static_cast<uint64_t>(num_programs));
-  EXPECT_EQ(snapshot.programs_done, static_cast<uint64_t>(num_programs));
-  EXPECT_EQ(snapshot.findings, outcome.report.findings.size());
-
-  // Each shard left its own finished heartbeat in its subdirectory, and the
-  // collected fleet view agrees.
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_TRUE(
-        fs::exists(HeartbeatPathIn(Path("status/shard-" + std::to_string(i)))));
-  }
-  const FleetStatus fleet =
-      CollectFleetStatus(observed.status_dir, kDefaultStallThresholdMs);
-  ASSERT_EQ(fleet.workers.size(), 3u);  // coordinator + 2 shards
-  EXPECT_TRUE(fleet.healthy());
-  EXPECT_TRUE(fleet.complete());
-  EXPECT_EQ(fleet.programs_done, static_cast<uint64_t>(num_programs));
-}
-
-TEST_F(DistScratch, SubprocessModeRequiresWorkerBinary) {
-  // No gauntlet binary at this path: the fork/exec path must fail loudly,
-  // not merge partial results.
-  ShardCoordinatorOptions options;
-  options.campaign = SmallCampaign(4);
-  options.shards = 2;
-  options.worker_binary = Path("no-such-binary");
-  options.scratch_dir = Path("scratch");
-  EXPECT_THROW(RunShardCoordinator(options, TwoFaults()), CompileError);
-}
 
 // --- serve mode ------------------------------------------------------------
 
@@ -447,12 +221,8 @@ TEST_F(DistScratch, ServeSurvivesAClientThatHangsUpEarly) {
 
   // One submission frame on a raw socket, closed without reading the reply.
   const std::string payload = BuildSubmitPayload(kCleanProgram, {}, {});
-  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ConnectRawClient(server.socket_path());
   ASSERT_GE(fd, 0);
-  sockaddr_un address = {};
-  address.sun_family = AF_UNIX;
-  std::strncpy(address.sun_path, server.socket_path().c_str(), sizeof(address.sun_path) - 1);
-  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)), 0);
   const uint32_t length = static_cast<uint32_t>(payload.size());
   const unsigned char header[4] = {
       static_cast<unsigned char>(length >> 24), static_cast<unsigned char>(length >> 16),
@@ -533,6 +303,50 @@ TEST_F(DistScratch, ServeFlushesTelemetryMidSessionAndOnExit) {
   EXPECT_EQ(snapshot.role, "serve");
   EXPECT_EQ(snapshot.phase, "done");
   EXPECT_EQ(snapshot.requests_served, 1u);
+}
+
+// A stop signal drains the server even while a connected client sends
+// nothing: the read blocked on that client gives up instead of retrying, the
+// connection is dropped, and Run() returns.
+TEST_F(DistScratch, StopSignalDropsAnIdleConnection) {
+  ServeOptions options;
+  options.socket_path = Path("sock");
+  options.campaign = SmallCampaign(/*num_programs=*/0);
+  options.install_signal_handlers = true;
+  GauntletServer server(std::move(options), BugConfig::None());
+  server.Start();
+  const int idle = ConnectRawClient(server.socket_path());
+  ASSERT_GE(idle, 0);
+
+  struct sigaction before = {};
+  sigaction(SIGTERM, nullptr, &before);
+  std::atomic<bool> returned{false};
+  std::thread runner([&server, &returned] {
+    server.Run();
+    returned = true;
+  });
+  // A SIGTERM that lands before Run() installs its handler would take the
+  // previous disposition, so wait for the handler, then give the server
+  // time to accept the idle client and block reading from it.
+  for (int i = 0; i < 500; ++i) {
+    struct sigaction now = {};
+    sigaction(SIGTERM, nullptr, &now);
+    if (now.sa_handler != before.sa_handler) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(pthread_kill(runner.native_handle(), SIGTERM), 0);
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!returned && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(returned) << "Run() still blocked on the idle client 2 s after SIGTERM";
+  close(idle);  // a server that missed the signal sees EOF here, so join cannot hang
+  runner.join();
+  EXPECT_EQ(server.served(), 0);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 
 #include "src/cache/struct_hash.h"
 #include "src/dist/serve.h"
-#include "src/dist/shard.h"
 #include "src/frontend/parser.h"
 #include "src/obs/coverage.h"
 #include "src/obs/health.h"
@@ -69,8 +68,8 @@ CoverageMap GoldenCoverage() {
 
 Snapshot GoldenSnapshot() {
   Snapshot snapshot;
-  snapshot.role = "coordinator";
-  snapshot.phase = "running \"shards\"\t" + std::string("\xfe", 1);
+  snapshot.role = "campaign";
+  snapshot.phase = "testing \"quoted\"\t" + std::string("\xfe", 1);
   snapshot.pid = 4321;
   snapshot.started_unix_ms = 1000;
   snapshot.updated_unix_ms = 2500;
@@ -80,16 +79,6 @@ Snapshot GoldenSnapshot() {
   snapshot.findings = 5;
   snapshot.distinct_bugs = 2;
   snapshot.requests_served = 18446744073709551615ull;
-  for (int i = 0; i < 2; ++i) {
-    ShardHealthSummary shard;
-    shard.role = "shard-" + std::to_string(i);
-    shard.state = i == 0 ? "healthy" : "starting";
-    shard.programs_total = 20;
-    shard.programs_done = 9 + static_cast<uint64_t>(i);
-    shard.findings = 3;
-    shard.age_ms = 120;
-    snapshot.shards.push_back(shard);
-  }
   MetricsRegistry metrics;
   metrics.Count("campaign/findings_total", MetricScope::kDeterministic, 5);
   metrics.Observe("serve/request_latency_micros", MetricScope::kTiming, {100, 300}, 150);
@@ -189,49 +178,6 @@ std::vector<TraceEvent> GoldenTraceEvents() {
   return events;
 }
 
-ShardResult GoldenShardResult() {
-  ShardResult result;
-  result.range = ShardRange{1, 4, 12};
-  CampaignReport& report = result.report;
-  report.programs_generated = 8;
-  report.programs_with_crash = 1;
-  report.programs_with_semantic = 2;
-  report.tests_generated = 44;
-  report.undef_divergences = 1;
-  report.structural_mismatches = 0;
-  Finding semantic;
-  semantic.program_index = 5;
-  semantic.method = DetectionMethod::kTranslationValidation;
-  semantic.kind = BugKind::kSemantic;
-  semantic.component = "Predication";
-  semantic.attributed = BugId::kPredicationLostElse;
-  semantic.detail = "pass Predication: " + kAwkward + std::string("\r\xff", 2);
-  report.findings.push_back(semantic);
-  Finding crash;
-  crash.program_index = 7;
-  crash.method = DetectionMethod::kCrash;
-  crash.kind = BugKind::kCrash;
-  crash.component = "crash site with spaces";
-  report.findings.push_back(crash);
-  report.latency[BugId::kPredicationLostElse] = DetectionLatency{5, 30, 1, 987654};
-  report.distinct_bugs.insert(BugId::kPredicationLostElse);
-  report.unattributed_components.insert("crash site with spaces");
-  result.metrics.Count("campaign/programs", MetricScope::kDeterministic, 8);
-  result.metrics.GaugeMax("process/peak_rss_kb", MetricScope::kTiming, 4096);
-  result.metrics.Observe("smt/solve_micros", MetricScope::kTiming, {10, 100}, 50);
-  result.coverage.Record("gen-construct", "if-else", MetricScope::kDeterministic, 6);
-  result.coverage.Record("detection-latency-wall", "predication-lost-else",
-                         MetricScope::kTiming, 77);
-  result.cache_stats.blast_hits = 1;
-  result.cache_stats.blast_misses = 2;
-  result.cache_stats.clauses_reused = 3;
-  result.cache_stats.verdict_hits = 4;
-  result.cache_stats.verdict_misses = 5;
-  result.cache_stats.queries_skipped = 6;
-  result.cache_stats.pairs_short_circuited = 7;
-  return result;
-}
-
 // --- the goldens -------------------------------------------------------------
 
 const char* const kMetricsGolden = R"golden({
@@ -272,8 +218,8 @@ const char* const kCoverageGolden = R"golden({
 
 const char* const kSnapshotGolden = R"golden({
   "version": 1,
-  "role": "coordinator",
-  "phase": "running \"shards\"\t\u00fe",
+  "role": "campaign",
+  "phase": "testing \"quoted\"\t\u00fe",
   "pid": 4321,
   "started_unix_ms": 1000,
   "updated_unix_ms": 2500,
@@ -283,10 +229,6 @@ const char* const kSnapshotGolden = R"golden({
   "findings": 5,
   "distinct_bugs": 2,
   "requests_served": 18446744073709551615,
-  "shards": [
-    {"role": "shard-0", "state": "healthy", "programs_total": 20, "programs_done": 9, "findings": 3, "age_ms": 120},
-    {"role": "shard-1", "state": "starting", "programs_total": 20, "programs_done": 10, "findings": 3, "age_ms": 120}
-  ],
   "metrics": {
   "version": 2,
   "deterministic": {
@@ -414,28 +356,6 @@ const char* const kTraceGolden = R"golden({"traceEvents": [
 ], "displayTimeUnit": "ms"}
 )golden";
 
-const char* const kShardResultGolden = R"golden(gauntletshard 1
-range 1 4 12
-counters 8 1 2 44 1 0
-findings 2
-find 5 translation-validation semantic 5072656469636174696f6e predication-lost-else 70617373205072656469636174696f6e3a207122625c6e0a74096301210dff
-find 7 crash crash 63726173682073697465207769746820737061636573 - -
-latency 1
-lat predication-lost-else 5 30 1 987654
-distinct 1
-bug predication-lost-else
-unattributed 1
-comp 63726173682073697465207769746820737061636573
-metrics 3
-met 63616d706169676e2f70726f6772616d73 0 0 8 0 0
-met 70726f636573732f7065616b5f7273735f6b62 1 1 4096 0 0
-met 736d742f736f6c76655f6d6963726f73 1 2 1 2 10 100 3 0 1 0
-coverage 2
-cov 646574656374696f6e2d6c6174656e63792d77616c6c 1 7072656469636174696f6e2d6c6f73742d656c7365 77
-cov 67656e2d636f6e737472756374 0 69662d656c7365 6
-cache 1 2 3 4 5 6 7
-)golden";
-
 const char* const kServeCleanGolden = R"golden({"version":1,"status":"ok","program_index":0,"tests_generated":1,"findings":[]})golden";
 
 const char* const kServeFindingsGolden = R"golden({"version":1,"status":"ok","program_index":1,"tests_generated":6,"findings":[{"method":"translation-validation","kind":"semantic","component":"Predication","attributed":"predication-lost-else"}]})golden";
@@ -445,12 +365,6 @@ const char* const kServeParseErrorGolden = R"golden({"version":1,"status":"error
 const char* const kServeBadBugGolden = R"golden({"version":1,"status":"error","error":"unknown bug '\"no\\such'"})golden";
 
 // --- writers match their goldens ---------------------------------------------
-
-std::string ShardResultText(const ShardResult& result) {
-  std::ostringstream out;
-  SaveShardResult(result, out);
-  return out.str();
-}
 
 TEST(ArtifactGoldenTest, MetricsJson) { EXPECT_EQ(MetricsJson(GoldenMetrics()), kMetricsGolden); }
 
@@ -491,10 +405,6 @@ TEST(ArtifactGoldenTest, ManifestInTheOldFormStillLoads) {
 }
 
 TEST(ArtifactGoldenTest, TraceJson) { EXPECT_EQ(TraceJson(GoldenTraceEvents()), kTraceGolden); }
-
-TEST(ArtifactGoldenTest, ShardResult) {
-  EXPECT_EQ(ShardResultText(GoldenShardResult()), kShardResultGolden);
-}
 
 class GoldenScratch : public ::testing::Test {
  protected:
@@ -605,13 +515,9 @@ TEST(ArtifactGoldenTest, ReadersRoundTripTheirGoldens) {
   Snapshot snapshot;
   ASSERT_TRUE(ParseSnapshotJson(kSnapshotGolden, &snapshot, &error)) << error;
   Snapshot flat = GoldenSnapshot();
-  flat.shards.clear();  // parsed but not reconstructed
-  flat.metrics_json.clear();
+  flat.metrics_json.clear();  // parsed but not reconstructed
   snapshot.metrics_json.clear();
   EXPECT_EQ(SnapshotJson(snapshot), SnapshotJson(flat));
-
-  std::istringstream shard_in(kShardResultGolden);
-  EXPECT_EQ(ShardResultText(LoadShardResult(shard_in)), kShardResultGolden);
 }
 
 // --- readers survive truncation and corruption --------------------------------
@@ -669,16 +575,10 @@ TEST(ArtifactGoldenTest, ReadersRejectTruncatedAndMutatedInputCleanly) {
       {kHeartbeatGolden, JsonReaderOf(&ParseHeartbeatJson)},
       {kCoverageGolden, JsonReaderOf(&ParseCoverageJson)},
       {kManifestGolden, JsonReaderOf(&ParseCorpusManifestJson)},
-      {kShardResultGolden,
-       [](const std::string& text) {
-         std::istringstream in(text);
-         LoadShardResult(in);
-         return true;
-       }},
   };
   for (const auto& [golden, parse] : readers) {
     SCOPED_TRACE(golden.substr(0, golden.find('\n')));
-    SweepReader(golden, golden[0] == '{' ? '}' : '\n', parse);
+    SweepReader(golden, '}', parse);
   }
 }
 

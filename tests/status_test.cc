@@ -1,7 +1,7 @@
 // The src/obs/snapshot.h + src/obs/health.h layer: snapshot/heartbeat JSON
 // round trips, torn/garbage rejection, atomic file replacement (a polling
 // reader never sees a half-written snapshot), the pure heartbeat health
-// matrix, fleet-status collection over crafted directories, the background
+// matrix, status collection over crafted directories, the background
 // StatusEmitter, and the ParallelCampaign identity contract (deterministic
 // output byte-identical with live status on or off).
 
@@ -55,8 +55,8 @@ class StatusScratch : public ::testing::Test {
 
 Snapshot FilledSnapshot() {
   Snapshot snapshot;
-  snapshot.role = "coordinator";
-  snapshot.phase = "running-shards";
+  snapshot.role = "campaign";
+  snapshot.phase = "testing";
   snapshot.pid = 4321;
   snapshot.started_unix_ms = 1000;
   snapshot.updated_unix_ms = 2500;
@@ -66,14 +66,6 @@ Snapshot FilledSnapshot() {
   snapshot.findings = 5;
   snapshot.distinct_bugs = 2;
   snapshot.requests_served = 0;
-  ShardHealthSummary shard;
-  shard.role = "shard-0";
-  shard.state = "healthy";
-  shard.programs_total = 20;
-  shard.programs_done = 9;
-  shard.findings = 3;
-  shard.age_ms = 120;
-  snapshot.shards.push_back(shard);
   return snapshot;
 }
 
@@ -87,8 +79,8 @@ TEST(SnapshotJsonTest, RoundTripsFlatFields) {
   Snapshot parsed;
   std::string error;
   ASSERT_TRUE(ParseSnapshotJson(json, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.role, "coordinator");
-  EXPECT_EQ(parsed.phase, "running-shards");
+  EXPECT_EQ(parsed.role, "campaign");
+  EXPECT_EQ(parsed.phase, "testing");
   EXPECT_EQ(parsed.pid, 4321);
   EXPECT_EQ(parsed.started_unix_ms, 1000u);
   EXPECT_EQ(parsed.updated_unix_ms, 2500u);
@@ -97,10 +89,8 @@ TEST(SnapshotJsonTest, RoundTripsFlatFields) {
   EXPECT_EQ(parsed.tests_generated, 96u);
   EXPECT_EQ(parsed.findings, 5u);
   EXPECT_EQ(parsed.distinct_bugs, 2u);
-  // The embedded shards array and metrics object are balanced JSON the
-  // parser skips structurally; their presence must never break the flat
-  // fields around them.
-  EXPECT_NE(json.find("\"shards\""), std::string::npos);
+  // The embedded metrics object is balanced JSON the parser skips
+  // structurally; its presence must never break the flat fields around it.
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
 }
 
@@ -150,7 +140,7 @@ TEST(HeartbeatJsonTest, RoundTripsAndMatchesItsSnapshot) {
 
 TEST(HeartbeatJsonTest, RejectsTornAndGarbageInput) {
   Heartbeat heartbeat;
-  heartbeat.role = "shard-1";
+  heartbeat.role = "campaign";
   heartbeat.phase = "testing";
   heartbeat.pid = 77;
   const std::string valid = HeartbeatJson(heartbeat);
@@ -226,7 +216,7 @@ TEST_F(StatusScratch, PollingReaderNeverSeesTornSnapshot) {
 
 TEST(EvaluateHeartbeatTest, CoversEveryVerdict) {
   Heartbeat heartbeat;
-  heartbeat.role = "shard-0";
+  heartbeat.role = "campaign";
   heartbeat.phase = "testing";
   heartbeat.pid = 1234;
   heartbeat.updated_unix_ms = 10000;
@@ -272,13 +262,14 @@ TEST(ProcessAliveTest, SelfIsAliveBogusPidsAreNot) {
   EXPECT_FALSE(ProcessAlive(int64_t{1} << 30));
 }
 
-// --- fleet collection ------------------------------------------------------
+// --- status collection -----------------------------------------------------
 
+// A status directory holds exactly one driver: its heartbeat decides the
+// health verdict and supplies the progress counters. A torn heartbeat reads
+// as corrupt, never as a crash of the reader.
 TEST_F(StatusScratch, CollectFleetStatusUsesRootAggregatesAndFlagsCorruptShards) {
-  // Root driver: a finished coordinator whose counters already aggregate
-  // the fleet.
   Heartbeat root;
-  root.role = "coordinator";
+  root.role = "campaign";
   root.phase = "done";
   root.pid = static_cast<int64_t>(getpid());
   root.programs_total = 30;
@@ -289,73 +280,35 @@ TEST_F(StatusScratch, CollectFleetStatusUsesRootAggregatesAndFlagsCorruptShards)
   root.updated_unix_ms = UnixNowMillis();
   ASSERT_TRUE(WriteHeartbeatFile(HeartbeatPathIn(root_), root));
 
-  // shard-0: healthy (our own live pid, fresh stamp).
-  fs::create_directories(Path("shard-0"));
-  Heartbeat shard0 = root;
-  shard0.role = "shard-0";
-  shard0.phase = "testing";
-  shard0.programs_total = 15;
-  shard0.programs_done = 9;
-  ASSERT_TRUE(WriteHeartbeatFile(HeartbeatPathIn(Path("shard-0")), shard0));
-
-  // shard-1: a torn heartbeat must read as corrupt, never crash the reader.
-  fs::create_directories(Path("shard-1"));
-  {
-    std::ofstream out(HeartbeatPathIn(Path("shard-1")), std::ios::binary);
-    out << "{\"version\":1,\"role\":\"shard-1\",\"pha";
-  }
-
-  // An unrelated subdirectory with no artifacts is not a worker.
-  fs::create_directories(Path("scratch"));
-
-  const FleetStatus fleet = CollectFleetStatus(root_, kDefaultStallThresholdMs);
-  ASSERT_EQ(fleet.workers.size(), 3u);
-  EXPECT_EQ(fleet.workers[0].role, "coordinator");
+  FleetStatus fleet = CollectFleetStatus(root_, kDefaultStallThresholdMs);
+  ASSERT_EQ(fleet.workers.size(), 1u);
+  EXPECT_EQ(fleet.workers[0].role, "campaign");
   EXPECT_EQ(fleet.workers[0].health.state, WorkerHealth::kDone);
-  EXPECT_EQ(fleet.workers[1].role, "shard-0");
-  EXPECT_EQ(fleet.workers[1].health.state, WorkerHealth::kHealthy);
-  EXPECT_EQ(fleet.workers[2].health.state, WorkerHealth::kCorrupt);
-
-  // Aggregates come from the root driver (it already sums its fleet), not a
-  // double-count over the shard rows.
   EXPECT_EQ(fleet.programs_total, 30u);
   EXPECT_EQ(fleet.programs_done, 30u);
+  EXPECT_EQ(fleet.tests_generated, 120u);
   EXPECT_EQ(fleet.findings, 7u);
+  EXPECT_TRUE(fleet.healthy());
+  EXPECT_TRUE(fleet.complete());
+  EXPECT_NE(FleetStatusJson(fleet).find("\"complete\":true"), std::string::npos);
+  EXPECT_NE(FleetStatusText(fleet).find("complete"), std::string::npos);
+
+  {
+    std::ofstream out(HeartbeatPathIn(root_), std::ios::binary | std::ios::trunc);
+    out << "{\"version\":1,\"role\":\"campaign\",\"pha";
+  }
+  fleet = CollectFleetStatus(root_, kDefaultStallThresholdMs);
+  ASSERT_EQ(fleet.workers.size(), 1u);
+  EXPECT_EQ(fleet.workers[0].health.state, WorkerHealth::kCorrupt);
   EXPECT_EQ(fleet.unhealthy_workers, 1);
   EXPECT_FALSE(fleet.healthy());
   EXPECT_FALSE(fleet.complete());
+  EXPECT_EQ(fleet.programs_done, 0u);
 
   const std::string json = FleetStatusJson(fleet);
   EXPECT_NE(json.find("\"healthy\":false"), std::string::npos);
   EXPECT_NE(json.find("\"health\":\"corrupt\""), std::string::npos);
-  const std::string text = FleetStatusText(fleet);
-  EXPECT_NE(text.find("coordinator"), std::string::npos);
-  EXPECT_NE(text.find("corrupt"), std::string::npos);
-}
-
-TEST_F(StatusScratch, CollectFleetStatusSumsWorkersWithoutARootDriver) {
-  for (int i = 0; i < 2; ++i) {
-    const std::string dir = Path("shard-" + std::to_string(i));
-    fs::create_directories(dir);
-    Heartbeat heartbeat;
-    heartbeat.role = "shard-" + std::to_string(i);
-    heartbeat.phase = "done";
-    heartbeat.pid = static_cast<int64_t>(getpid());
-    heartbeat.programs_total = 10;
-    heartbeat.programs_done = 10;
-    heartbeat.findings = static_cast<uint64_t>(i + 1);
-    heartbeat.updated_unix_ms = UnixNowMillis();
-    ASSERT_TRUE(WriteHeartbeatFile(HeartbeatPathIn(dir), heartbeat));
-  }
-
-  const FleetStatus fleet = CollectFleetStatus(root_, kDefaultStallThresholdMs);
-  ASSERT_EQ(fleet.workers.size(), 2u);
-  EXPECT_EQ(fleet.programs_total, 20u);
-  EXPECT_EQ(fleet.programs_done, 20u);
-  EXPECT_EQ(fleet.findings, 3u);
-  EXPECT_TRUE(fleet.healthy());
-  EXPECT_TRUE(fleet.complete());
-  EXPECT_NE(FleetStatusJson(fleet).find("\"complete\":true"), std::string::npos);
+  EXPECT_NE(FleetStatusText(fleet).find("corrupt"), std::string::npos);
 }
 
 TEST_F(StatusScratch, CollectFleetStatusOnANonStatusPathIsEmpty) {

@@ -2,9 +2,7 @@
 
 #include <filesystem>
 #include <functional>
-#include <sstream>
 
-#include "src/dist/shard.h"
 #include "src/obs/coverage.h"
 #include "src/obs/health.h"
 #include "src/obs/snapshot.h"
@@ -13,7 +11,6 @@
 #include "src/support/error.h"
 #include "src/support/file_io.h"
 #include "src/support/json.h"
-#include "src/support/line_record.h"
 #include "src/support/rng.h"
 
 namespace gauntlet {
@@ -259,58 +256,6 @@ TEST(JsonTest, RejectsWhatNoWriterProduces) {
   }
 }
 
-// --- line records --------------------------------------------------------------
-
-TEST(LineReaderTest, ReadsStrictNumbersAndHexStrings) {
-  std::istringstream in("head 18446744073709551615 -2147483648\n\nnext " +
-                        ToHexToken(std::string("a b\n\xff", 5)) + " " + ToHexToken("") + "\n");
-  LineReader reader(in, "test file");
-  reader.RequireLine("head");
-  reader.ExpectWord("head");
-  EXPECT_EQ(reader.U64("u64"), UINT64_MAX);
-  EXPECT_EQ(reader.Int("int"), INT32_MIN);
-  reader.RequireLine("next");  // blank lines are skipped
-  reader.ExpectWord("next");
-  EXPECT_EQ(reader.HexString("text"), std::string("a b\n\xff", 5));
-  EXPECT_EQ(reader.HexString("empty"), "");
-  reader.ExpectEnd();
-}
-
-TEST(LineReaderTest, EveryMalformedFieldNamesTheLine) {
-  const std::vector<std::pair<std::string, std::function<void(LineReader&)>>> cases = {
-      {"18446744073709551616", [](LineReader& r) { r.U64("n"); }},
-      {"-1", [](LineReader& r) { r.U64("n"); }},
-      {"+1", [](LineReader& r) { r.U64("n"); }},
-      {"2147483648", [](LineReader& r) { r.Int("n"); }},
-      {"-2147483649", [](LineReader& r) { r.Int("n"); }},
-      {"-", [](LineReader& r) { r.Int("n"); }},
-      {"1x", [](LineReader& r) { r.Int("n"); }},
-      {"abc", [](LineReader& r) { r.HexString("s"); }},
-      {"0g", [](LineReader& r) { r.HexString("s"); }},
-      {"AB", [](LineReader& r) { r.HexString("s"); }},
-      {"one", [](LineReader& r) { r.Token("t"); r.Token("t"); }},
-      {"word", [](LineReader& r) { r.ExpectWord("other"); }},
-      {"1 2", [](LineReader& r) { r.U64("n"); r.NextLine(); }},
-      {"1\n2", [](LineReader& r) { r.U64("n"); r.ExpectEnd(); }},
-  };
-  for (const auto& [line, read] : cases) {
-    std::istringstream in("first\n" + line);
-    LineReader reader(in, "test file");
-    reader.RequireLine("first");
-    reader.ExpectWord("first");
-    reader.NextLine();
-    try {
-      read(reader);
-      ADD_FAILURE() << "accepted: " << line;
-    } catch (const CompileError& error) {
-      EXPECT_EQ(std::string(error.what()).rfind("test file line ", 0), 0u) << error.what();
-    }
-  }
-  std::istringstream empty("");
-  LineReader reader(empty, "test file");
-  EXPECT_THROW(reader.RequireLine("header"), CompileError);
-}
-
 // --- file io -------------------------------------------------------------------
 
 TEST(FileIoTest, ReadsBackWhatWasWrittenAtomically) {
@@ -329,8 +274,7 @@ TEST(FileIoTest, ReadsBackWhatWasWrittenAtomically) {
 // --- reader defects ------------------------------------------------------------
 
 // Inputs the per-module readers used to accept, wrap or die on. Each must be
-// rejected with its format's normal error: false plus a message for the
-// JSON readers, a CompileError naming the line for the line-record formats.
+// rejected with its format's normal error: false plus a message.
 struct ReaderDefect {
   const char* name;
   std::function<bool(std::string* error)> read;
@@ -354,14 +298,6 @@ std::function<bool(std::string*)> ManifestReader(const std::string& program_inde
   };
 }
 
-std::function<bool(std::string*)> ShardReader(const char* text) {
-  return [text](std::string*) {
-    std::istringstream in(text);
-    LoadShardResult(in);
-    return true;
-  };
-}
-
 const ReaderDefect kReaderDefects[] = {
     {"CoverageCountPastUint64",
      [](std::string* error) {
@@ -378,26 +314,16 @@ const ReaderDefect kReaderDefects[] = {
     {"SnapshotWithBrokenNestedValue",
      [](std::string* error) {
        Snapshot snapshot;
-       return ParseSnapshotJson(R"({"version":1,"phase":"done","shards":[}})", &snapshot, error);
+       return ParseSnapshotJson(R"({"version":1,"phase":"done","metrics":[}})", &snapshot, error);
      }},
-    {"ShardResultFindingCountPastMemory",
-     ShardReader("gauntletshard 1\nrange 0 0 4\ncounters 0 0 0 0 0 0\n"
-                 "findings 1152921504606846976\n")},
-    {"ShardResultBoundCountPastMemory",
-     ShardReader("gauntletshard 1\nrange 0 0 4\ncounters 0 0 0 0 0 0\nfindings 0\nlatency 0\n"
-                 "distinct 0\nunattributed 0\nmetrics 1\nmet 6d 0 0 1 1152921504606846976\n")},
 };
 
 class ReaderDefectTest : public ::testing::TestWithParam<ReaderDefect> {};
 
 TEST_P(ReaderDefectTest, IsRejectedWithTheFormatsError) {
   std::string error;
-  try {
-    EXPECT_FALSE(GetParam().read(&error));
-    EXPECT_FALSE(error.empty());
-  } catch (const CompileError& thrown) {
-    EXPECT_NE(std::string(thrown.what()).find(" line "), std::string::npos) << thrown.what();
-  }
+  EXPECT_FALSE(GetParam().read(&error));
+  EXPECT_FALSE(error.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Corrupt, ReaderDefectTest, ::testing::ValuesIn(kReaderDefects),
