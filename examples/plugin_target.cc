@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "src/gauntlet/campaign.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/parallel_campaign.h"
 #include "src/target/lowering.h"
 #include "src/target/target.h"
@@ -24,19 +25,19 @@ namespace {
 
 using namespace gauntlet;
 
-// A faithful software switch: shared lowering, reference execution engine,
-// no seeded faults of its own. Claims the eBPF catalogue section (it is a
-// software target too); a real out-of-tree port would bring its own
-// section.
+// A faithful software switch: reference execution engine, no seeded faults
+// of its own. Claims the eBPF catalogue section (it is a software target
+// too); a real out-of-tree port would bring its own section.
 class PluginTarget : public Target {
  public:
   const char* name() const override { return "plugin"; }
   const char* component() const override { return "PluginBackEnd"; }
   BugLocation location() const override { return BugLocation::kBackEndEbpf; }
 
-  std::unique_ptr<Executable> Compile(const Program& program,
-                                      const BugConfig& bugs) const override {
-    ProgramPtr lowered = LowerThroughPipeline(program, bugs);
+  // Only the back-end stage: Target::Compile and the campaign supply the
+  // shared lowering.
+  std::unique_ptr<Executable> CompileLowered(std::shared_ptr<const Program> lowered,
+                                             const BugConfig&) const override {
     CheckNoResidualCalls(*lowered, "plugin");
     return std::make_unique<ConcreteExecutable>(std::move(lowered), TargetQuirks{});
   }
@@ -62,8 +63,12 @@ int main() {
   // A clean campaign replaying only on the plugin target: the campaign
   // layer resolves it through the registry like any built-in, applies its
   // generator bias (single-target run), and must report zero findings —
-  // the plugin compiles faithfully.
+  // the plugin compiles faithfully. Zero findings also follow from a
+  // compile that always fails (the campaign treats a CompileError as an
+  // orderly rejection), so the metrics must show packets actually ran.
+  MetricsRegistry metrics;
   ParallelCampaignOptions options;
+  options.campaign.metrics = &metrics;
   options.campaign.seed = 11;
   options.campaign.num_programs = 10;
   options.campaign.targets = {"plugin"};
@@ -78,6 +83,12 @@ int main() {
               report.programs_generated, report.tests_generated, report.findings.size());
   if (report.programs_generated != options.campaign.num_programs || !report.findings.empty()) {
     std::fprintf(stderr, "FAIL: clean plugin campaign misbehaved\n");
+    return 1;
+  }
+  const uint64_t executions = metrics.Value("time/execute:plugin/calls");
+  std::printf("plugin executions: %llu\n", static_cast<unsigned long long>(executions));
+  if (executions == 0) {
+    std::fprintf(stderr, "FAIL: no program ever ran packets on the plugin target\n");
     return 1;
   }
   std::printf("OK: out-of-tree registration and campaign replay work\n");

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "src/frontend/parser.h"
-#include "src/frontend/printer.h"
 #include "src/tv/validator.h"
 #include "src/typecheck/typecheck.h"
 
@@ -77,9 +76,8 @@ int main(int argc, char** argv) {
   auto traced = program->Clone();
   try {
     PassManager::StandardPipeline().Run(
-        *traced, bugs, [](const std::string& name, const Program& snapshot) {
-          std::printf("---- after %s ----\n%s\n", name.c_str(),
-                      PrintProgram(snapshot).c_str());
+        *traced, bugs, [](const std::string& name, const Program&, const std::string& text) {
+          std::printf("---- after %s ----\n%s\n", name.c_str(), text.c_str());
         });
   } catch (const std::exception& error) {
     std::printf("!! pipeline crashed: %s\n", error.what());

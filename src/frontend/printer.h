@@ -17,10 +17,11 @@ std::string PrintExpr(const Expr& expr);
 std::string PrintStmt(const Stmt& stmt, int indent = 0);
 std::string PrintDecl(const Decl& decl, int indent = 0);
 
-// A stable structural fingerprint (FNV-1a over printed source). The
-// validation driver skips passes whose output hash equals the input hash,
-// mirroring the paper ("ignore any emitted intermediate program that has a
-// hash identical to its predecessor").
+// A stable structural fingerprint (FNV-1a over printed source). Callers
+// that already hold the printed text compare it directly instead: the pass
+// manager's change filter (the paper's "ignore any emitted intermediate
+// program that has a hash identical to its predecessor") and the
+// validator's ToP4 round trip both do.
 uint64_t HashProgram(const Program& program);
 
 }  // namespace gauntlet

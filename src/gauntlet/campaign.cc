@@ -1,5 +1,6 @@
 #include "src/gauntlet/campaign.h"
 
+#include <exception>
 #include <memory>
 #include <set>
 
@@ -289,9 +290,12 @@ void Campaign::AttributeTvFinding(Finding& finding, const TvReport& tv_report,
 }
 
 // Black-box attribution: recompile the target with one candidate back-end
-// fault disabled at a time and replay the failing test.
+// fault disabled at a time and replay the failing test. Turning a back-end
+// fault off cannot change the shared lowering, so every candidate reruns
+// only the back-end stage on the program's one lowered version.
 void Campaign::AttributeBlackBox(Finding& finding, const BugConfig& bugs, const Target& target,
-                                 const Program& program, const PacketTest& test) const {
+                                 const std::shared_ptr<const Program>& lowered,
+                                 const PacketTest& test) const {
   if (!options_.attribute_findings) {
     return;
   }
@@ -305,7 +309,7 @@ void Campaign::AttributeBlackBox(Finding& finding, const BugConfig& bugs, const 
     BugConfig without = bugs;
     without.Disable(info.id);
     try {
-      const std::unique_ptr<Executable> candidate = target.Compile(program, without);
+      const std::unique_ptr<Executable> candidate = target.CompileLowered(lowered, without);
       if (RunPacketTest(*candidate, test).passed) {
         finding.attributed = info.id;
         finding.component = info.pass_name;
@@ -442,6 +446,10 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
     cache->BeginProgram(HashProgram(program));
   }
 
+  // The pipeline's output for this program and fault set, shared by every
+  // back end: validation produces it as a by-product.
+  std::shared_ptr<const Program> lowered;
+
   // --- Technique 2 (§5): translation validation over the open pipeline ---
   if (options_.run_translation_validation) {
     const TranslationValidator validator(PassManager::StandardPipeline(), options_.tv);
@@ -450,6 +458,7 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
       TraceSpan span("validate", "tv");
       tv_report = validator.Validate(program, bugs, /*stop_after_pass=*/{}, cache);
     }
+    lowered = std::move(tv_report.lowered);
     if (tv_report.crashed) {
       Finding finding;
       finding.program_index = program_index;
@@ -515,8 +524,22 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
     }
   }
 
-  // The same compile crash surfaces once per target (the shared lowering
-  // runs inside every Compile, and every back end runs the residual-call
+  // Without validation's lowering (validation off, or its pipeline threw),
+  // lower once here. A lowering that throws is rethrown inside every
+  // target's compile below, so each target sees exactly the exception its
+  // own Compile would have raised.
+  std::exception_ptr lowering_error;
+  if (lowered == nullptr) {
+    TraceSpan span("lower", "target");
+    try {
+      lowered = LowerThroughPipeline(program, bugs);
+    } catch (...) {
+      lowering_error = std::current_exception();
+    }
+  }
+
+  // The same compile crash surfaces once per target (every target sees the
+  // shared lowering's exception, and every back end runs the residual-call
   // check — with the back end's name embedded in the message). Dedup on
   // the *attributed* crash site, not the raw message, so one front/mid-end
   // crash is recorded once however many back ends observe it.
@@ -536,7 +559,10 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
       std::unique_ptr<Executable> executable;
       {
         TraceSpan span(std::string("compile:") + target->name(), "target");
-        executable = target->Compile(program, bugs);
+        if (lowering_error != nullptr) {
+          std::rethrow_exception(lowering_error);
+        }
+        executable = target->CompileLowered(lowered, bugs);
       }
       std::vector<std::pair<PacketTest, PacketTestOutcome>> failures;
       {
@@ -553,7 +579,7 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
         finding.repro_test = failures[0].first;
         {
           TraceSpan span("attribute", "target");
-          AttributeBlackBox(finding, bugs, *target, program, failures[0].first);
+          AttributeBlackBox(finding, bugs, *target, lowered, failures[0].first);
         }
         // Failures not explained by a fault local to this back end are
         // duplicates of front/mid-end miscompilations that translation

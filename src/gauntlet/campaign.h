@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -191,7 +192,8 @@ class Campaign {
   void AttributeTvFinding(Finding& finding, const TvReport& tv_report, const BugConfig& bugs,
                           const std::string& pass_name, ValidationCache* cache) const;
   void AttributeBlackBox(Finding& finding, const BugConfig& bugs, const Target& target,
-                         const Program& program, const PacketTest& test) const;
+                         const std::shared_ptr<const Program>& lowered,
+                         const PacketTest& test) const;
   static void Record(CampaignReport& report, Finding finding);
 
   CampaignOptions options_;

@@ -45,7 +45,6 @@ std::string PadRight(std::string text, size_t width) {
 bool ReadWorkerStatus(const std::string& directory, uint64_t now_ms,
                       uint64_t stall_threshold_ms, WorkerStatus* out) {
   WorkerStatus status;
-  status.directory = directory;
   status.role = fs::path(directory).filename().string();
 
   std::string text;
@@ -75,10 +74,6 @@ bool ReadWorkerStatus(const std::string& directory, uint64_t now_ms,
     status.health.detail = heartbeat_exists ? "heartbeat unreadable" : "no heartbeat file";
   }
 
-  if (status.has_snapshot && ReadFile(snapshot_path, &text)) {
-    std::string error;
-    status.snapshot_ok = ParseSnapshotJson(text, &status.snapshot, &error);
-  }
   *out = std::move(status);
   return true;
 }

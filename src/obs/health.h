@@ -96,14 +96,11 @@ HealthVerdict EvaluateHeartbeat(const Heartbeat& heartbeat, uint64_t now_unix_ms
 // --- fleet status ----------------------------------------------------------
 
 struct WorkerStatus {
-  std::string directory;  // where the artifacts were read from
-  std::string role;       // heartbeat role, or the directory name as fallback
+  std::string role;  // heartbeat role, or the directory name as fallback
   bool has_heartbeat = false;
   Heartbeat heartbeat;
   HealthVerdict health;
-  bool has_snapshot = false;
-  bool snapshot_ok = false;  // snapshot.json parsed cleanly
-  Snapshot snapshot;
+  bool has_snapshot = false;  // snapshot.json exists (its contents are not read)
 };
 
 struct FleetStatus {
@@ -128,11 +125,11 @@ struct FleetStatus {
   bool complete() const;
 };
 
-// Reads the driver's heartbeat and snapshot in `status_dir` and evaluates
-// the heartbeat (EvaluateHeartbeat with the real clock + liveness). A
-// directory with neither file yields no workers: the path is not a status
-// directory. Never throws on file contents — a corrupt heartbeat makes the
-// driver a kCorrupt worker.
+// Reads the driver's heartbeat in `status_dir` and evaluates it
+// (EvaluateHeartbeat with the real clock + liveness); a snapshot.json alone
+// still marks the directory as a driver's. A directory with neither file
+// yields no workers: the path is not a status directory. Never throws on
+// file contents — a corrupt heartbeat makes the driver a kCorrupt worker.
 FleetStatus CollectFleetStatus(const std::string& status_dir, uint64_t stall_threshold_ms);
 
 // The human dashboard: one row per worker (role, pid, phase, progress,

@@ -26,10 +26,13 @@ class Pass {
 };
 
 // Snapshot callback invoked after each pass that changed the program:
-// (pass name, program after the pass). This is the analogue of p4test's
-// --top4 flag that dumps the program after every pass (§5.2).
-using PassSnapshotFn =
-    std::function<void(const std::string& pass_name, const Program& program)>;
+// (pass name, program after the pass, PrintProgram of that program). This
+// is the analogue of p4test's --top4 flag that dumps the program after
+// every pass (§5.2). The text is the one the change filter already printed,
+// so a caller that needs the emitted source (a dump, the ToP4 round trip)
+// reuses it instead of printing the program again.
+using PassSnapshotFn = std::function<void(const std::string& pass_name,
+                                          const Program& program, const std::string& text)>;
 
 // Runs passes in order, re-type-checking after each one (p4c re-runs type
 // inference the same way). A type-check failure after a pass means the pass
@@ -40,6 +43,9 @@ class PassManager {
   void Add(std::unique_ptr<Pass> pass) { passes_.push_back(std::move(pass)); }
   const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
 
+  // Each call counts one `passes/pipeline_runs` (timing scope). Only with a
+  // `snapshot` callback does Run print the program: after every pass, to
+  // filter out passes whose emitted text did not change (§5.2).
   void Run(Program& program, const BugConfig& bugs,
            const PassSnapshotFn& snapshot = nullptr) const;
 

@@ -2,6 +2,7 @@
 
 #include "src/ast/visitor.h"
 #include "src/frontend/printer.h"
+#include "src/obs/metrics.h"
 #include "src/passes/frontend_passes.h"
 #include "src/passes/midend_passes.h"
 #include "src/passes/pass.h"
@@ -11,7 +12,8 @@ namespace gauntlet {
 
 void PassManager::Run(Program& program, const BugConfig& bugs,
                       const PassSnapshotFn& snapshot) const {
-  uint64_t last_hash = HashProgram(program);
+  CountMetric("passes/pipeline_runs", MetricScope::kTiming);
+  std::string last_text = snapshot != nullptr ? PrintProgram(program) : std::string();
   for (const std::unique_ptr<Pass>& pass : passes_) {
     pass->Run(program, bugs);
     // Re-type-check: a failure here means the previous pass broke the
@@ -24,12 +26,12 @@ void PassManager::Run(Program& program, const BugConfig& bugs,
                              " produced an ill-typed program: " + error.what());
     }
     if (snapshot != nullptr) {
-      const uint64_t hash = HashProgram(program);
-      if (hash != last_hash) {
+      std::string text = PrintProgram(program);
+      if (text != last_text) {
         // Only surface passes that actually changed the program, mirroring
         // the paper's hash filter (§5.2).
-        snapshot(pass->name(), program);
-        last_hash = hash;
+        snapshot(pass->name(), program, text);
+        last_text = std::move(text);
       }
     }
   }

@@ -6,9 +6,8 @@
 
 namespace gauntlet {
 
-std::unique_ptr<Executable> Bmv2Target::Compile(const Program& program,
-                                                const BugConfig& bugs) const {
-  ProgramPtr lowered = LowerThroughPipeline(program, bugs);
+std::unique_ptr<Executable> Bmv2Target::CompileLowered(std::shared_ptr<const Program> lowered,
+                                                       const BugConfig& bugs) const {
   CheckNoResidualCalls(*lowered, "BMv2");
   TargetQuirks quirks;
   quirks.emit_ignores_validity = bugs.Has(BugId::kBmv2EmitIgnoresValidity);

@@ -18,8 +18,8 @@ class Bmv2Target : public Target {
   const char* component() const override { return "Bmv2BackEnd"; }
   BugLocation location() const override { return BugLocation::kBackEndBmv2; }
 
-  std::unique_ptr<Executable> Compile(const Program& program,
-                                      const BugConfig& bugs) const override;
+  std::unique_ptr<Executable> CompileLowered(std::shared_ptr<const Program> lowered,
+                                             const BugConfig& bugs) const override;
 };
 
 }  // namespace gauntlet

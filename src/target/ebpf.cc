@@ -23,9 +23,8 @@ constexpr int kVerifierLoopBound = 4;
 
 }  // namespace
 
-std::unique_ptr<Executable> EbpfTarget::Compile(const Program& program,
-                                                const BugConfig& bugs) const {
-  ProgramPtr lowered = LowerThroughPipeline(program, bugs);
+std::unique_ptr<Executable> EbpfTarget::CompileLowered(std::shared_ptr<const Program> lowered,
+                                                       const BugConfig& bugs) const {
   CheckNoResidualCalls(*lowered, "eBPF");
 
   // Seeded back-end crash faults (resource-model assertions).

@@ -35,8 +35,8 @@ class EbpfTarget : public Target {
   const char* component() const override { return "EbpfBackEnd"; }
   BugLocation location() const override { return BugLocation::kBackEndEbpf; }
 
-  std::unique_ptr<Executable> Compile(const Program& program,
-                                      const BugConfig& bugs) const override;
+  std::unique_ptr<Executable> CompileLowered(std::shared_ptr<const Program> lowered,
+                                             const BugConfig& bugs) const override;
 
   std::vector<TargetCrashRule> CrashRules() const override {
     return {

@@ -6,11 +6,13 @@
 
 namespace gauntlet {
 
-// The front/mid-end lowering both back ends share (P4C's role in Figure 1):
-// clone the program, type-check it — with the seeded type-checker faults
-// applied, when enabled — and run the standard pass pipeline under `bugs`.
-// Throws CompileError for rejected programs and CompilerBugError when a
-// seeded fault crashes a pass or snowballs into an ill-typed program.
+// The front/mid-end lowering every back end shares (P4C's role in Figure
+// 1): clone the program, type-check it — with the seeded type-checker
+// faults applied, when enabled — and run the standard pass pipeline under
+// `bugs`. Translation validation runs exactly these steps, so a campaign
+// reuses its output (TvReport::lowered) instead of calling this. Throws
+// CompileError for rejected programs and CompilerBugError when a seeded
+// fault crashes a pass or snowballs into an ill-typed program.
 ProgramPtr LowerThroughPipeline(const Program& program, const BugConfig& bugs);
 
 // Back ends consume call-free programs: InlineFunctions must have removed

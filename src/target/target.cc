@@ -11,6 +11,10 @@
 
 namespace gauntlet {
 
+std::unique_ptr<Executable> Target::Compile(const Program& program, const BugConfig& bugs) const {
+  return CompileLowered(LowerThroughPipeline(program, bugs), bugs);
+}
+
 bool Target::OwnsCrashMessage(const std::string& message) const {
   // Every back end runs the residual-call check; a crash there is a
   // back-end crash site (the §7.2 snowball), invisible to translation

@@ -56,13 +56,21 @@ class Target {
   // The catalogue section holding this back end's seeded faults.
   virtual BugLocation location() const = 0;
 
-  // Lowers through the shared pipeline (with whatever seeded front/mid-end
-  // faults `bugs` enables), then the back-end-specific stage. Throws
-  // CompileError for rejected programs and CompilerBugError when a seeded
-  // fault crashes a pass, snowballs into an ill-typed program, or trips the
-  // back end's resource model.
-  virtual std::unique_ptr<Executable> Compile(const Program& program,
-                                              const BugConfig& bugs) const = 0;
+  // Lowers through the shared pipeline (LowerThroughPipeline, with whatever
+  // seeded front/mid-end faults `bugs` enables), then runs CompileLowered.
+  // Throws CompileError for rejected programs and CompilerBugError when a
+  // seeded fault crashes a pass, snowballs into an ill-typed program, or
+  // trips the back end's resource model.
+  std::unique_ptr<Executable> Compile(const Program& program, const BugConfig& bugs) const;
+
+  // The back-end-specific stage alone, on a program the shared pipeline
+  // already lowered under the same `bugs`: the residual-call check, the
+  // resource-model crash faults, and the semantic faults baked into the
+  // artifact. The lowering reads no back-end fault, so one lowered program
+  // serves every back end and every attribution candidate that only turns a
+  // back-end fault off. The returned artifact may share `lowered`.
+  virtual std::unique_ptr<Executable> CompileLowered(std::shared_ptr<const Program> lowered,
+                                                     const BugConfig& bugs) const = 0;
 
   // This back end's own crash sites (resource-model assertions). Used both
   // to attribute crash findings and to decide crash ownership below.

@@ -15,9 +15,8 @@ constexpr int kStageTableBudget = 4;
 
 }  // namespace
 
-std::unique_ptr<Executable> TofinoTarget::Compile(const Program& program,
-                                                  const BugConfig& bugs) const {
-  ProgramPtr lowered = LowerThroughPipeline(program, bugs);
+std::unique_ptr<Executable> TofinoTarget::CompileLowered(std::shared_ptr<const Program> lowered,
+                                                         const BugConfig& bugs) const {
   CheckNoResidualCalls(*lowered, "Tofino");
 
   // Seeded back-end crash faults (resource-model assertions).

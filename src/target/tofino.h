@@ -22,8 +22,8 @@ class TofinoTarget : public Target {
   const char* component() const override { return "TofinoBackEnd"; }
   BugLocation location() const override { return BugLocation::kBackEndTofino; }
 
-  std::unique_ptr<Executable> Compile(const Program& program,
-                                      const BugConfig& bugs) const override;
+  std::unique_ptr<Executable> CompileLowered(std::shared_ptr<const Program> lowered,
+                                             const BugConfig& bugs) const override;
 
   std::vector<TargetCrashRule> CrashRules() const override {
     return {

@@ -339,9 +339,8 @@ int CmdCompile(const std::string& path, const BugConfig& bugs) {
   auto program = Parser::ParseString(ReadInput(path));
   TypeCheck(*program, TypeCheckOptionsFromBugs(bugs));
   PassManager::StandardPipeline().Run(
-      *program, bugs, [](const std::string& pass_name, const Program& snapshot) {
-        std::printf("---- after %s ----\n%s\n", pass_name.c_str(),
-                    PrintProgram(snapshot).c_str());
+      *program, bugs, [](const std::string& pass_name, const Program&, const std::string& text) {
+        std::printf("---- after %s ----\n%s\n", pass_name.c_str(), text.c_str());
       });
   std::printf("---- final program ----\n%s", PrintProgram(*program).c_str());
   return 0;

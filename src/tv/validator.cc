@@ -318,12 +318,20 @@ TvReport TranslationValidator::Validate(const Program& program, const BugConfig&
     return report;
   }
   versions.emplace_back("<input>", current->Clone());
+  // Parallel to `versions`: the text the pipeline printed for each changed
+  // version, which the ToP4 round trip below reparses (the input's entry
+  // stays empty: it is never reparsed).
+  std::vector<std::string> emitted(1);
 
   try {
     TraceSpan span("passes", "tv");
-    pipeline_.Run(*current, bugs, [&](const std::string& pass_name, const Program& snapshot) {
-      versions.emplace_back(pass_name, snapshot.Clone());
-    });
+    pipeline_.Run(*current, bugs,
+                  [&](const std::string& pass_name, const Program& snapshot,
+                      const std::string& text) {
+                    versions.emplace_back(pass_name, snapshot.Clone());
+                    emitted.push_back(text);
+                  });
+    report.lowered = std::move(current);
   } catch (const std::exception& error) {
     report.crashed = true;
     report.crash_message = error.what();
@@ -374,7 +382,7 @@ TvReport TranslationValidator::Validate(const Program& program, const BugConfig&
     result.pass_name = pass_name;
     ProgramPtr reparsed;
     try {
-      reparsed = Parser::ParseString(PrintProgram(*after));
+      reparsed = Parser::ParseString(emitted[i]);
       TypeCheck(*reparsed);
     } catch (const std::exception& error) {
       result.verdict = TvVerdict::kInvalidEmit;
@@ -393,7 +401,7 @@ TvReport TranslationValidator::Validate(const Program& program, const BugConfig&
     if (!stop_after_pass.empty() && pass_name == stop_after_pass) {
       break;
     }
-    if (HashProgram(*reparsed) == HashProgram(*after)) {
+    if (PrintProgram(*reparsed) == emitted[i]) {
       // Round trip was faithful: reuse the interpretation as the "before"
       // of the next pass pair.
       before_sem = std::move(after_sem);

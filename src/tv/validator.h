@@ -48,10 +48,16 @@ struct TvReport {
   std::vector<TvPassResult> pass_results;
 
   // The emitted program versions: versions[0] is the type-checked input,
-  // each later entry is (pass name, program after that pass), hash-filtered
-  // to passes that changed the program. Fault attribution uses these to
+  // each later entry is (pass name, program after that pass), filtered to
+  // passes that changed the emitted text. Fault attribution uses these to
   // re-run a single blamed pass instead of the whole pipeline.
   std::vector<std::pair<std::string, std::shared_ptr<const Program>>> versions;
+
+  // The program the whole pipeline produced — exactly what
+  // LowerThroughPipeline(program, bugs) returns for the same program and
+  // faults — so the campaign hands it to every back end instead of lowering
+  // the program again. Null when type checking or a pass threw.
+  std::shared_ptr<const Program> lowered;
 
   bool HasSemanticDiff() const {
     for (const TvPassResult& result : pass_results) {
@@ -99,9 +105,9 @@ struct TvOptions {
 
 // The translation-validation engine: runs the pass pipeline on a copy of
 // `program`, captures the emitted program after every pass that changed it
-// (hash-filtered, like the paper §5.2), re-parses each emission to catch
-// ToP4/transform bugs, and checks consecutive versions for equivalence
-// block-by-block.
+// (filtered on the emitted text, like the paper's hash filter §5.2),
+// re-parses each emission to catch ToP4/transform bugs, and checks
+// consecutive versions for equivalence block-by-block.
 //
 // Divergences that vanish when every undefined value is pinned to zero are
 // classified kUndefDivergence rather than kSemanticDiff, implementing the

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "src/gauntlet/campaign.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/parallel_campaign.h"
 
 namespace gauntlet {
@@ -246,6 +247,24 @@ TEST(CampaignTest, SharedCrashSiteRecordedOncePerProgramAcrossTargets) {
   for (const auto& [program_index, count] : residual_findings_per_program) {
     EXPECT_EQ(count, 1) << "program " << program_index
                         << " recorded the shared crash once per back end";
+  }
+}
+
+TEST(CampaignTest, EachProgramRunsThePipelineOnce) {
+  // Validation's pipeline run is the lowering every back end compiles and
+  // every black-box attribution candidate recompiles; with validation off,
+  // the campaign lowers each program once itself.
+  BugConfig bugs;
+  bugs.Enable(BugId::kPredicationLostElse);
+  bugs.Enable(BugId::kBmv2TableMissRunsFirstAction);
+  for (const bool validate : {true, false}) {
+    MetricsRegistry metrics;
+    CampaignOptions options = SmallCampaign(20);
+    options.run_translation_validation = validate;
+    options.metrics = &metrics;
+    const CampaignReport report = RunCampaign(options, bugs);
+    ASSERT_EQ(report.programs_generated, 20);
+    EXPECT_EQ(metrics.Value("passes/pipeline_runs"), 20u) << "validation " << validate;
   }
 }
 

@@ -9,6 +9,8 @@
 //    verdicts and generated expected-output packets trustworthy.
 //  * RoundTrip / CleanPipeline: printer and pass-pipeline invariants swept
 //    across generator seeds.
+//  * LoweringReuse: validation's pipeline output is the shared lowering
+//    every back end compiles from.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "src/sym/interpreter.h"
 #include "src/target/target.h"
 #include "src/target/concrete.h"
+#include "src/target/lowering.h"
 #include "src/testgen/testgen.h"
 #include "src/tv/validator.h"
 #include "src/typecheck/typecheck.h"
@@ -233,6 +236,50 @@ TEST_P(CleanPipelineProperty, NoSemanticDiffAndNoCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CleanPipelineProperty,
                          ::testing::Range(uint64_t{700}, uint64_t{715}));
+
+// ---------------------------------------------------------------------------
+// The campaign compiles every back end from validation's pipeline output
+// instead of lowering again, so the two must agree program for program —
+// under every seeded fault, crashes included.
+// ---------------------------------------------------------------------------
+
+TEST(LoweringReuseProperty, ValidatorLoweringEqualsLowerThroughPipeline) {
+  const BugConfig bugs = BugConfig::All();
+  const TranslationValidator validator(PassManager::StandardPipeline());
+  int crashed = 0;
+  for (uint64_t seed = 1300; seed < 1350; ++seed) {
+    GeneratorOptions options;
+    options.seed = seed;
+    const ProgramPtr program = ProgramGenerator(options).Generate();
+    const TvReport report = validator.Validate(*program, bugs);
+    if (!report.crashed) {
+      ASSERT_NE(report.lowered, nullptr) << "seed " << seed;
+      EXPECT_EQ(PrintProgram(*report.lowered),
+                PrintProgram(*LowerThroughPipeline(*program, bugs)))
+          << "seed " << seed;
+      continue;
+    }
+    ++crashed;
+    EXPECT_EQ(report.lowered, nullptr) << "seed " << seed;
+    // The lowering fails with the very exception validation recorded (type
+    // checking's message carries a prefix), and it is one of the two types
+    // the campaign sorts into crashes and orderly rejections.
+    try {
+      LowerThroughPipeline(*program, bugs);
+      ADD_FAILURE() << "seed " << seed << ": validation crashed but lowering did not";
+    } catch (const std::exception& error) {
+      EXPECT_TRUE(report.crash_message == error.what() ||
+                  report.crash_message == std::string("type checking: ") + error.what())
+          << "seed " << seed << ": " << report.crash_message << " vs " << error.what();
+      EXPECT_TRUE(dynamic_cast<const CompilerBugError*>(&error) != nullptr ||
+                  dynamic_cast<const CompileError*>(&error) != nullptr)
+          << "seed " << seed << ": " << error.what();
+    }
+  }
+  // Both branches must be exercised for the property to mean anything.
+  EXPECT_GT(crashed, 0);
+  EXPECT_LT(crashed, 50);
+}
 
 // ---------------------------------------------------------------------------
 // Compiled-vs-source behavioral agreement on whole packets.
