@@ -1,6 +1,7 @@
 #include "src/dist/serve.h"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -59,6 +60,16 @@ bool ReadExact(int fd, char* data, size_t length, bool eof_ok_at_start) {
     done += static_cast<size_t>(got);
   }
   return true;
+}
+
+// Bounds each read and write on an accepted connection: a client that sends
+// nothing, stalls mid-frame or stops reading fails the call (EAGAIN), and the
+// accept loop drops it like any other bad framing.
+void SetConnectionDeadline(int fd) {
+  timeval deadline = {};
+  deadline.tv_sec = kServeConnectionDeadlineSeconds;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof(deadline));
 }
 
 // MSG_NOSIGNAL: a peer that hung up must surface as EPIPE (a failed write
@@ -179,14 +190,12 @@ int ConnectUnixSocket(const std::string& socket_path) {
 
 GauntletServer::GauntletServer(ServeOptions options, BugConfig bugs)
     : options_(std::move(options)), base_bugs_(std::move(bugs)) {
-  // Out paths (and the status dir, whose snapshots embed a metrics view)
-  // need sinks; wire in server-owned ones wherever the caller injected none.
-  if (options_.campaign.metrics == nullptr &&
-      (!options_.metrics_out.empty() || !options_.status_dir.empty())) {
+  // Out paths need sinks; wire in server-owned ones wherever the caller
+  // injected none.
+  if (options_.campaign.metrics == nullptr && !options_.metrics_out.empty()) {
     options_.campaign.metrics = &own_metrics_;
   }
-  if (options_.campaign.coverage == nullptr &&
-      (!options_.coverage_out.empty() || !options_.status_dir.empty())) {
+  if (options_.campaign.coverage == nullptr && !options_.coverage_out.empty()) {
     options_.campaign.coverage = &own_coverage_;
   }
   if (options_.campaign.trace == nullptr && !options_.trace_out.empty()) {
@@ -358,8 +367,9 @@ Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
   snapshot.started_unix_ms = started_unix_ms_;
   snapshot.updated_unix_ms = UnixNowMillis();
 
-  const bool have_metrics = options_.campaign.metrics != nullptr;
-  const bool have_coverage = options_.campaign.coverage != nullptr;
+  const bool have_metrics = options_.campaign.metrics != nullptr && !options_.metrics_out.empty();
+  const bool have_coverage =
+      options_.campaign.coverage != nullptr && !options_.coverage_out.empty();
   MetricsRegistry metrics;
   CoverageMap coverage;
   std::string trace_json;
@@ -383,16 +393,11 @@ Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
     snapshot.programs_done = static_cast<uint64_t>(served_);
     snapshot.tests_generated = static_cast<uint64_t>(report_.tests_generated);
     snapshot.findings = report_.findings.size();
-    snapshot.distinct_bugs = report_.DistinctCount();
     if (!options_.trace_out.empty() && options_.campaign.trace != nullptr) {
       // Span buffers are appended under state_mutex_ (the accept loop holds
       // it across each request), so reading them here is race-free.
       trace_json = TraceJson(options_.campaign.trace->SortedEvents());
     }
-  }
-  if (have_metrics) {
-    RecordProcessSelfStats(metrics);
-    snapshot.metrics_json = MetricsJson(metrics);
   }
 
   const auto write = [final_flush](const std::string& path, const std::string& content) {
@@ -404,7 +409,8 @@ Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
     }
   };
   if (have_metrics) {
-    write(options_.metrics_out, snapshot.metrics_json);
+    RecordProcessSelfStats(metrics);
+    write(options_.metrics_out, MetricsJson(metrics));
   }
   if (have_coverage) {
     write(options_.coverage_out, CoverageJson(coverage));
@@ -442,6 +448,7 @@ int GauntletServer::Run() {
       }
       throw CompileError("serve: accept failed on '" + options_.socket_path + "'");
     }
+    SetConnectionDeadline(fd);
     std::string payload;
     std::string response;
     bool framed = false;

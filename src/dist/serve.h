@@ -24,9 +24,9 @@ class CorpusStore;
 // socket, runs the full detection pipeline on each submission —
 // validate (§5) + testgen (§6) + execute on the selected targets — and
 // streams the verdict back as one JSON object. Every submission folds into
-// the server's shared sinks: the corpus store (reproducer triples +
-// manifest), the metrics registry, and the coverage map, so an absorbed
-// traffic stream accumulates exactly the artifacts a batch campaign writes.
+// the server's shared sinks: the corpus store (reproducer triples), the
+// metrics registry, and the coverage map, so an absorbed traffic stream
+// accumulates exactly the artifacts a batch campaign writes.
 //
 // Wire protocol (versioned, length-prefixed):
 //
@@ -47,11 +47,18 @@ class CorpusStore;
 //   {"version":1,"status":"shutting-down","served":N}
 //
 // A malformed or ill-typed submission is an "error" response (the
-// connection still answers); a malformed *frame* drops the connection. The
-// server exits its accept loop on a shutdown request.
+// connection still answers); a malformed *frame* drops the connection, and
+// so does a single read or write that waits past
+// kServeConnectionDeadlineSeconds (a client that sent nothing, stalled
+// mid-frame or stopped reading). The server serves one connection at a
+// time, so the deadline bounds how long one silent client keeps the others
+// waiting. The server exits its accept loop on a shutdown request.
 // ---------------------------------------------------------------------------
 
 inline constexpr int kServeProtocolVersion = 1;
+
+// SO_RCVTIMEO/SO_SNDTIMEO on every accepted connection.
+inline constexpr int kServeConnectionDeadlineSeconds = 3;
 
 struct ServeOptions {
   // Path of the AF_UNIX socket to bind. An existing socket file is
@@ -63,7 +70,7 @@ struct ServeOptions {
   // the traffic stream replaces the generator.
   CampaignOptions campaign;
   // When non-empty, every submission's findings persist as reproducer
-  // triples here (manifest-indexed, deduped across submissions).
+  // triples here (deduped across submissions).
   std::string corpus_dir;
   // Stop after this many submissions even without a shutdown request;
   // 0 = serve until shutdown. Lets tests and smoke gates bound the loop.
@@ -76,9 +83,9 @@ struct ServeOptions {
   std::string metrics_out;
   std::string coverage_out;
   std::string trace_out;
-  // Live-status directory (src/obs/snapshot.h): snapshot + heartbeat every
-  // snapshot_interval_ms, plus a sink flush alongside each emission. Empty
-  // = no snapshots.
+  // Live-status directory (src/obs/snapshot.h): a snapshot every
+  // snapshot_interval_ms, plus a flush of the out files above alongside
+  // each emission. Empty = no snapshots.
   std::string status_dir;
   int snapshot_interval_ms = 1000;
   // Install SIGTERM/SIGINT handlers for the duration of Run(): a stop
@@ -133,8 +140,8 @@ class GauntletServer {
   std::unique_ptr<ValidationCache> cache_;
   std::unique_ptr<CorpusStore> corpus_;
   // Server-owned sinks, wired into options_.campaign by the constructor
-  // when an out path (or status dir) asks for telemetry the caller did not
-  // inject sinks for.
+  // when an out path asks for telemetry the caller did not inject sinks
+  // for.
   MetricsRegistry own_metrics_;
   CoverageMap own_coverage_;
   TraceCollector own_trace_;

@@ -3,63 +3,32 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/obs/snapshot.h"
 
 namespace gauntlet {
 
 // ---------------------------------------------------------------------------
-// Heartbeats and driver health (the supervisor side of src/obs/snapshot.h).
+// Driver health (the supervisor side of src/obs/snapshot.h).
 //
-// Every driver with a status directory publishes `heartbeat.json` next to
-// its snapshot: one small, flat JSON object carrying identity (role, pid),
-// phase, progress counters and two wall-clock stamps. A supervisor
-// (`gauntlet status`) evaluates a heartbeat against three signals:
+// `gauntlet status` reads the snapshot.json a --status-dir run publishes and
+// evaluates the driver against three signals:
 //
-//   * phase == "done"                the worker finished; age is irrelevant
+//   * phase == "done"                the run finished; age is irrelevant
 //   * kill(pid, 0) liveness          a gone process is dead, not stalled
-//   * heartbeat age vs. a threshold  a live process that stopped updating
-//                                    its heartbeat is stalled
+//   * updated_unix_ms age vs. a      a live process that stopped updating
+//     threshold                      its snapshot is stalled
 //
-// A file that fails to parse (torn by a non-atomic writer, truncated by a
-// crash, hand-edited) is reported as corrupt — unhealthy, never a crash of
-// the reader. Heartbeat contents are wall-clock by nature and never feed
+// A snapshot that fails to parse (truncated by a crash, hand-edited, or
+// from another schema version) is reported as corrupt — unhealthy, never a
+// crash of the reader. Its contents are wall-clock by nature and never feed
 // any deterministic artifact.
 // ---------------------------------------------------------------------------
 
-inline constexpr int kHeartbeatVersion = 1;
-
-// A worker with no heartbeat update for this long (default) is stalled.
+// A driver with no snapshot update for this long (default) is stalled.
 inline constexpr uint64_t kDefaultStallThresholdMs = 10000;
 
-struct Heartbeat {
-  std::string role;
-  std::string phase;
-  int64_t pid = 0;
-  uint64_t programs_total = 0;
-  uint64_t programs_done = 0;
-  uint64_t tests_generated = 0;
-  uint64_t findings = 0;
-  uint64_t requests_served = 0;
-  uint64_t started_unix_ms = 0;
-  uint64_t updated_unix_ms = 0;
-};
-
-// One line of JSON (trailing newline included).
-std::string HeartbeatJson(const Heartbeat& heartbeat);
-
-// False + *error on malformed input or a version mismatch.
-bool ParseHeartbeatJson(const std::string& text, Heartbeat* out, std::string* error);
-
-// Atomic write (src/support/file_io.h WriteFileAtomic); false on failure.
-bool WriteHeartbeatFile(const std::string& path, const Heartbeat& heartbeat);
-
-// The heartbeat a snapshot implies (the StatusEmitter writes both from one
-// provider call, so they can never disagree).
-Heartbeat HeartbeatFromSnapshot(const Snapshot& snapshot);
-
-// Milliseconds since the unix epoch (system clock: heartbeat stamps must be
+// Milliseconds since the unix epoch (system clock: snapshot stamps must be
 // comparable across processes, unlike TraceNowMicros' steady epoch).
 uint64_t UnixNowMillis();
 
@@ -67,79 +36,59 @@ uint64_t UnixNowMillis();
 // alive). False for pid <= 0.
 bool ProcessAlive(int64_t pid);
 
-enum class WorkerHealth {
-  kHealthy,  // live pid, fresh heartbeat
+enum class DriverHealth {
+  kHealthy,  // live pid, fresh snapshot
   kDone,     // phase "done": the run finished (the process may have exited)
-  kStalled,  // live pid, heartbeat older than the stall threshold
+  kStalled,  // live pid, snapshot older than the stall threshold
   kDead,     // pid is gone but the phase never reached "done"
-  kCorrupt,  // heartbeat missing or unparseable
+  kCorrupt,  // snapshot unreadable
 };
 
-std::string WorkerHealthToString(WorkerHealth health);
+std::string DriverHealthToString(DriverHealth health);
 
 struct HealthVerdict {
-  WorkerHealth state = WorkerHealth::kCorrupt;
+  DriverHealth state = DriverHealth::kCorrupt;
   uint64_t age_ms = 0;  // now - updated_unix_ms (0 when corrupt)
   std::string detail;   // human-readable reason for non-healthy states
 
   bool unhealthy() const {
-    return state == WorkerHealth::kStalled || state == WorkerHealth::kDead ||
-           state == WorkerHealth::kCorrupt;
+    return state == DriverHealth::kStalled || state == DriverHealth::kDead ||
+           state == DriverHealth::kCorrupt;
   }
 };
 
-// Pure evaluation (the caller supplies the clock and the liveness probe, so
-// tests can exercise every verdict without real processes or sleeps).
-HealthVerdict EvaluateHeartbeat(const Heartbeat& heartbeat, uint64_t now_unix_ms,
+// Pure evaluation of a snapshot as the driver's heartbeat (the caller
+// supplies the clock and the liveness probe, so tests can exercise every
+// verdict without real processes or sleeps).
+HealthVerdict EvaluateHeartbeat(const Snapshot& snapshot, uint64_t now_unix_ms,
                                 uint64_t stall_threshold_ms, bool pid_alive);
 
-// --- fleet status ----------------------------------------------------------
-
-struct WorkerStatus {
-  std::string role;  // heartbeat role, or the directory name as fallback
-  bool has_heartbeat = false;
-  Heartbeat heartbeat;
+// One status directory's driver, as `gauntlet status` sees it.
+struct DriverStatus {
+  Snapshot snapshot;  // all defaults when the snapshot is corrupt
   HealthVerdict health;
-  bool has_snapshot = false;  // snapshot.json exists (its contents are not read)
-};
-
-struct FleetStatus {
-  // The directory's one driver, when it published; empty otherwise.
-  std::vector<WorkerStatus> workers;
   uint64_t collected_unix_ms = 0;
   uint64_t stall_threshold_ms = kDefaultStallThresholdMs;
 
-  // Progress: the driver's heartbeat counters (zero when its heartbeat is
-  // missing or unreadable).
-  uint64_t programs_total = 0;
-  uint64_t programs_done = 0;
-  uint64_t tests_generated = 0;
-  uint64_t findings = 0;
-  uint64_t requests_served = 0;
-  uint64_t started_unix_ms = 0;
-
-  int unhealthy_workers = 0;
-
-  bool healthy() const { return !workers.empty() && unhealthy_workers == 0; }
-  // Every worker reached phase "done".
-  bool complete() const;
+  bool healthy() const { return !health.unhealthy(); }
+  bool complete() const { return health.state == DriverHealth::kDone; }
 };
 
-// Reads the driver's heartbeat in `status_dir` and evaluates it
-// (EvaluateHeartbeat with the real clock + liveness); a snapshot.json alone
-// still marks the directory as a driver's. A directory with neither file
-// yields no workers: the path is not a status directory. Never throws on
-// file contents — a corrupt heartbeat makes the driver a kCorrupt worker.
-FleetStatus CollectFleetStatus(const std::string& status_dir, uint64_t stall_threshold_ms);
+// Reads the driver's snapshot.json in `status_dir` and evaluates it
+// (EvaluateHeartbeat with the real clock + liveness). False when the path
+// holds no snapshot.json: it is not a status directory. Never throws on
+// file contents — an unreadable snapshot makes the driver kCorrupt.
+bool CollectStatus(const std::string& status_dir, uint64_t stall_threshold_ms,
+                   DriverStatus* out);
 
-// The human dashboard: one row per worker (role, pid, phase, progress,
-// findings, heartbeat age, health) and a fleet summary line with an ETA
-// extrapolated from progress so far.
-std::string FleetStatusText(const FleetStatus& fleet);
+// The human dashboard: a header and one row (role, pid, phase, progress,
+// findings, snapshot age, health), with an ETA extrapolated from progress
+// so far while the run is healthy.
+std::string StatusText(const DriverStatus& status);
 
-// The machine rendering: one JSON object (single line + newline) with the
-// aggregates, healthy/complete verdicts, and a workers array.
-std::string FleetStatusJson(const FleetStatus& fleet);
+// The machine rendering: one flat JSON object (single line + newline) with
+// the healthy/complete verdicts and the snapshot's counters.
+std::string StatusJson(const DriverStatus& status);
 
 }  // namespace gauntlet
 

@@ -5,58 +5,12 @@
 #include <sstream>
 #include <utility>
 
-#include "src/obs/health.h"
 #include "src/support/file_io.h"
 #include "src/support/json.h"
 
 namespace gauntlet {
 
 namespace fs = std::filesystem;
-
-bool ParseStatusRecord(const std::string& text, const char* what, uint64_t version,
-                       std::initializer_list<std::pair<const char*, uint64_t*>> numbers,
-                       std::initializer_list<std::pair<const char*, std::string*>> strings,
-                       std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) {
-      *error = message;
-    }
-    return false;
-  };
-  JsonValue root;
-  if (!ParseJson(text, &root, error)) {
-    return false;
-  }
-  if (root.kind != JsonValue::Kind::kObject) {
-    return fail("expected an object");
-  }
-  const JsonValue* found = root.Find("version");
-  if (found == nullptr || found->kind != JsonValue::Kind::kNumber) {
-    return fail(std::string("missing ") + what + " version");
-  }
-  if (found->number != version) {
-    return fail(std::string("unsupported ") + what + " version " + std::to_string(found->number));
-  }
-  for (const auto& [key, target] : numbers) {
-    const JsonValue* member = root.Find(key);
-    if (member != nullptr && member->kind != JsonValue::Kind::kNumber) {
-      return fail(std::string("\"") + key + "\" is not an unsigned integer");
-    }
-    if (member != nullptr) {
-      *target = member->number;
-    }
-  }
-  for (const auto& [key, target] : strings) {
-    const JsonValue* member = root.Find(key);
-    if (member != nullptr && member->kind != JsonValue::Kind::kString) {
-      return fail(std::string("\"") + key + "\" is not a string");
-    }
-    if (member != nullptr) {
-      *target = member->string;
-    }
-  }
-  return true;
-}
 
 std::string SnapshotJson(const Snapshot& snapshot) {
   std::ostringstream out;
@@ -71,35 +25,61 @@ std::string SnapshotJson(const Snapshot& snapshot) {
   out << "  \"programs_done\": " << snapshot.programs_done << ",\n";
   out << "  \"tests_generated\": " << snapshot.tests_generated << ",\n";
   out << "  \"findings\": " << snapshot.findings << ",\n";
-  out << "  \"distinct_bugs\": " << snapshot.distinct_bugs << ",\n";
-  out << "  \"requests_served\": " << snapshot.requests_served;
-  if (!snapshot.metrics_json.empty()) {
-    // Embed the MetricsJson object verbatim, minus its trailing newline.
-    std::string metrics = snapshot.metrics_json;
-    while (!metrics.empty() && (metrics.back() == '\n' || metrics.back() == '\r')) {
-      metrics.pop_back();
-    }
-    out << ",\n  \"metrics\": " << metrics;
-  }
-  out << "\n}\n";
+  out << "  \"requests_served\": " << snapshot.requests_served << "\n}\n";
   return out.str();
 }
 
 bool ParseSnapshotJson(const std::string& text, Snapshot* out, std::string* error) {
+  const auto fail = [error](const std::string& message) {
+    if (error != nullptr) {
+      *error = message;
+    }
+    return false;
+  };
+  JsonValue root;
+  if (!ParseJson(text, &root, error)) {
+    return false;
+  }
+  if (root.kind != JsonValue::Kind::kObject) {
+    return fail("expected an object");
+  }
+  const JsonValue* version = root.Find("version");
+  if (version == nullptr || version->kind != JsonValue::Kind::kNumber) {
+    return fail("missing snapshot version");
+  }
+  if (version->number != static_cast<uint64_t>(kSnapshotVersion)) {
+    return fail("unsupported snapshot version " + std::to_string(version->number));
+  }
   Snapshot parsed;
   uint64_t pid = 0;
-  if (!ParseStatusRecord(text, "snapshot", kSnapshotVersion,
-                         {{"pid", &pid},
-                          {"started_unix_ms", &parsed.started_unix_ms},
-                          {"updated_unix_ms", &parsed.updated_unix_ms},
-                          {"programs_total", &parsed.programs_total},
-                          {"programs_done", &parsed.programs_done},
-                          {"tests_generated", &parsed.tests_generated},
-                          {"findings", &parsed.findings},
-                          {"distinct_bugs", &parsed.distinct_bugs},
-                          {"requests_served", &parsed.requests_served}},
-                         {{"role", &parsed.role}, {"phase", &parsed.phase}}, error)) {
-    return false;
+  const std::pair<const char*, uint64_t*> numbers[] = {
+      {"pid", &pid},
+      {"started_unix_ms", &parsed.started_unix_ms},
+      {"updated_unix_ms", &parsed.updated_unix_ms},
+      {"programs_total", &parsed.programs_total},
+      {"programs_done", &parsed.programs_done},
+      {"tests_generated", &parsed.tests_generated},
+      {"findings", &parsed.findings},
+      {"requests_served", &parsed.requests_served}};
+  for (const auto& [key, target] : numbers) {
+    const JsonValue* member = root.Find(key);
+    if (member != nullptr && member->kind != JsonValue::Kind::kNumber) {
+      return fail(std::string("\"") + key + "\" is not an unsigned integer");
+    }
+    if (member != nullptr) {
+      *target = member->number;
+    }
+  }
+  const std::pair<const char*, std::string*> strings[] = {{"role", &parsed.role},
+                                                          {"phase", &parsed.phase}};
+  for (const auto& [key, target] : strings) {
+    const JsonValue* member = root.Find(key);
+    if (member != nullptr && member->kind != JsonValue::Kind::kString) {
+      return fail(std::string("\"") + key + "\" is not a string");
+    }
+    if (member != nullptr) {
+      *target = member->string;
+    }
   }
   parsed.pid = static_cast<int64_t>(pid);
   *out = std::move(parsed);
@@ -112,10 +92,6 @@ bool WriteSnapshotFile(const std::string& path, const Snapshot& snapshot) {
 
 std::string SnapshotPathIn(const std::string& status_dir) {
   return (fs::path(status_dir) / "snapshot.json").string();
-}
-
-std::string HeartbeatPathIn(const std::string& status_dir) {
-  return (fs::path(status_dir) / "heartbeat.json").string();
 }
 
 StatusEmitter::StatusEmitter(std::string status_dir, int interval_ms,
@@ -132,12 +108,9 @@ StatusEmitter::StatusEmitter(std::string status_dir, int interval_ms,
 StatusEmitter::~StatusEmitter() { Stop(); }
 
 void StatusEmitter::EmitNow() {
-  const Snapshot snapshot = provider_();
-  const std::string json = SnapshotJson(snapshot);
-  const std::string heartbeat = HeartbeatJson(HeartbeatFromSnapshot(snapshot));
+  const std::string json = SnapshotJson(provider_());
   std::lock_guard<std::mutex> lock(emit_mutex_);
   WriteFileAtomic(SnapshotPathIn(status_dir_), json);
-  WriteFileAtomic(HeartbeatPathIn(status_dir_), heartbeat);
 }
 
 void StatusEmitter::Loop() {

@@ -4,11 +4,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 
 namespace gauntlet {
 
@@ -16,12 +14,12 @@ namespace gauntlet {
 // Live telemetry snapshots (ROADMAP "soak campaigns" observability layer).
 //
 // A long-running driver — `campaign` or `serve` — periodically publishes
-// its state-so-far as one JSON file, `snapshot.json`, inside its status
-// directory. Snapshots are written atomically (WriteFileAtomic,
+// its state so far as one small, flat JSON file, `snapshot.json`, inside its
+// status directory. Snapshots are written atomically (WriteFileAtomic,
 // src/support/file_io.h), so a reader polling the path mid-write sees either
-// the previous snapshot or the new one, never a torn file. Alongside it
-// lives `heartbeat.json` (src/obs/health.h): a small liveness record a
-// supervisor can evaluate without parsing the full snapshot.
+// the previous snapshot or the new one, never a torn file. The snapshot is
+// also the driver's heartbeat: `gauntlet status` (src/obs/health.h) judges
+// the driver's health from its pid, phase and `updated_unix_ms` stamp.
 //
 // Everything in a snapshot is *observation-only and timing-scoped*: the
 // numbers reflect completion order, wall clocks and scheduling, and no final
@@ -33,14 +31,10 @@ namespace gauntlet {
 // Status-directory layout (one driver per directory):
 //
 //   STATUS_DIR/snapshot.json         the driver's snapshot
-//   STATUS_DIR/heartbeat.json        the driver's heartbeat
-//
-// `gauntlet status <STATUS_DIR>` reads both (src/obs/health.h,
-// CollectFleetStatus).
 // ---------------------------------------------------------------------------
 
 // Schema version of snapshot.json. Bump on renamed keys or layout changes.
-inline constexpr int kSnapshotVersion = 1;
+inline constexpr int kSnapshotVersion = 2;
 
 struct Snapshot {
   std::string role;   // "campaign" or "serve"
@@ -54,46 +48,32 @@ struct Snapshot {
   uint64_t programs_done = 0;
   uint64_t tests_generated = 0;
   uint64_t findings = 0;
-  uint64_t distinct_bugs = 0;
   uint64_t requests_served = 0;
-  // A full MetricsJson rendering of the state so far (run_report.h layout),
-  // embedded verbatim as the "metrics" member. Empty = omitted.
-  std::string metrics_json;
 };
 
 // Renders one snapshot as a JSON object (trailing newline included).
 std::string SnapshotJson(const Snapshot& snapshot);
 
-// Parses the flat fields of a snapshot back. The embedded "metrics" object
-// must parse but is not reconstructed. False + *error on malformed input (a
-// torn or truncated file must read as corrupt, never half-load).
+// Parses a snapshot back: one JSON object whose "version" member equals
+// kSnapshotVersion. A known member of the wrong type is corruption; absent
+// members keep their default and unknown members are skipped. False +
+// *error on malformed input (a torn or truncated file must read as corrupt,
+// never half-load).
 bool ParseSnapshotJson(const std::string& text, Snapshot* out, std::string* error);
-
-// The reader side of the flat status records (snapshot.json,
-// heartbeat.json): parses `text` as one JSON object whose "version" member
-// equals `version`, then stores every member named in `numbers` or
-// `strings`. A named member of the wrong type is corruption; absent members
-// keep their value and other members are skipped. False + *error otherwise.
-bool ParseStatusRecord(const std::string& text, const char* what, uint64_t version,
-                       std::initializer_list<std::pair<const char*, uint64_t*>> numbers,
-                       std::initializer_list<std::pair<const char*, std::string*>> strings,
-                       std::string* error);
 
 bool WriteSnapshotFile(const std::string& path, const Snapshot& snapshot);
 
-// Canonical file names inside a status directory.
+// The snapshot's canonical path inside a status directory.
 std::string SnapshotPathIn(const std::string& status_dir);
-std::string HeartbeatPathIn(const std::string& status_dir);
 
 // ---------------------------------------------------------------------------
 // StatusEmitter: the background publisher.
 //
 // Owns one thread that calls `provider` every `interval_ms` and writes the
-// returned snapshot (plus its derived heartbeat) into `status_dir`, both
-// atomically. The provider runs on the emitter thread, so it must be
-// thread-safe against the driver it observes — the drivers keep a
-// mutex-protected live accumulator and atomics for exactly this. One
-// snapshot is emitted immediately on construction (so the files exist as
+// returned snapshot into `status_dir` atomically. The provider runs on the
+// emitter thread, so it must be thread-safe against the driver it observes
+// — the campaign reads atomics, serve copies its state under a mutex. One
+// snapshot is emitted immediately on construction (so the file exists as
 // soon as the run starts) and a final one on Stop() (so the last published
 // state is the finished state, phase "done").
 //
@@ -107,7 +87,7 @@ class StatusEmitter {
   StatusEmitter(const StatusEmitter&) = delete;
   StatusEmitter& operator=(const StatusEmitter&) = delete;
 
-  // Synchronously publishes one snapshot + heartbeat now.
+  // Synchronously publishes one snapshot now.
   void EmitNow();
 
   // Stops the background thread (joining it) and publishes a final

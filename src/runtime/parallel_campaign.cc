@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "src/obs/coverage.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
-#include "src/obs/run_report.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
 #include "src/runtime/worker_pool.h"
@@ -80,26 +78,16 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
 
   // --- live status (src/obs/snapshot.h), observation-only ------------------
   //
-  // Workers additionally merge a *copy* of each finished slot into a
-  // mutex-protected live report, in completion order. Only the snapshot
-  // provider reads it; the authoritative report below still merges the
-  // slots in index order, so nothing deterministic ever depends on the
-  // completion-order state. Per-worker metric registries stay single-writer
-  // (they are never read mid-run); the snapshot's metrics view is the
-  // report fold of the live accumulator instead.
-  const bool status_on = !options_.status_dir.empty();
-  struct LiveState {
-    std::mutex mutex;
-    CampaignReport report;
-  };
-  LiveState live;
+  // The snapshot provider reads only the completion-order atomics above;
+  // the authoritative report below merges the slots in index order, so
+  // nothing deterministic ever depends on the live state.
   std::atomic<const char*> phase{"testing"};
   std::unique_ptr<StatusEmitter> emitter;
-  if (status_on) {
+  if (!options_.status_dir.empty()) {
     const uint64_t started_ms = UnixNowMillis();
     emitter = std::make_unique<StatusEmitter>(
         options_.status_dir, options_.snapshot_interval_ms,
-        [&live, &phase, &programs_done, &findings_found, &tests_generated, total, started_ms]() {
+        [&phase, &programs_done, &findings_found, &tests_generated, total, started_ms]() {
           Snapshot snapshot;
           snapshot.role = "campaign";
           snapshot.phase = phase.load(std::memory_order_relaxed);
@@ -110,16 +98,6 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
           snapshot.programs_done = programs_done.load(std::memory_order_relaxed);
           snapshot.tests_generated = tests_generated.load(std::memory_order_relaxed);
           snapshot.findings = findings_found.load(std::memory_order_relaxed);
-          CampaignReport live_copy;
-          {
-            std::lock_guard<std::mutex> lock(live.mutex);
-            live_copy = live.report;
-          }
-          snapshot.distinct_bugs = live_copy.DistinctCount();
-          MetricsRegistry registry;
-          live_copy.RecordMetrics(registry);
-          RecordProcessSelfStats(registry);
-          snapshot.metrics_json = MetricsJson(registry);
           return snapshot;
         });
   }
@@ -153,11 +131,6 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
     tests_generated.fetch_add(static_cast<uint64_t>(slot.tests_generated),
                               std::memory_order_relaxed);
     const uint64_t done = programs_done.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (status_on) {
-      CampaignReport finished_slot = slot;
-      std::lock_guard<std::mutex> lock(live.mutex);
-      live.report.Merge(std::move(finished_slot));
-    }
     if (options_.campaign.progress) {
       options_.campaign.progress(done, findings_found.load(std::memory_order_relaxed));
     }
@@ -210,13 +183,8 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
   }
 
   if (emitter != nullptr) {
-    // Publish the finished state: the final snapshot carries the merged
-    // (index-order) report, and phase "done" tells supervisors the aging
-    // heartbeat is success, not a stall.
-    {
-      std::lock_guard<std::mutex> lock(live.mutex);
-      live.report = report;
-    }
+    // Publish the finished state: phase "done" tells supervisors the aging
+    // snapshot is success, not a stall.
     phase.store("done", std::memory_order_relaxed);
     emitter->Stop();
   }

@@ -20,11 +20,11 @@ struct ParallelCampaignOptions {
   // <key>.p4 / <key>.stf / <key>.finding.json reproducer triple here.
   std::string corpus_dir;
   // When non-empty, the run publishes live telemetry into this directory
-  // (src/obs/snapshot.h): an atomic snapshot.json + heartbeat.json every
-  // snapshot_interval_ms, driven by a mutex-protected live accumulator the
-  // workers feed in *completion* order. Live state is observation-only and
-  // timing-scoped — the final report and every deterministic section stay
-  // byte-identical with status on or off.
+  // (src/obs/snapshot.h): an atomic snapshot.json every
+  // snapshot_interval_ms, read from counters the workers bump in
+  // *completion* order. Live state is observation-only and timing-scoped —
+  // the final report and every deterministic section stay byte-identical
+  // with status on or off.
   std::string status_dir;
   int snapshot_interval_ms = 1000;
 };

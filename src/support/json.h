@@ -11,9 +11,8 @@ namespace gauntlet {
 
 // ---------------------------------------------------------------------------
 // The one JSON escaper and the one JSON reader behind every artifact the
-// tool writes: metrics, coverage, snapshot and heartbeat files, `gauntlet
-// status --json`, the corpus manifest and finding.json, serve responses and
-// traces.
+// tool writes: metrics, coverage and snapshot files, `gauntlet status
+// --json`, the corpus's finding.json, serve responses and traces.
 //
 // Writers lay out their bytes by hand (CI gates and downstream consumers
 // match them literally) and share only JsonQuoted. Readers parse with

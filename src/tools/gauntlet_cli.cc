@@ -573,10 +573,10 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
-// `gauntlet status <dir>`: the live-status inspector. Reads the snapshot +
-// heartbeat a --status-dir run publishes and prints a dashboard (or --json
-// for machines). Exit 0 healthy, 1 when the driver is stalled, dead or
-// corrupt; --watch polls until the run completes or turns unhealthy.
+// `gauntlet status <dir>`: the live-status inspector. Reads the snapshot a
+// --status-dir run publishes and prints a dashboard (or --json for
+// machines). Exit 0 healthy, 1 when the driver is stalled, dead or corrupt;
+// --watch polls until the run completes or turns unhealthy.
 int CmdStatus(int argc, char** argv) {
   const ParsedArgs args = ParseCommandArgs(argc, argv, {"--interval", "--stall-ms"},
                                            /*max_positionals=*/1, {"--json", "--watch"});
@@ -599,19 +599,19 @@ int CmdStatus(int argc, char** argv) {
   const bool watch = args.Has("--watch");
   const bool json = args.Has("--json");
   for (;;) {
-    const FleetStatus fleet = CollectFleetStatus(status_dir, stall_ms);
-    if (fleet.workers.empty()) {
-      // Usage-grade (exit 2): a directory with no status artifacts means
-      // the argument pointed at the wrong place, like a typo'd corpus path.
+    DriverStatus status;
+    if (!CollectStatus(status_dir, stall_ms, &status)) {
+      // Usage-grade (exit 2): a directory with no snapshot means the
+      // argument pointed at the wrong place, like a typo'd corpus path.
       throw CliUsageError("no status artifacts under '" + status_dir +
-                          "' (expected snapshot.json/heartbeat.json from a --status-dir run)");
+                          "' (expected snapshot.json from a --status-dir run)");
     }
-    std::printf("%s", json ? FleetStatusJson(fleet).c_str() : FleetStatusText(fleet).c_str());
+    std::printf("%s", json ? StatusJson(status).c_str() : StatusText(status).c_str());
     std::fflush(stdout);
-    if (!fleet.healthy()) {
+    if (!status.healthy()) {
       return 1;
     }
-    if (!watch || fleet.complete()) {
+    if (!watch || status.complete()) {
       return 0;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
@@ -673,9 +673,9 @@ int CmdReplay(int argc, char** argv) {
     }
     const std::string directory = args.Last("--corpus");
     if (CountCorpus(directory) == 0) {
-      // Usage-grade error (exit 2), not a replay failure: an empty or
-      // manifest-less directory means the flag pointed at the wrong place,
-      // the same class of mistake as a typo'd path.
+      // Usage-grade error (exit 2), not a replay failure: a directory with
+      // no complete triple means the flag pointed at the wrong place, the
+      // same class of mistake as a typo'd path.
       throw CliUsageError("corpus '" + directory +
                           "' holds no reproducer triples (empty or not a corpus directory)");
     }
@@ -869,13 +869,14 @@ int Usage(std::FILE* out) {
                "blind spots) or diffs two; a diff exits 1 on any deterministic change\n"
                "`serve` accepts P4 programs over a unix socket and streams JSON\n"
                "verdicts; `submit` is its client (exit 0 clean, 1 on findings);\n"
-               "SIGTERM/SIGINT drain serve gracefully (sinks flushed before exit)\n"
-               "--status-dir (campaign/serve) publishes atomic live snapshot.json +\n"
-               "heartbeat.json every --snapshot-interval ms; `status` reads them:\n"
-               "a dashboard with the run's health verdict (exit 1 when it is\n"
-               "stalled/dead/corrupt; --watch polls until the run completes,\n"
-               "--stall-ms tunes the stall threshold)\n",
-               targets.c_str());
+               "SIGTERM/SIGINT drain serve gracefully (sinks flushed before exit);\n"
+               "serve drops a connection whose client is silent for %d s\n"
+               "--status-dir (campaign/serve) publishes an atomic live snapshot.json\n"
+               "every --snapshot-interval ms; `status` reads it: a dashboard with\n"
+               "the run's health verdict (exit 1 when it is stalled/dead/corrupt,\n"
+               "2 when the directory holds no snapshot.json; --watch polls until\n"
+               "the run completes, --stall-ms tunes the stall threshold)\n",
+               targets.c_str(), kServeConnectionDeadlineSeconds);
   return out == stdout ? 0 : 2;
 }
 

@@ -1,6 +1,6 @@
 // The src/dist/ subsystem: serve mode's round trip, its verdict cache,
 // request bounds, telemetry flushing, and its survival of misbehaving
-// clients and stop signals.
+// clients (early hang-ups, silent connections) and stop signals.
 
 #include <gtest/gtest.h>
 
@@ -303,6 +303,45 @@ TEST_F(DistScratch, ServeFlushesTelemetryMidSessionAndOnExit) {
   EXPECT_EQ(snapshot.role, "serve");
   EXPECT_EQ(snapshot.phase, "done");
   EXPECT_EQ(snapshot.requests_served, 1u);
+}
+
+// A client that connects and sends nothing holds the one-connection-at-a-
+// time accept loop only until its connection deadline: a submission queued
+// behind it is answered within kServeConnectionDeadlineSeconds plus a
+// margin, not whenever the silent client hangs up.
+TEST_F(DistScratch, SilentClientIsDroppedAtTheConnectionDeadline) {
+  ServeOptions options;
+  options.socket_path = Path("sock");
+  options.campaign = SmallCampaign(/*num_programs=*/0);
+  GauntletServer server(std::move(options), BugConfig::None());
+  server.Start();
+  std::thread loop([&server] { server.Run(); });
+
+  const int idle = ConnectRawClient(server.socket_path());
+  ASSERT_GE(idle, 0);
+  std::atomic<bool> answered{false};
+  std::string response;
+  std::thread submitter([&server, &answered, &response] {
+    try {
+      response = SendServeRequest(server.socket_path(), BuildSubmitPayload(kCleanProgram, {}, {}));
+    } catch (const CompileError& error) {
+      response = error.what();
+    }
+    answered = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(kServeConnectionDeadlineSeconds + 2);
+  while (!answered && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(answered) << "submission still waiting behind a silent client "
+                        << kServeConnectionDeadlineSeconds + 2 << " s later";
+  close(idle);  // a server without the deadline sees EOF here, so join cannot hang
+  submitter.join();
+  EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos) << response;
+  SendServeRequest(server.socket_path(), BuildShutdownPayload());
+  loop.join();
+  EXPECT_EQ(server.served(), 1);
 }
 
 // A stop signal drains the server even while a connected client sends

@@ -17,7 +17,6 @@
 #include <sstream>
 #include <thread>
 
-#include "src/cache/struct_hash.h"
 #include "src/dist/serve.h"
 #include "src/frontend/parser.h"
 #include "src/obs/coverage.h"
@@ -35,9 +34,10 @@ namespace fs = std::filesystem;
 
 // --- fixed inputs ------------------------------------------------------------
 
-// A string holding every byte class an escaper distinguishes, minus \r and
-// bytes >= 0x7f (the corpus writer's one intentional form change).
+// A string holding every byte class an escaper distinguishes except \r and
+// bytes >= 0x7f, which kHighBytes carries.
 const std::string kAwkward = std::string("q\"b\\n\nt\tc") + std::string("\x01", 1) + "!";
+const std::string kHighBytes("cr\r hi\xff\x7f", 8);
 
 MetricsRegistry GoldenMetrics() {
   MetricsRegistry registry;
@@ -77,85 +77,20 @@ Snapshot GoldenSnapshot() {
   snapshot.programs_done = 17;
   snapshot.tests_generated = 96;
   snapshot.findings = 5;
-  snapshot.distinct_bugs = 2;
   snapshot.requests_served = 18446744073709551615ull;
-  MetricsRegistry metrics;
-  metrics.Count("campaign/findings_total", MetricScope::kDeterministic, 5);
-  metrics.Observe("serve/request_latency_micros", MetricScope::kTiming, {100, 300}, 150);
-  snapshot.metrics_json = MetricsJson(metrics);
   return snapshot;
 }
 
-Heartbeat GoldenHeartbeat() {
-  Heartbeat heartbeat;
-  heartbeat.role = "shard-\"1\"";
-  heartbeat.phase = "testing\n";
-  heartbeat.pid = 77;
-  heartbeat.programs_total = 20;
-  heartbeat.programs_done = 9;
-  heartbeat.tests_generated = 41;
-  heartbeat.findings = 2;
-  heartbeat.requests_served = 0;
-  heartbeat.started_unix_ms = 1700000000000;
-  heartbeat.updated_unix_ms = 1700000001234;
-  return heartbeat;
-}
-
-FleetStatus GoldenFleet() {
-  FleetStatus fleet;
-  fleet.collected_unix_ms = 1700000005000;
-  fleet.stall_threshold_ms = 10000;
-  fleet.programs_total = 40;
-  fleet.programs_done = 30;
-  fleet.tests_generated = 120;
-  fleet.findings = 4;
-  fleet.requests_served = 0;
-  fleet.started_unix_ms = 1700000000000;
-  WorkerStatus done;
-  done.role = "shard-0";
-  done.has_heartbeat = true;
-  done.heartbeat = GoldenHeartbeat();
-  done.heartbeat.phase = "done";
-  done.health.state = WorkerHealth::kDone;
-  done.health.age_ms = 3766;
-  fleet.workers.push_back(done);
-  WorkerStatus stalled;
-  stalled.role = "shard-1";
-  stalled.has_heartbeat = true;
-  stalled.heartbeat = GoldenHeartbeat();
-  stalled.health.state = WorkerHealth::kStalled;
-  stalled.health.age_ms = 12000;
-  stalled.health.detail = "no heartbeat update for 12s (threshold 10s)";
-  fleet.workers.push_back(stalled);
-  WorkerStatus corrupt;
-  corrupt.role = "shard-2";
-  corrupt.health.state = WorkerHealth::kCorrupt;
-  corrupt.health.detail = "heartbeat unreadable: expected '}' at offset 3";
-  fleet.workers.push_back(corrupt);
-  fleet.unhealthy_workers = 2;
-  return fleet;
-}
-
-CorpusManifest GoldenManifest(const std::string& awkward) {
-  CorpusManifest manifest;
-  CorpusManifestEntry attributed;
-  attributed.key = "predication-lost-else";
-  attributed.fingerprint = Fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull};
-  attributed.program_index = 2147483647;
-  attributed.method = "translation-validation";
-  attributed.kind = "semantic";
-  attributed.component = "Predication";
-  attributed.attributed = "predication-lost-else";
-  manifest.Insert(attributed);
-  CorpusManifestEntry unattributed;
-  unattributed.key = "unattributed-" + awkward;
-  unattributed.fingerprint = Fingerprint{1, 2};
-  unattributed.program_index = 0;
-  unattributed.method = "crash";
-  unattributed.kind = "crash";
-  unattributed.component = awkward;
-  manifest.Insert(unattributed);
-  return manifest;
+// A dead driver, whose detail needs escaping. The phase is plain because
+// the text dashboard prints it raw.
+DriverStatus GoldenStatus() {
+  DriverStatus status;
+  status.snapshot = GoldenSnapshot();
+  status.snapshot.phase = "testing";
+  status.health.state = DriverHealth::kDead;
+  status.health.age_ms = 12000;
+  status.health.detail = "process 4321 is gone but the phase never reached \"done\"";
+  return status;
 }
 
 std::vector<TraceEvent> GoldenTraceEvents() {
@@ -217,7 +152,7 @@ const char* const kCoverageGolden = R"golden({
 )golden";
 
 const char* const kSnapshotGolden = R"golden({
-  "version": 1,
+  "version": 2,
   "role": "campaign",
   "phase": "testing \"quoted\"\t\u00fe",
   "pid": 4321,
@@ -227,101 +162,16 @@ const char* const kSnapshotGolden = R"golden({
   "programs_done": 17,
   "tests_generated": 96,
   "findings": 5,
-  "distinct_bugs": 2,
-  "requests_served": 18446744073709551615,
-  "metrics": {
-  "version": 2,
-  "deterministic": {
-    "campaign/findings_total": 5
-  },
-  "timing": {
-    "serve/request_latency_micros": {"bounds": [100, 300], "counts": [0, 1, 0], "total": 1, "p50": 300, "p90": 300, "p99": 300}
-  }
-}
+  "requests_served": 18446744073709551615
 }
 )golden";
 
-const char* const kHeartbeatGolden = R"golden({"version":1,"role":"shard-\"1\"","phase":"testing\n","pid":77,"programs_total":20,"programs_done":9,"tests_generated":41,"findings":2,"requests_served":0,"started_unix_ms":1700000000000,"updated_unix_ms":1700000001234}
+const char* const kStatusJsonGolden = R"golden({"version":2,"healthy":false,"complete":false,"stall_threshold_ms":10000,"programs_total":40,"programs_done":17,"tests_generated":96,"findings":5,"requests_served":18446744073709551615,"role":"campaign","health":"dead","age_ms":12000,"pid":4321,"phase":"testing","detail":"process 4321 is gone but the phase never reached \"done\""}
 )golden";
 
-const char* const kFleetStatusGolden = R"golden({"version":1,"healthy":false,"complete":false,"stall_threshold_ms":10000,"programs_total":40,"programs_done":30,"tests_generated":120,"findings":4,"requests_served":0,"workers":[{"role":"shard-0","health":"done","age_ms":3766,"pid":77,"phase":"done","programs_total":20,"programs_done":9,"tests_generated":41,"findings":2,"requests_served":0},{"role":"shard-1","health":"stalled","age_ms":12000,"pid":77,"phase":"testing\n","programs_total":20,"programs_done":9,"tests_generated":41,"findings":2,"requests_served":0,"detail":"no heartbeat update for 12s (threshold 10s)"},{"role":"shard-2","health":"corrupt","age_ms":0,"pid":0,"phase":"","programs_total":0,"programs_done":0,"tests_generated":0,"findings":0,"requests_served":0,"detail":"heartbeat unreadable: expected '}' at offset 3"}]}
+const char* const kStatusTextGolden = R"golden(role          pid      phase           done/total   tests   findings  age     health
+campaign      4321     testing         17/40        96      5         12s     dead  (process 4321 is gone but the phase never reached "done")
 )golden";
-
-const char* const kManifestGolden = R"golden({
-  "version": 1,
-  "entries": {
-    "predication-lost-else": {
-      "attributed": "predication-lost-else",
-      "component": "Predication",
-      "fingerprint": "0123456789abcdeffedcba9876543210",
-      "kind": "semantic",
-      "method": "translation-validation",
-      "program_index": 2147483647
-    },
-    "unattributed-q\"b\\n\nt\tc\u0001!": {
-      "attributed": "",
-      "component": "q\"b\\n\nt\tc\u0001!",
-      "fingerprint": "00000000000000010000000000000002",
-      "kind": "crash",
-      "method": "crash",
-      "program_index": 0
-    }
-  },
-  "total": 2
-}
-)golden";
-
-// The one intentional form change: corpus strings holding \r or bytes >=
-// 0x7f now escape the JsonQuoted way, like every other writer.
-const char* const kManifestHighBytesGolden = R"golden({
-  "version": 1,
-  "entries": {
-    "predication-lost-else": {
-      "attributed": "predication-lost-else",
-      "component": "Predication",
-      "fingerprint": "0123456789abcdeffedcba9876543210",
-      "kind": "semantic",
-      "method": "translation-validation",
-      "program_index": 2147483647
-    },
-    "unattributed-cr\r hi\u00ff\u007f": {
-      "attributed": "",
-      "component": "cr\r hi\u00ff\u007f",
-      "fingerprint": "00000000000000010000000000000002",
-      "kind": "crash",
-      "method": "crash",
-      "program_index": 0
-    }
-  },
-  "total": 2
-}
-)golden";
-
-// The same manifest as the writer produced it before that change, with \r
-// as \u000d and bytes >= 0x7f raw. Corpora written then must still load.
-const char* const kManifestOldForm =
-    "{\n"
-    "  \"version\": 1,\n"
-    "  \"entries\": {\n"
-    "    \"predication-lost-else\": {\n"
-    "      \"attributed\": \"predication-lost-else\",\n"
-    "      \"component\": \"Predication\",\n"
-    "      \"fingerprint\": \"0123456789abcdeffedcba9876543210\",\n"
-    "      \"kind\": \"semantic\",\n"
-    "      \"method\": \"translation-validation\",\n"
-    "      \"program_index\": 2147483647\n"
-    "    },\n"
-    "    \"unattributed-cr\\u000d hi\xff" "\x7f" "\": {\n"
-    "      \"attributed\": \"\",\n"
-    "      \"component\": \"cr\\u000d hi\xff" "\x7f" "\",\n"
-    "      \"fingerprint\": \"00000000000000010000000000000002\",\n"
-    "      \"kind\": \"crash\",\n"
-    "      \"method\": \"crash\",\n"
-    "      \"program_index\": 0\n"
-    "    }\n"
-    "  },\n"
-    "  \"total\": 2\n"
-    "}\n";
 
 const char* const kFindingGolden = R"golden({
   "key": "bmv2-miss-runs-first-action",
@@ -334,19 +184,16 @@ const char* const kFindingGolden = R"golden({
 }
 )golden";
 
-const char* const kStoredManifestGolden = R"golden({
-  "version": 1,
-  "entries": {
-    "bmv2-miss-runs-first-action": {
-      "attributed": "bmv2-miss-runs-first-action",
-      "component": "Bmv2 q\"b\\n\nt\tc\u0001!",
-      "fingerprint": "bad87921e891f9a28667b1ea6ce25b9b",
-      "kind": "semantic",
-      "method": "packet-test",
-      "program_index": 12
-    }
-  },
-  "total": 1
+// An unattributed crash finding: the key sanitizes the component, and the
+// component's \r and high bytes escape the JsonQuoted way.
+const char* const kHighBytesFindingGolden = R"golden({
+  "key": "unattributed-cr--hi--",
+  "program_index": 2147483647,
+  "method": "crash",
+  "kind": "crash",
+  "component": "cr\r hi\u00ff\u007f",
+  "attributed": null,
+  "detail": "cr\r hi\u00ff\u007f"
 }
 )golden";
 
@@ -376,33 +223,9 @@ TEST(ArtifactGoldenTest, SnapshotJson) {
   EXPECT_EQ(SnapshotJson(GoldenSnapshot()), kSnapshotGolden);
 }
 
-TEST(ArtifactGoldenTest, HeartbeatJson) {
-  EXPECT_EQ(HeartbeatJson(GoldenHeartbeat()), kHeartbeatGolden);
-}
+TEST(ArtifactGoldenTest, StatusJson) { EXPECT_EQ(StatusJson(GoldenStatus()), kStatusJsonGolden); }
 
-TEST(ArtifactGoldenTest, FleetStatusJson) {
-  EXPECT_EQ(FleetStatusJson(GoldenFleet()), kFleetStatusGolden);
-}
-
-TEST(ArtifactGoldenTest, CorpusManifestJson) {
-  EXPECT_EQ(CorpusManifestJson(GoldenManifest(kAwkward)), kManifestGolden);
-}
-
-const std::string kHighBytes("cr\r hi\xff\x7f", 8);
-
-TEST(ArtifactGoldenTest, CorpusManifestJsonEscapesCarriageReturnAndHighBytes) {
-  EXPECT_EQ(CorpusManifestJson(GoldenManifest(kHighBytes)), kManifestHighBytesGolden);
-}
-
-TEST(ArtifactGoldenTest, ManifestInTheOldFormStillLoads) {
-  CorpusManifest manifest;
-  std::string error;
-  ASSERT_TRUE(ParseCorpusManifestJson(kManifestOldForm, &manifest, &error)) << error;
-  const CorpusManifestEntry* entry = manifest.Find("unattributed-" + kHighBytes);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->component, kHighBytes);
-  EXPECT_EQ(CorpusManifestJson(manifest), kManifestHighBytesGolden);
-}
+TEST(ArtifactGoldenTest, StatusText) { EXPECT_EQ(StatusText(GoldenStatus()), kStatusTextGolden); }
 
 TEST(ArtifactGoldenTest, TraceJson) { EXPECT_EQ(TraceJson(GoldenTraceEvents()), kTraceGolden); }
 
@@ -465,13 +288,25 @@ Finding GoldenFinding() {
   return finding;
 }
 
-TEST_F(GoldenScratch, FindingJsonAndStoredManifest) {
+Finding HighBytesFinding() {
+  Finding finding;
+  finding.program_index = 2147483647;
+  finding.method = DetectionMethod::kCrash;
+  finding.kind = BugKind::kCrash;
+  finding.component = kHighBytes;
+  finding.detail = kHighBytes;
+  return finding;
+}
+
+TEST_F(GoldenScratch, StoredFindingJson) {
   CorpusStore store(root_);
   const auto program = Parser::ParseString(kCleanProgram);
   const std::string key = store.Add(*program, GoldenFinding());
   ASSERT_EQ(key, "bmv2-miss-runs-first-action");
   EXPECT_EQ(Slurp(Path(key + ".finding.json")), kFindingGolden);
-  EXPECT_EQ(Slurp(Path("manifest.json")), kStoredManifestGolden);
+  const std::string crash_key = store.Add(*program, HighBytesFinding());
+  ASSERT_EQ(crash_key, "unattributed-cr--hi--");
+  EXPECT_EQ(Slurp(Path(crash_key + ".finding.json")), kHighBytesFindingGolden);
 }
 
 TEST_F(GoldenScratch, ServeResponses) {
@@ -506,18 +341,9 @@ TEST(ArtifactGoldenTest, ReadersRoundTripTheirGoldens) {
   CoverageMap coverage;
   ASSERT_TRUE(ParseCoverageJson(kCoverageGolden, &coverage, &error)) << error;
   EXPECT_EQ(CoverageJson(coverage), kCoverageGolden);
-  Heartbeat heartbeat;
-  ASSERT_TRUE(ParseHeartbeatJson(kHeartbeatGolden, &heartbeat, &error)) << error;
-  EXPECT_EQ(HeartbeatJson(heartbeat), kHeartbeatGolden);
-  CorpusManifest manifest;
-  ASSERT_TRUE(ParseCorpusManifestJson(kManifestGolden, &manifest, &error)) << error;
-  EXPECT_EQ(CorpusManifestJson(manifest), kManifestGolden);
   Snapshot snapshot;
   ASSERT_TRUE(ParseSnapshotJson(kSnapshotGolden, &snapshot, &error)) << error;
-  Snapshot flat = GoldenSnapshot();
-  flat.metrics_json.clear();  // parsed but not reconstructed
-  snapshot.metrics_json.clear();
-  EXPECT_EQ(SnapshotJson(snapshot), SnapshotJson(flat));
+  EXPECT_EQ(SnapshotJson(snapshot), kSnapshotGolden);
 }
 
 // --- readers survive truncation and corruption --------------------------------
@@ -572,9 +398,7 @@ std::function<bool(const std::string&)> JsonReaderOf(
 TEST(ArtifactGoldenTest, ReadersRejectTruncatedAndMutatedInputCleanly) {
   const std::vector<std::pair<std::string, std::function<bool(const std::string&)>>> readers = {
       {kSnapshotGolden, JsonReaderOf(&ParseSnapshotJson)},
-      {kHeartbeatGolden, JsonReaderOf(&ParseHeartbeatJson)},
       {kCoverageGolden, JsonReaderOf(&ParseCoverageJson)},
-      {kManifestGolden, JsonReaderOf(&ParseCorpusManifestJson)},
   };
   for (const auto& [golden, parse] : readers) {
     SCOPED_TRACE(golden.substr(0, golden.find('\n')));

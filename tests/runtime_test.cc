@@ -192,7 +192,7 @@ TEST(FindFixCampaignTest, RoundsMatchAcrossJobsAndNeverRefindAFixedFault) {
 // --- corpus store + replay round trip --------------------------------------
 
 // Every file under `dir`, keyed by relative path — the whole corpus
-// directory (triples, finding metadata, manifest) must match byte-for-byte.
+// directory (programs, STF tests, finding metadata) must match byte-for-byte.
 std::map<std::string, std::string> DirSnapshot(const std::string& dir) {
   std::map<std::string, std::string> files;
   for (const fs::directory_entry& entry : fs::recursive_directory_iterator(dir)) {
@@ -358,8 +358,8 @@ TEST_F(CorpusRoundTrip, BulkReplayGatesOnStillFailingReproducers) {
 
 // Corpus writes follow the merged, index-ordered report, so the stored
 // triple for each key comes from the first program that tripped it whatever
-// worker ran it: the directory, manifest.json included, is byte-identical
-// for any --jobs value.
+// worker ran it: the directory is byte-identical for any --jobs value, and
+// holds nothing but triples.
 TEST_F(CorpusRoundTrip, CorpusIsByteIdenticalAcrossJobs) {
   BugConfig bugs;
   bugs.Enable(BugId::kTypeCheckerShiftCrash);
@@ -371,10 +371,111 @@ TEST_F(CorpusRoundTrip, CorpusIsByteIdenticalAcrossJobs) {
     return DirSnapshot(options.corpus_dir);
   };
   const std::map<std::string, std::string> serial = corpus_at(1);
-  ASSERT_EQ(serial.count("manifest.json"), 1u)
-      << "campaign stored nothing; the identity check would be vacuous";
-  EXPECT_GT(serial.size(), 1u);
+  ASSERT_GE(serial.size(), 3u) << "campaign stored nothing; the identity check would be vacuous";
+  for (const auto& [name, body] : serial) {
+    const std::string key = name.substr(0, name.find('.'));
+    EXPECT_EQ(serial.count(key + ".p4") + serial.count(key + ".stf") +
+                  serial.count(key + ".finding.json"),
+              3u)
+        << name;
+  }
   EXPECT_EQ(corpus_at(4), serial);
+}
+
+// What a killed run or an older corpus layout leaves behind: a lone .p4, a
+// .p4 with its finding.json but no .stf, and a manifest.json index from the
+// format that kept one. Readers see only the complete triple and never
+// consult the stray index; a reopened store re-adds each torn key with files
+// byte-identical to a clean write.
+TEST_F(CorpusRoundTrip, TornTriplesAreInvisibleAndReAddedWhole) {
+  const auto program = Parser::ParseString(R"(
+header H { bit<8> a; }
+struct Hdr { H h; }
+parser p(out Hdr hdr) { state start { pkt.extract(hdr.h); transition accept; } }
+control ig(inout Hdr hdr) { apply { hdr.h.a = hdr.h.a + 8w1; } }
+control dp(in Hdr hdr) { apply { pkt.emit(hdr.h); } }
+package main { parser = p; ingress = ig; deparser = dp; }
+)");
+  PacketTest test;
+  test.name = "t0";
+  test.input = BitString::FromHex("0a", 8);
+  test.expected.output = BitString::FromHex("0b", 8);
+  Finding complete;
+  complete.attributed = BugId::kBmv2EmitIgnoresValidity;
+  complete.component = "Bmv2Deparser";
+  complete.repro_test = test;
+  Finding lone = complete;
+  lone.attributed = BugId::kBmv2TableMissRunsFirstAction;
+  Finding half;
+  half.kind = BugKind::kCrash;
+  half.method = DetectionMethod::kCrash;
+  half.component = "TofinoBackEnd";
+
+  const std::string clean = dir_ + "/clean";
+  {
+    CorpusStore store(clean);
+    ASSERT_EQ(store.Add(*program, complete), "bmv2-emit-ignores-validity");
+    ASSERT_EQ(store.Add(*program, lone), "bmv2-miss-runs-first-action");
+    ASSERT_EQ(store.Add(*program, half), "unattributed-TofinoBackEnd");
+  }
+  const std::map<std::string, std::string> written = DirSnapshot(clean);
+  ASSERT_EQ(written.size(), 9u);
+
+  const std::string torn = dir_ + "/torn";
+  fs::create_directories(torn);
+  const auto leave = [&torn](const std::string& name, const std::string& body) {
+    std::ofstream(fs::path(torn) / name, std::ios::binary) << body;
+  };
+  for (const char* suffix : {".p4", ".stf", ".finding.json"}) {
+    const std::string name = std::string("bmv2-emit-ignores-validity") + suffix;
+    leave(name, written.at(name));
+  }
+  leave("bmv2-miss-runs-first-action.p4", "header stale { bit<8> a; }\n");
+  leave("unattributed-TofinoBackEnd.p4", written.at("unattributed-TofinoBackEnd.p4"));
+  leave("unattributed-TofinoBackEnd.finding.json", "{\"key\": \"unattributed-TofinoB");
+  leave("manifest.json", R"({
+  "version": 1,
+  "entries": {
+    "bmv2-miss-runs-first-action": {
+      "attributed": "bmv2-miss-runs-first-action",
+      "component": "Bmv2Deparser",
+      "fingerprint": "0123456789abcdeffedcba9876543210",
+      "kind": "semantic",
+      "method": "packet-test",
+      "program_index": 0
+    },
+    "unattributed-TofinoBackEnd": {
+      "attributed": "",
+      "component": "TofinoBackEnd",
+      "fingerprint": "00000000000000010000000000000002",
+      "kind": "crash",
+      "method": "crash",
+      "program_index": 0
+    }
+  },
+  "total": 2
+}
+)");
+
+  EXPECT_EQ(CountCorpus(torn), 1);
+  const std::vector<CorpusEntry> entries = ListCorpus(torn);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].key, "bmv2-emit-ignores-validity");
+  const CorpusReplaySummary replay = ReplayCorpus(torn, BugConfig::None());
+  EXPECT_EQ(replay.entries, 1);
+  EXPECT_TRUE(replay.passed());
+
+  CorpusStore reopened(torn);
+  EXPECT_TRUE(reopened.HasKey("bmv2-emit-ignores-validity"));
+  EXPECT_FALSE(reopened.HasKey("bmv2-miss-runs-first-action"));
+  EXPECT_FALSE(reopened.HasKey("unattributed-TofinoBackEnd"));
+  EXPECT_EQ(reopened.Add(*program, complete), "");
+  EXPECT_EQ(reopened.Add(*program, lone), "bmv2-miss-runs-first-action");
+  EXPECT_EQ(reopened.Add(*program, half), "unattributed-TofinoBackEnd");
+  std::map<std::string, std::string> repaired = DirSnapshot(torn);
+  EXPECT_EQ(repaired.erase("manifest.json"), 1u);  // left alone, never read
+  EXPECT_EQ(repaired, written);
+  EXPECT_EQ(CountCorpus(torn), 3);
 }
 
 TEST_F(CorpusRoundTrip, UnattributedFindingsKeyOnComponent) {

@@ -1,9 +1,9 @@
-// The src/obs/snapshot.h + src/obs/health.h layer: snapshot/heartbeat JSON
-// round trips, torn/garbage rejection, atomic file replacement (a polling
-// reader never sees a half-written snapshot), the pure heartbeat health
-// matrix, status collection over crafted directories, the background
-// StatusEmitter, and the ParallelCampaign identity contract (deterministic
-// output byte-identical with live status on or off).
+// The src/obs/snapshot.h + src/obs/health.h layer: snapshot JSON round
+// trips, torn/garbage rejection, atomic file replacement (a polling reader
+// never sees a half-written snapshot), the pure health matrix, status
+// collection over crafted directories, the background StatusEmitter, and
+// the ParallelCampaign identity contract (deterministic output
+// byte-identical with live status on or off).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "src/gauntlet/campaign.h"
 #include "src/obs/health.h"
@@ -64,7 +65,6 @@ Snapshot FilledSnapshot() {
   snapshot.programs_done = 17;
   snapshot.tests_generated = 96;
   snapshot.findings = 5;
-  snapshot.distinct_bugs = 2;
   snapshot.requests_served = 0;
   return snapshot;
 }
@@ -72,9 +72,10 @@ Snapshot FilledSnapshot() {
 // --- JSON round trips ------------------------------------------------------
 
 TEST(SnapshotJsonTest, RoundTripsFlatFields) {
-  Snapshot original = FilledSnapshot();
-  original.metrics_json = "{\n  \"version\": 2,\n  \"timing\": {}\n}\n";
-  const std::string json = SnapshotJson(original);
+  // A member the reader does not know, nested containers included, is
+  // skipped structurally; it must never break the fields around it.
+  std::string json = SnapshotJson(FilledSnapshot());
+  json.insert(json.rfind('}'), ", \"extra\": {\"nested\": [1, {\"x\": \"}\"}]}\n");
 
   Snapshot parsed;
   std::string error;
@@ -88,10 +89,6 @@ TEST(SnapshotJsonTest, RoundTripsFlatFields) {
   EXPECT_EQ(parsed.programs_done, 17u);
   EXPECT_EQ(parsed.tests_generated, 96u);
   EXPECT_EQ(parsed.findings, 5u);
-  EXPECT_EQ(parsed.distinct_bugs, 2u);
-  // The embedded metrics object is balanced JSON the parser skips
-  // structurally; its presence must never break the flat fields around it.
-  EXPECT_NE(json.find("\"metrics\""), std::string::npos);
 }
 
 TEST(SnapshotJsonTest, RejectsTornAndGarbageInput) {
@@ -113,45 +110,6 @@ TEST(SnapshotJsonTest, RejectsTornAndGarbageInput) {
   EXPECT_FALSE(ParseSnapshotJson("{\"version\": 99}", &parsed, &error));
   // Trailing junk after the object is corruption, not an extension.
   EXPECT_FALSE(ParseSnapshotJson(valid + "{", &parsed, &error));
-}
-
-TEST(HeartbeatJsonTest, RoundTripsAndMatchesItsSnapshot) {
-  const Snapshot snapshot = FilledSnapshot();
-  const Heartbeat derived = HeartbeatFromSnapshot(snapshot);
-  EXPECT_EQ(derived.role, snapshot.role);
-  EXPECT_EQ(derived.phase, snapshot.phase);
-  EXPECT_EQ(derived.pid, snapshot.pid);
-  EXPECT_EQ(derived.programs_done, snapshot.programs_done);
-  EXPECT_EQ(derived.updated_unix_ms, snapshot.updated_unix_ms);
-
-  Heartbeat parsed;
-  std::string error;
-  ASSERT_TRUE(ParseHeartbeatJson(HeartbeatJson(derived), &parsed, &error)) << error;
-  EXPECT_EQ(parsed.role, derived.role);
-  EXPECT_EQ(parsed.phase, derived.phase);
-  EXPECT_EQ(parsed.pid, derived.pid);
-  EXPECT_EQ(parsed.programs_total, derived.programs_total);
-  EXPECT_EQ(parsed.programs_done, derived.programs_done);
-  EXPECT_EQ(parsed.tests_generated, derived.tests_generated);
-  EXPECT_EQ(parsed.findings, derived.findings);
-  EXPECT_EQ(parsed.started_unix_ms, derived.started_unix_ms);
-  EXPECT_EQ(parsed.updated_unix_ms, derived.updated_unix_ms);
-}
-
-TEST(HeartbeatJsonTest, RejectsTornAndGarbageInput) {
-  Heartbeat heartbeat;
-  heartbeat.role = "campaign";
-  heartbeat.phase = "testing";
-  heartbeat.pid = 77;
-  const std::string valid = HeartbeatJson(heartbeat);
-
-  Heartbeat parsed;
-  std::string error;
-  EXPECT_FALSE(ParseHeartbeatJson(valid.substr(0, valid.size() / 2), &parsed, &error));
-  EXPECT_FALSE(ParseHeartbeatJson("", &parsed, &error));
-  EXPECT_FALSE(ParseHeartbeatJson("]", &parsed, &error));
-  EXPECT_FALSE(ParseHeartbeatJson("{\"role\": \"x\"}", &parsed, &error));
-  EXPECT_NE(error.find("version"), std::string::npos);
 }
 
 // --- atomic writes ---------------------------------------------------------
@@ -215,43 +173,43 @@ TEST_F(StatusScratch, PollingReaderNeverSeesTornSnapshot) {
 // --- health evaluation (pure: injected clock + liveness) -------------------
 
 TEST(EvaluateHeartbeatTest, CoversEveryVerdict) {
-  Heartbeat heartbeat;
-  heartbeat.role = "campaign";
-  heartbeat.phase = "testing";
-  heartbeat.pid = 1234;
-  heartbeat.updated_unix_ms = 10000;
+  Snapshot snapshot;
+  snapshot.role = "campaign";
+  snapshot.phase = "testing";
+  snapshot.pid = 1234;
+  snapshot.updated_unix_ms = 10000;
 
-  // Fresh heartbeat, live process: healthy.
-  HealthVerdict verdict = EvaluateHeartbeat(heartbeat, 10500, 5000, /*pid_alive=*/true);
-  EXPECT_EQ(verdict.state, WorkerHealth::kHealthy);
+  // Fresh snapshot, live process: healthy.
+  HealthVerdict verdict = EvaluateHeartbeat(snapshot, 10500, 5000, /*pid_alive=*/true);
+  EXPECT_EQ(verdict.state, DriverHealth::kHealthy);
   EXPECT_EQ(verdict.age_ms, 500u);
   EXPECT_FALSE(verdict.unhealthy());
 
-  // Live process, heartbeat at the threshold: stalled, with a reason.
-  verdict = EvaluateHeartbeat(heartbeat, 15000, 5000, true);
-  EXPECT_EQ(verdict.state, WorkerHealth::kStalled);
+  // Live process, snapshot at the threshold: stalled, with a reason.
+  verdict = EvaluateHeartbeat(snapshot, 15000, 5000, true);
+  EXPECT_EQ(verdict.state, DriverHealth::kStalled);
   EXPECT_TRUE(verdict.unhealthy());
   EXPECT_FALSE(verdict.detail.empty());
 
   // Gone process that never reached "done": dead, even when fresh.
-  verdict = EvaluateHeartbeat(heartbeat, 10001, 5000, false);
-  EXPECT_EQ(verdict.state, WorkerHealth::kDead);
+  verdict = EvaluateHeartbeat(snapshot, 10001, 5000, false);
+  EXPECT_EQ(verdict.state, DriverHealth::kDead);
   EXPECT_TRUE(verdict.unhealthy());
   EXPECT_NE(verdict.detail.find("1234"), std::string::npos);
 
-  // Phase "done" wins over both age and a gone pid: a finished worker's
-  // process legitimately exits and its heartbeat legitimately ages.
-  heartbeat.phase = "done";
-  verdict = EvaluateHeartbeat(heartbeat, 999999999, 5000, false);
-  EXPECT_EQ(verdict.state, WorkerHealth::kDone);
+  // Phase "done" wins over both age and a gone pid: a finished driver's
+  // process legitimately exits and its snapshot legitimately ages.
+  snapshot.phase = "done";
+  verdict = EvaluateHeartbeat(snapshot, 999999999, 5000, false);
+  EXPECT_EQ(verdict.state, DriverHealth::kDone);
   EXPECT_FALSE(verdict.unhealthy());
 
   // A clock that reads earlier than the stamp (cross-host skew) clamps age
   // to zero rather than underflowing.
-  heartbeat.phase = "testing";
-  verdict = EvaluateHeartbeat(heartbeat, 9000, 5000, true);
+  snapshot.phase = "testing";
+  verdict = EvaluateHeartbeat(snapshot, 9000, 5000, true);
   EXPECT_EQ(verdict.age_ms, 0u);
-  EXPECT_EQ(verdict.state, WorkerHealth::kHealthy);
+  EXPECT_EQ(verdict.state, DriverHealth::kHealthy);
 }
 
 TEST(ProcessAliveTest, SelfIsAliveBogusPidsAreNot) {
@@ -264,57 +222,58 @@ TEST(ProcessAliveTest, SelfIsAliveBogusPidsAreNot) {
 
 // --- status collection -----------------------------------------------------
 
-// A status directory holds exactly one driver: its heartbeat decides the
-// health verdict and supplies the progress counters. A torn heartbeat reads
+// A status directory holds exactly one driver: its snapshot decides the
+// health verdict and supplies the progress counters. A torn snapshot reads
 // as corrupt, never as a crash of the reader.
-TEST_F(StatusScratch, CollectFleetStatusUsesRootAggregatesAndFlagsCorruptShards) {
-  Heartbeat root;
-  root.role = "campaign";
-  root.phase = "done";
-  root.pid = static_cast<int64_t>(getpid());
-  root.programs_total = 30;
-  root.programs_done = 30;
-  root.tests_generated = 120;
-  root.findings = 7;
-  root.started_unix_ms = UnixNowMillis() - 5000;
-  root.updated_unix_ms = UnixNowMillis();
-  ASSERT_TRUE(WriteHeartbeatFile(HeartbeatPathIn(root_), root));
+TEST_F(StatusScratch, CollectStatusReadsTheSnapshotAndFlagsATornOne) {
+  Snapshot snapshot;
+  snapshot.role = "campaign";
+  snapshot.phase = "done";
+  snapshot.pid = static_cast<int64_t>(getpid());
+  snapshot.programs_total = 30;
+  snapshot.programs_done = 30;
+  snapshot.tests_generated = 120;
+  snapshot.findings = 7;
+  snapshot.started_unix_ms = UnixNowMillis() - 5000;
+  snapshot.updated_unix_ms = UnixNowMillis();
+  ASSERT_TRUE(WriteSnapshotFile(SnapshotPathIn(root_), snapshot));
 
-  FleetStatus fleet = CollectFleetStatus(root_, kDefaultStallThresholdMs);
-  ASSERT_EQ(fleet.workers.size(), 1u);
-  EXPECT_EQ(fleet.workers[0].role, "campaign");
-  EXPECT_EQ(fleet.workers[0].health.state, WorkerHealth::kDone);
-  EXPECT_EQ(fleet.programs_total, 30u);
-  EXPECT_EQ(fleet.programs_done, 30u);
-  EXPECT_EQ(fleet.tests_generated, 120u);
-  EXPECT_EQ(fleet.findings, 7u);
-  EXPECT_TRUE(fleet.healthy());
-  EXPECT_TRUE(fleet.complete());
-  EXPECT_NE(FleetStatusJson(fleet).find("\"complete\":true"), std::string::npos);
-  EXPECT_NE(FleetStatusText(fleet).find("complete"), std::string::npos);
+  DriverStatus status;
+  ASSERT_TRUE(CollectStatus(root_, kDefaultStallThresholdMs, &status));
+  EXPECT_EQ(status.snapshot.role, "campaign");
+  EXPECT_EQ(status.health.state, DriverHealth::kDone);
+  EXPECT_EQ(status.snapshot.programs_total, 30u);
+  EXPECT_EQ(status.snapshot.programs_done, 30u);
+  EXPECT_EQ(status.snapshot.tests_generated, 120u);
+  EXPECT_EQ(status.snapshot.findings, 7u);
+  EXPECT_TRUE(status.healthy());
+  EXPECT_TRUE(status.complete());
+  EXPECT_NE(StatusJson(status).find("\"complete\":true"), std::string::npos);
+  EXPECT_NE(StatusText(status).find("done"), std::string::npos);
 
   {
-    std::ofstream out(HeartbeatPathIn(root_), std::ios::binary | std::ios::trunc);
-    out << "{\"version\":1,\"role\":\"campaign\",\"pha";
+    std::ofstream out(SnapshotPathIn(root_), std::ios::binary | std::ios::trunc);
+    out << "{\"version\":2,\"role\":\"campaign\",\"pha";
   }
-  fleet = CollectFleetStatus(root_, kDefaultStallThresholdMs);
-  ASSERT_EQ(fleet.workers.size(), 1u);
-  EXPECT_EQ(fleet.workers[0].health.state, WorkerHealth::kCorrupt);
-  EXPECT_EQ(fleet.unhealthy_workers, 1);
-  EXPECT_FALSE(fleet.healthy());
-  EXPECT_FALSE(fleet.complete());
-  EXPECT_EQ(fleet.programs_done, 0u);
+  ASSERT_TRUE(CollectStatus(root_, kDefaultStallThresholdMs, &status));
+  EXPECT_EQ(status.health.state, DriverHealth::kCorrupt);
+  EXPECT_FALSE(status.healthy());
+  EXPECT_FALSE(status.complete());
+  EXPECT_EQ(status.snapshot.programs_done, 0u);
 
-  const std::string json = FleetStatusJson(fleet);
+  const std::string json = StatusJson(status);
   EXPECT_NE(json.find("\"healthy\":false"), std::string::npos);
   EXPECT_NE(json.find("\"health\":\"corrupt\""), std::string::npos);
-  EXPECT_NE(FleetStatusText(fleet).find("corrupt"), std::string::npos);
+  EXPECT_NE(StatusText(status).find("corrupt"), std::string::npos);
 }
 
-TEST_F(StatusScratch, CollectFleetStatusOnANonStatusPathIsEmpty) {
-  EXPECT_TRUE(CollectFleetStatus(Path("nope"), 1000).workers.empty());
-  EXPECT_TRUE(CollectFleetStatus(root_, 1000).workers.empty());  // no artifacts
-  EXPECT_FALSE(CollectFleetStatus(root_, 1000).healthy());
+TEST_F(StatusScratch, CollectStatusOnANonStatusPathFindsNothing) {
+  DriverStatus status;
+  EXPECT_FALSE(CollectStatus(Path("nope"), 1000, &status));
+  EXPECT_FALSE(CollectStatus(root_, 1000, &status));  // no snapshot
+  // Any other file, even one named like a status record, is not a snapshot.
+  std::ofstream(Path("status.json")) << "{}";
+  EXPECT_FALSE(CollectStatus(root_, 1000, &status));
 }
 
 // --- the background emitter ------------------------------------------------
@@ -334,7 +293,6 @@ TEST_F(StatusScratch, StatusEmitterPublishesImmediatelyPeriodicallyAndOnStop) {
     // The first emission is synchronous in the constructor.
     EXPECT_GE(calls.load(), 1u);
     EXPECT_TRUE(fs::exists(SnapshotPathIn(root_)));
-    EXPECT_TRUE(fs::exists(HeartbeatPathIn(root_)));
 
     const uint64_t before = calls.load();
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
@@ -351,12 +309,12 @@ TEST_F(StatusScratch, StatusEmitterPublishesImmediatelyPeriodicallyAndOnStop) {
       << error;
   EXPECT_EQ(last.phase, "done");  // Stop() published the finished state
 
-  Heartbeat heartbeat;
-  ASSERT_TRUE(
-      ParseHeartbeatJson(ReadFileOrEmpty(HeartbeatPathIn(root_)), &heartbeat, &error))
-      << error;
-  EXPECT_EQ(heartbeat.phase, "done");
-  EXPECT_EQ(heartbeat.programs_done, last.programs_done);
+  // The snapshot is the only file the emitter writes.
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(root_)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"snapshot.json"});
 }
 
 // --- the campaign identity contract ----------------------------------------
@@ -413,10 +371,10 @@ TEST_F(StatusScratch, ParallelCampaignDeterministicOutputIdenticalWithStatusOn) 
   EXPECT_EQ(last.programs_done, 8u);
   EXPECT_EQ(last.findings, static_cast<uint64_t>(status_report.findings.size()));
 
-  const FleetStatus fleet = CollectFleetStatus(root_, kDefaultStallThresholdMs);
-  ASSERT_EQ(fleet.workers.size(), 1u);
-  EXPECT_TRUE(fleet.healthy());
-  EXPECT_TRUE(fleet.complete());
+  DriverStatus status;
+  ASSERT_TRUE(CollectStatus(root_, kDefaultStallThresholdMs, &status));
+  EXPECT_TRUE(status.healthy());
+  EXPECT_TRUE(status.complete());
 }
 
 }  // namespace

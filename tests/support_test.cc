@@ -4,9 +4,7 @@
 #include <functional>
 
 #include "src/obs/coverage.h"
-#include "src/obs/health.h"
 #include "src/obs/snapshot.h"
-#include "src/runtime/corpus.h"
 #include "src/support/bit_value.h"
 #include "src/support/error.h"
 #include "src/support/file_io.h"
@@ -282,19 +280,10 @@ struct ReaderDefect {
 
 void PrintTo(const ReaderDefect& defect, std::ostream* out) { *out << defect.name; }
 
-std::function<bool(std::string*)> HeartbeatReader(const char* text) {
+std::function<bool(std::string*)> SnapshotReader(const char* text) {
   return [text](std::string* error) {
-    Heartbeat heartbeat;
-    return ParseHeartbeatJson(text, &heartbeat, error);
-  };
-}
-
-std::function<bool(std::string*)> ManifestReader(const std::string& program_index) {
-  return [program_index](std::string* error) {
-    CorpusManifest manifest;
-    return ParseCorpusManifestJson(R"({"version": 1, "entries": {"k": {"program_index": )" +
-                                       program_index + "}}, \"total\": 1}",
-                                   &manifest, error);
+    Snapshot snapshot;
+    return ParseSnapshotJson(text, &snapshot, error);
   };
 }
 
@@ -306,16 +295,12 @@ const ReaderDefect kReaderDefects[] = {
                                 R"(18446744073709551617}}, "timing": {}})",
                                 &map, error);
      }},
-    {"ManifestProgramIndexPastUint64", ManifestReader("18446744073709551617")},
-    {"ManifestProgramIndexPastInt", ManifestReader("4294967296")},
+    // The snapshot doubles as the driver's heartbeat (src/obs/health.h).
     {"HeartbeatWithBrokenNestedValue",
-     HeartbeatReader(R"({"version":1,"role":"x","phase":"done","pid":1,"x":{]})")},
-    {"HeartbeatFieldOfTheWrongType", HeartbeatReader(R"({"version":1,"pid":"1"})")},
+     SnapshotReader(R"({"version":2,"role":"x","phase":"done","pid":1,"x":{]})")},
+    {"HeartbeatFieldOfTheWrongType", SnapshotReader(R"({"version":2,"pid":"1"})")},
     {"SnapshotWithBrokenNestedValue",
-     [](std::string* error) {
-       Snapshot snapshot;
-       return ParseSnapshotJson(R"({"version":1,"phase":"done","metrics":[}})", &snapshot, error);
-     }},
+     SnapshotReader(R"({"version":2,"phase":"done","x":[}})")},
 };
 
 class ReaderDefectTest : public ::testing::TestWithParam<ReaderDefect> {};
