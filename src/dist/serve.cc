@@ -1,11 +1,12 @@
 #include "src/dist/serve.h"
 
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -33,17 +34,49 @@ namespace {
 // not a P4 program.
 constexpr uint32_t kMaxFramePayload = 16u << 20;
 
+using Clock = std::chrono::steady_clock;
+
+// The deadline of a client-side call: wait as long as the server takes.
+constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
+
 // Graceful-stop flag: SIGTERM/SIGINT drain the server instead of killing it
 // mid-write. sig_atomic_t is the only thing a handler may touch.
 volatile std::sig_atomic_t g_serve_stop = 0;
 
-// Loops a read over EINTR and short reads. False on orderly EOF before any
-// byte; throws on EOF mid-datum (a truncated frame is a protocol error). A
-// stop signal ends the retries: the read fails, so a connected client that
-// never sends cannot hold a SIGTERM drain hostage.
-bool ReadExact(int fd, char* data, size_t length, bool eof_ok_at_start) {
+// Waits until `fd` is ready for `events` (POLLIN or POLLOUT), with the
+// time left before `deadline`. Throws once the deadline passes, so a client
+// that trickles its bytes is dropped like any other bad framing, and on a
+// stop signal, so a connected client cannot hold a SIGTERM drain hostage.
+void AwaitReady(int fd, short events, Clock::time_point deadline) {
+  if (deadline == kNoDeadline) {
+    return;
+  }
+  for (;;) {
+    const auto left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
+    if (left <= 0) {
+      throw CompileError("serve: connection deadline passed");
+    }
+    pollfd entry = {fd, events, 0};
+    const int ready = poll(&entry, 1, static_cast<int>(left));
+    if (ready > 0) {
+      return;
+    }
+    if (ready < 0 && (errno != EINTR || g_serve_stop != 0)) {
+      throw CompileError("serve: socket wait failed");
+    }
+  }
+}
+
+// Loops a read over EINTR and short reads, each read waiting only for the
+// time left before `deadline`. False on orderly EOF before any byte; throws
+// on EOF mid-datum (a truncated frame is a protocol error). A stop signal
+// ends the retries: the read fails.
+bool ReadExact(int fd, char* data, size_t length, bool eof_ok_at_start,
+               Clock::time_point deadline) {
   size_t done = 0;
   while (done < length) {
+    AwaitReady(fd, POLLIN, deadline);
     const ssize_t got = read(fd, data + done, length - done);
     if (got < 0) {
       if (errno == EINTR && g_serve_stop == 0) {
@@ -62,24 +95,18 @@ bool ReadExact(int fd, char* data, size_t length, bool eof_ok_at_start) {
   return true;
 }
 
-// Bounds each read and write on an accepted connection: a client that sends
-// nothing, stalls mid-frame or stops reading fails the call (EAGAIN), and the
-// accept loop drops it like any other bad framing.
-void SetConnectionDeadline(int fd) {
-  timeval deadline = {};
-  deadline.tv_sec = kServeConnectionDeadlineSeconds;
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof(deadline));
-}
-
 // MSG_NOSIGNAL: a peer that hung up must surface as EPIPE (a failed write
-// the caller handles), not as a SIGPIPE that kills the whole process.
-void WriteAll(int fd, const char* data, size_t length) {
+// the caller handles), not as a SIGPIPE that kills the whole process. Under
+// a deadline the sends do not block, so a client that stops reading fails
+// the write once the deadline passes.
+void WriteAll(int fd, const char* data, size_t length, Clock::time_point deadline) {
+  const int flags = MSG_NOSIGNAL | (deadline == kNoDeadline ? 0 : MSG_DONTWAIT);
   size_t done = 0;
   while (done < length) {
-    const ssize_t sent = send(fd, data + done, length - done, MSG_NOSIGNAL);
+    AwaitReady(fd, POLLOUT, deadline);
+    const ssize_t sent = send(fd, data + done, length - done, flags);
     if (sent < 0) {
-      if (errno == EINTR) {
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
         continue;
       }
       throw CompileError("serve: socket write failed");
@@ -88,11 +115,12 @@ void WriteAll(int fd, const char* data, size_t length) {
   }
 }
 
-// One frame: u32 big-endian payload length, then the payload bytes.
-bool ReadFrame(int fd, std::string* payload) {
+// One frame: u32 big-endian payload length, then the payload bytes, all
+// of them before `deadline`.
+bool ReadFrame(int fd, std::string* payload, Clock::time_point deadline = kNoDeadline) {
   unsigned char header[4];
   if (!ReadExact(fd, reinterpret_cast<char*>(header), sizeof(header),
-                 /*eof_ok_at_start=*/true)) {
+                 /*eof_ok_at_start=*/true, deadline)) {
     return false;
   }
   const uint32_t length = (static_cast<uint32_t>(header[0]) << 24) |
@@ -105,12 +133,12 @@ bool ReadFrame(int fd, std::string* payload) {
   }
   payload->assign(length, '\0');
   if (length > 0) {
-    ReadExact(fd, payload->data(), length, /*eof_ok_at_start=*/false);
+    ReadExact(fd, payload->data(), length, /*eof_ok_at_start=*/false, deadline);
   }
   return true;
 }
 
-void WriteFrame(int fd, const std::string& payload) {
+void WriteFrame(int fd, const std::string& payload, Clock::time_point deadline = kNoDeadline) {
   if (payload.size() > kMaxFramePayload) {
     throw CompileError("serve: response exceeds the frame limit");
   }
@@ -118,8 +146,8 @@ void WriteFrame(int fd, const std::string& payload) {
   const unsigned char header[4] = {
       static_cast<unsigned char>(length >> 24), static_cast<unsigned char>(length >> 16),
       static_cast<unsigned char>(length >> 8), static_cast<unsigned char>(length)};
-  WriteAll(fd, reinterpret_cast<const char*>(header), sizeof(header));
-  WriteAll(fd, payload.data(), payload.size());
+  WriteAll(fd, reinterpret_cast<const char*>(header), sizeof(header), deadline);
+  WriteAll(fd, payload.data(), payload.size(), deadline);
 }
 
 std::string ErrorJson(const std::string& message) {
@@ -448,12 +476,15 @@ int GauntletServer::Run() {
       }
       throw CompileError("serve: accept failed on '" + options_.socket_path + "'");
     }
-    SetConnectionDeadline(fd);
+    // The whole request frame must arrive within the deadline of the
+    // accept, however the client paces its bytes.
+    const auto request_deadline =
+        Clock::now() + std::chrono::seconds(kServeConnectionDeadlineSeconds);
     std::string payload;
     std::string response;
     bool framed = false;
     try {
-      framed = ReadFrame(fd, &payload);
+      framed = ReadFrame(fd, &payload, request_deadline);
     } catch (const CompileError&) {
       close(fd);  // bad framing: drop the connection, keep serving
       continue;
@@ -478,7 +509,15 @@ int GauntletServer::Run() {
       uint64_t latency_micros = 0;
       {
         TraceSpan span("request", "serve");
-        response = HandleSubmission(payload);
+        try {
+          response = HandleSubmission(payload);
+        } catch (const std::exception& error) {
+          // The catch-all boundary: a bug check (CompilerBugError), an
+          // exhausted allocator or any other escape from the pipeline fails
+          // this submission, never the server.
+          CountMetric("serve/verdict/error", MetricScope::kTiming);
+          response = ErrorJson(std::string("internal error: ") + error.what());
+        }
         latency_micros = span.ElapsedMicros();
       }
       CountMetric("serve/requests", MetricScope::kTiming);
@@ -486,9 +525,11 @@ int GauntletServer::Run() {
                     latency_micros);
     }
     try {
-      WriteFrame(fd, response);
+      WriteFrame(fd, response,
+                 Clock::now() + std::chrono::seconds(kServeConnectionDeadlineSeconds));
     } catch (const CompileError&) {
-      // The client hung up before the verdict: its loss, not a server fault.
+      // The client hung up or stopped reading before the verdict: its loss,
+      // not a server fault.
     }
     close(fd);
   }

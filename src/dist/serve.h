@@ -47,17 +47,21 @@ class CorpusStore;
 //   {"version":1,"status":"shutting-down","served":N}
 //
 // A malformed or ill-typed submission is an "error" response (the
-// connection still answers); a malformed *frame* drops the connection, and
-// so does a single read or write that waits past
-// kServeConnectionDeadlineSeconds (a client that sent nothing, stalled
-// mid-frame or stopped reading). The server serves one connection at a
-// time, so the deadline bounds how long one silent client keeps the others
-// waiting. The server exits its accept loop on a shutdown request.
+// connection still answers), and so is one that fails inside the pipeline
+// in any other way (a bug check, an exhausted allocator). A malformed
+// *frame* drops the connection, and so does a request frame that has not
+// arrived in full kServeConnectionDeadlineSeconds after the accept (a
+// client that sent nothing, stalled mid-frame or trickles its bytes), or a
+// response the client has not taken within as long. The server serves one
+// connection at a time, so the deadline bounds how long one slow client
+// keeps the others waiting. The server exits its accept loop on a shutdown
+// request.
 // ---------------------------------------------------------------------------
 
 inline constexpr int kServeProtocolVersion = 1;
 
-// SO_RCVTIMEO/SO_SNDTIMEO on every accepted connection.
+// Time an accepted connection has to deliver its whole request frame, and
+// then to take its response.
 inline constexpr int kServeConnectionDeadlineSeconds = 3;
 
 struct ServeOptions {

@@ -34,10 +34,10 @@ std::string FormatDuration(uint64_t millis) {
   return std::to_string(minutes / 60) + "h" + std::to_string(minutes % 60) + "m";
 }
 
+// Pads `text` to `width` columns. A value that fills or overflows its
+// column still gets one space, so it never runs into the next column.
 std::string PadRight(std::string text, size_t width) {
-  if (text.size() < width) {
-    text.append(width - text.size(), ' ');
-  }
+  text.append(text.size() < width ? width - text.size() : 1, ' ');
   return text;
 }
 

@@ -9,93 +9,14 @@ uint64_t ModelEvaluator::Eval(SmtRef ref) {
   }
   const SmtNode& node = context_.node(ref);
   uint64_t value = 0;
-  auto arg = [&](size_t i) { return Eval(node.args[i]); };
-  switch (node.op) {
-    case SmtOp::kConst:
-    case SmtOp::kBoolConst:
-      value = node.bits;
-      break;
-    case SmtOp::kVar: {
-      const std::string& name = context_.VarName(node.var_id);
-      auto it = model_.bit_values.find(name);
-      value = it != model_.bit_values.end() ? it->second.bits() : 0;
-      break;
-    }
-    case SmtOp::kBoolVar: {
-      const std::string& name = context_.VarName(node.var_id);
-      auto it = model_.bool_values.find(name);
-      value = it != model_.bool_values.end() && it->second ? 1 : 0;
-      break;
-    }
-    case SmtOp::kAdd:
-      value = BitValue(node.width, arg(0)).Add(BitValue(node.width, arg(1))).bits();
-      break;
-    case SmtOp::kSub:
-      value = BitValue(node.width, arg(0)).Sub(BitValue(node.width, arg(1))).bits();
-      break;
-    case SmtOp::kMul:
-      value = BitValue(node.width, arg(0)).Mul(BitValue(node.width, arg(1))).bits();
-      break;
-    case SmtOp::kAnd:
-      value = arg(0) & arg(1);
-      break;
-    case SmtOp::kOr:
-      value = arg(0) | arg(1);
-      break;
-    case SmtOp::kXor:
-      value = arg(0) ^ arg(1);
-      break;
-    case SmtOp::kNot:
-      value = ~arg(0) & BitValue::MaskFor(node.width);
-      break;
-    case SmtOp::kNeg:
-      value = BitValue(node.width, 0).Sub(BitValue(node.width, arg(0))).bits();
-      break;
-    case SmtOp::kShl: {
-      const uint64_t amount = arg(1);
-      value = amount >= node.width ? 0 : (arg(0) << amount) & BitValue::MaskFor(node.width);
-      break;
-    }
-    case SmtOp::kShr: {
-      const uint64_t amount = arg(1);
-      value = amount >= node.width ? 0 : arg(0) >> amount;
-      break;
-    }
-    case SmtOp::kConcat:
-      value = (arg(0) << context_.WidthOf(node.args[1])) | arg(1);
-      break;
-    case SmtOp::kExtract:
-      value = (arg(0) >> node.aux1) & BitValue::MaskFor(node.width);
-      break;
-    case SmtOp::kZext:
-    case SmtOp::kTrunc:
-      value = arg(0) & BitValue::MaskFor(node.width);
-      break;
-    case SmtOp::kEq:
-      value = arg(0) == arg(1) ? 1 : 0;
-      break;
-    case SmtOp::kUlt:
-      value = arg(0) < arg(1) ? 1 : 0;
-      break;
-    case SmtOp::kUle:
-      value = arg(0) <= arg(1) ? 1 : 0;
-      break;
-    case SmtOp::kBoolAnd:
-      value = (arg(0) != 0 && arg(1) != 0) ? 1 : 0;
-      break;
-    case SmtOp::kBoolOr:
-      value = (arg(0) != 0 || arg(1) != 0) ? 1 : 0;
-      break;
-    case SmtOp::kBoolNot:
-      value = arg(0) != 0 ? 0 : 1;
-      break;
-    case SmtOp::kBoolEq:
-      value = (arg(0) != 0) == (arg(1) != 0) ? 1 : 0;
-      break;
-    case SmtOp::kIte:
-    case SmtOp::kBoolIte:
-      value = arg(0) != 0 ? arg(1) : arg(2);
-      break;
+  if (node.op == SmtOp::kVar) {
+    auto it = model_.bit_values.find(context_.VarName(node.var_id));
+    value = it != model_.bit_values.end() ? it->second.bits() : 0;
+  } else if (node.op == SmtOp::kBoolVar) {
+    auto it = model_.bool_values.find(context_.VarName(node.var_id));
+    value = it != model_.bool_values.end() && it->second ? 1 : 0;
+  } else {
+    value = EvalSmtOp(context_, node, [&](size_t i) { return Eval(node.args[i]); });
   }
   memo_[ref.index] = value;
   return value;

@@ -533,6 +533,73 @@ SmtRef SmtContext::BoolIte(SmtRef cond, SmtRef then_ref, SmtRef else_ref) {
   return Intern(std::move(node));
 }
 
+SmtRef SmtContext::Rebuild(SmtRef ref, const std::vector<SmtRef>& args) {
+  const SmtNode& original = node(ref);
+  GAUNTLET_BUG_CHECK(args.size() == original.args.size(), "Rebuild arity mismatch");
+  if (args == original.args) {
+    return ref;
+  }
+  // Copies: the constructors below may grow nodes_ and move `original`.
+  const SmtOp op = original.op;
+  const uint32_t width = original.width;
+  const uint32_t hi = original.aux0;
+  const uint32_t lo = original.aux1;
+  switch (op) {
+    case SmtOp::kConst:
+    case SmtOp::kBoolConst:
+    case SmtOp::kVar:
+    case SmtOp::kBoolVar:
+      return ref;
+    case SmtOp::kAdd:
+      return Add(args[0], args[1]);
+    case SmtOp::kSub:
+      return Sub(args[0], args[1]);
+    case SmtOp::kMul:
+      return Mul(args[0], args[1]);
+    case SmtOp::kAnd:
+      return And(args[0], args[1]);
+    case SmtOp::kOr:
+      return Or(args[0], args[1]);
+    case SmtOp::kXor:
+      return Xor(args[0], args[1]);
+    case SmtOp::kNot:
+      return Not(args[0]);
+    case SmtOp::kNeg:
+      return Neg(args[0]);
+    case SmtOp::kShl:
+      return Shl(args[0], args[1]);
+    case SmtOp::kShr:
+      return Shr(args[0], args[1]);
+    case SmtOp::kConcat:
+      return Concat(args[0], args[1]);
+    case SmtOp::kExtract:
+      return Extract(args[0], hi, lo);
+    case SmtOp::kZext:
+      return Zext(args[0], width);
+    case SmtOp::kTrunc:
+      return Trunc(args[0], width);
+    case SmtOp::kEq:
+      return Eq(args[0], args[1]);
+    case SmtOp::kUlt:
+      return Ult(args[0], args[1]);
+    case SmtOp::kUle:
+      return Ule(args[0], args[1]);
+    case SmtOp::kBoolAnd:
+      return BoolAnd(args[0], args[1]);
+    case SmtOp::kBoolOr:
+      return BoolOr(args[0], args[1]);
+    case SmtOp::kBoolNot:
+      return BoolNot(args[0]);
+    case SmtOp::kBoolEq:
+      return BoolEq(args[0], args[1]);
+    case SmtOp::kIte:
+      return Ite(args[0], args[1], args[2]);
+    case SmtOp::kBoolIte:
+      return BoolIte(args[0], args[1], args[2]);
+  }
+  return ref;
+}
+
 std::string SmtContext::ToString(SmtRef ref) const {
   const SmtNode& n = node(ref);
   auto binary = [&](const char* name) {

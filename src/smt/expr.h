@@ -129,6 +129,12 @@ class SmtContext {
   SmtRef Ite(SmtRef cond, SmtRef then_ref, SmtRef else_ref);
   SmtRef BoolIte(SmtRef cond, SmtRef then_ref, SmtRef else_ref);
 
+  // The node `ref` over `args` in place of its own arguments (same count
+  // and sorts), built through the constructor of its op so that the
+  // simplifications above apply to the new arguments. Returns `ref` itself
+  // when the arguments are unchanged, and leaves as they are.
+  SmtRef Rebuild(SmtRef ref, const std::vector<SmtRef>& args);
+
   // --- inspection ---
   const SmtNode& node(SmtRef ref) const {
     GAUNTLET_BUG_CHECK(ref.index != 0 && ref.index < nodes_.size(), "invalid SmtRef");

@@ -1,5 +1,6 @@
 #include "src/tv/validator.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "src/cache/summary_cache.h"
@@ -8,6 +9,7 @@
 #include "src/frontend/printer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/smt/sweep.h"
 #include "src/sym/interpreter.h"
 #include "src/typecheck/typecheck.h"
 
@@ -145,6 +147,50 @@ Fingerprint VersionFingerprint(StructHasher& hasher, const VersionSemantics& ver
   return fp;
 }
 
+// Conflicts query 1 may spend before it escalates to SAT sweeping. Almost
+// every query finishes far below it; the ones that do not are miters over
+// restructured multiplier operands, which sweeping collapses.
+constexpr uint64_t kEscalationConflictCap = 2000;
+
+// Escalation for a query-1 attempt that ran out of its cap after `spent`
+// conflicts: sweeps `miter` in place (src/smt/sweep.h; the swept miter is
+// the same Boolean function) and solves it with what is left of the
+// conflict budget.
+CheckResult SolveSwept(SmtContext& ctx, SmtRef& miter, uint64_t spent, const TvOptions& options) {
+  uint64_t left = 0;  // unlimited, like a zero conflict_budget
+  if (options.conflict_budget != 0) {
+    if (spent >= options.conflict_budget) {
+      return CheckResult::kUnknown;
+    }
+    left = options.conflict_budget - spent;
+  }
+  SweepStats stats;
+  {
+    TraceSpan span("tv-sweep", "tv");
+    miter = SweepMiter(ctx, miter, {left, options.query_time_limit_ms}, &stats);
+    span.Arg("proofs", stats.proofs);
+    span.Arg("merges", stats.merges);
+    span.Arg("conflicts", stats.conflicts);
+  }
+  CountMetric("tv/sweeps", MetricScope::kTiming);
+  CountMetric("tv/sweep_proofs", MetricScope::kTiming, stats.proofs);
+  CountMetric("tv/sweep_merges", MetricScope::kTiming, stats.merges);
+  if (ctx.IsConst(miter) && ctx.ConstBits(miter) == 0) {
+    return CheckResult::kUnsat;
+  }
+  if (left != 0) {
+    if (stats.conflicts >= left) {
+      return CheckResult::kUnknown;
+    }
+    left -= stats.conflicts;
+  }
+  SmtSolver solver(ctx);
+  solver.set_conflict_limit(left);
+  solver.set_time_limit_ms(options.query_time_limit_ms);
+  solver.Assert(miter);
+  return solver.Check();
+}
+
 TvPassResult CompareSemantics(SmtContext& ctx, const VersionSemantics& before,
                               const VersionSemantics& after, const std::string& pass_name,
                               const TvOptions& options, ValidationCache* cache,
@@ -218,15 +264,23 @@ TvPassResult CompareSemantics(SmtContext& ctx, const VersionSemantics& before,
   // Query 1: is there any input on which the versions disagree? Conflict
   // and wall-clock budgets keep pathological instances (wide-multiplier
   // equivalence) from stalling a campaign; exhaustion is reported like a
-  // missing simulation relation (a pass we could not validate, §8).
+  // missing simulation relation (a pass we could not validate, §8). The
+  // first attempt stops at kEscalationConflictCap; a query still open
+  // there is swept, and the swept miter also serves query 2.
   SmtSolver solver(ctx);
   if (cache != nullptr) {
     solver.set_blast_cache(&cache->blast());
   }
-  solver.set_conflict_limit(options.conflict_budget);
+  const uint64_t cap = options.conflict_budget == 0
+                           ? kEscalationConflictCap
+                           : std::min(options.conflict_budget, kEscalationConflictCap);
+  solver.set_conflict_limit(cap);
   solver.set_time_limit_ms(options.query_time_limit_ms);
   solver.Assert(any_difference);
-  const CheckResult first = solver.Check();
+  CheckResult first = solver.Check();
+  if (first == CheckResult::kUnknown) {
+    first = SolveSwept(ctx, any_difference, solver.last_conflicts(), options);
+  }
   if (first == CheckResult::kUnsat) {
     result.verdict = TvVerdict::kEquivalent;
     remember(result, /*queries=*/1);

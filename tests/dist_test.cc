@@ -23,6 +23,7 @@
 #include "src/obs/run_report.h"
 #include "src/obs/snapshot.h"
 #include "src/runtime/corpus.h"
+#include "src/target/target.h"
 
 namespace gauntlet {
 namespace {
@@ -41,6 +42,9 @@ CampaignOptions SmallCampaign(int num_programs) {
   CampaignOptions options;
   options.seed = 42;
   options.num_programs = num_programs;
+  // The built-in back ends, named: a test-only target registered below
+  // must only ever run where a request selects it.
+  options.targets = {"bmv2", "tofino", "ebpf"};
   options.testgen.max_tests = 6;
   options.testgen.max_decisions = 5;
   RemoveWallClockBudgets(options);
@@ -62,6 +66,32 @@ int ConnectRawClient(const std::string& socket_path) {
     return -1;
   }
   return fd;
+}
+
+// A client-side frame header announcing a `length`-byte payload.
+std::string FrameHeader(uint32_t length) {
+  return {static_cast<char>(length >> 24), static_cast<char>(length >> 16),
+          static_cast<char>(length >> 8), static_cast<char>(length)};
+}
+
+// A back end whose compiler fails with neither CompileError nor
+// CompilerBugError: an escape the campaign does not classify, as a bug in
+// the tool itself would be.
+class ThrowingTarget : public Target {
+ public:
+  const char* name() const override { return "throwing-test-target"; }
+  const char* component() const override { return "ThrowingBackEnd"; }
+  BugLocation location() const override { return BugLocation::kBackEndEbpf; }
+  std::unique_ptr<Executable> CompileLowered(std::shared_ptr<const Program>,
+                                             const BugConfig&) const override {
+    throw std::runtime_error("test-only back end failed");
+  }
+};
+
+void RegisterThrowingTarget() {
+  if (TargetRegistry::Find("throwing-test-target") == nullptr) {
+    TargetRegistry::Register(std::make_unique<ThrowingTarget>());
+  }
 }
 
 class DistScratch : public ::testing::Test {
@@ -178,6 +208,34 @@ TEST_F(DistScratch, ServeMaxRequestsBoundsTheLoop) {
   EXPECT_EQ(server.served(), 1);
 }
 
+// A submission that fails inside the pipeline with an exception the
+// campaign does not classify gets an error answer, and the server keeps
+// serving: the next submission is answered as usual.
+TEST_F(DistScratch, ServeAnswersAnUnclassifiedFailureWithAnErrorAndKeepsServing) {
+  RegisterThrowingTarget();
+  MetricsRegistry metrics;
+  ServeOptions options;
+  options.socket_path = Path("sock");
+  options.campaign = SmallCampaign(/*num_programs=*/0);
+  options.campaign.metrics = &metrics;
+  GauntletServer server(std::move(options), BugConfig::None());
+  server.Start();
+  std::thread loop([&server] { server.Run(); });
+
+  const std::string failed = SendServeRequest(
+      server.socket_path(), BuildSubmitPayload(kCleanProgram, {}, {"throwing-test-target"}));
+  EXPECT_NE(failed.find("\"status\":\"error\""), std::string::npos) << failed;
+  EXPECT_NE(failed.find("test-only back end failed"), std::string::npos) << failed;
+  const std::string next =
+      SendServeRequest(server.socket_path(), BuildSubmitPayload(kCleanProgram, {}, {}));
+  EXPECT_NE(next.find("\"status\":\"ok\""), std::string::npos) << next;
+  EXPECT_NE(next.find("\"program_index\":0,"), std::string::npos) << next;
+  SendServeRequest(server.socket_path(), BuildShutdownPayload());
+  loop.join();
+  EXPECT_EQ(server.served(), 1);
+  EXPECT_EQ(metrics.Value("serve/verdict/error"), 1u);
+}
+
 // A serve session owns one validation cache for its lifetime: submitting
 // the same program twice answers the second time from the verdicts the
 // first one archived under the program's content hash, with the identical
@@ -223,11 +281,8 @@ TEST_F(DistScratch, ServeSurvivesAClientThatHangsUpEarly) {
   const std::string payload = BuildSubmitPayload(kCleanProgram, {}, {});
   const int fd = ConnectRawClient(server.socket_path());
   ASSERT_GE(fd, 0);
-  const uint32_t length = static_cast<uint32_t>(payload.size());
-  const unsigned char header[4] = {
-      static_cast<unsigned char>(length >> 24), static_cast<unsigned char>(length >> 16),
-      static_cast<unsigned char>(length >> 8), static_cast<unsigned char>(length)};
-  ASSERT_EQ(write(fd, header, sizeof(header)), static_cast<ssize_t>(sizeof(header)));
+  const std::string header = FrameHeader(static_cast<uint32_t>(payload.size()));
+  ASSERT_EQ(write(fd, header.data(), header.size()), static_cast<ssize_t>(header.size()));
   ASSERT_EQ(write(fd, payload.data(), payload.size()), static_cast<ssize_t>(payload.size()));
   close(fd);
 
@@ -339,6 +394,54 @@ TEST_F(DistScratch, SilentClientIsDroppedAtTheConnectionDeadline) {
   close(idle);  // a server without the deadline sees EOF here, so join cannot hang
   submitter.join();
   EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos) << response;
+  SendServeRequest(server.socket_path(), BuildShutdownPayload());
+  loop.join();
+  EXPECT_EQ(server.served(), 1);
+}
+
+// The deadline bounds the whole request, not each read: a client that
+// announces a 100-byte frame and then sends one byte a second never lets a
+// single read wait long, yet holds the accept loop only until the deadline.
+TEST_F(DistScratch, TricklingClientIsDroppedAtTheRequestDeadline) {
+  ServeOptions options;
+  options.socket_path = Path("sock");
+  options.campaign = SmallCampaign(/*num_programs=*/0);
+  GauntletServer server(std::move(options), BugConfig::None());
+  server.Start();
+  std::thread loop([&server] { server.Run(); });
+
+  const int trickler = ConnectRawClient(server.socket_path());
+  ASSERT_GE(trickler, 0);
+  const std::string header = FrameHeader(100);
+  ASSERT_EQ(write(trickler, header.data(), header.size()), static_cast<ssize_t>(header.size()));
+  std::atomic<bool> stop_trickling{false};
+  std::thread trickle([trickler, &stop_trickling] {
+    // At most ten bytes: a server without a request deadline keeps reading
+    // them, so the test fails instead of hanging.
+    for (int i = 0; i < 10 && !stop_trickling; ++i) {
+      std::this_thread::sleep_for(std::chrono::seconds(1));
+      if (send(trickler, "x", 1, MSG_NOSIGNAL) != 1) {
+        break;  // dropped by the server
+      }
+    }
+  });
+
+  const auto start = std::chrono::steady_clock::now();
+  std::string response;
+  try {
+    response = SendServeRequest(server.socket_path(), BuildSubmitPayload(kCleanProgram, {}, {}));
+  } catch (const CompileError& error) {
+    response = error.what();
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(waited, std::chrono::seconds(kServeConnectionDeadlineSeconds + 2))
+      << "submission answered only after "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(waited).count()
+      << " ms behind a trickling client";
+  EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos) << response;
+  stop_trickling = true;
+  trickle.join();
+  close(trickler);
   SendServeRequest(server.socket_path(), BuildShutdownPayload());
   loop.join();
   EXPECT_EQ(server.served(), 1);

@@ -142,6 +142,21 @@ TEST(SmtContextTest, ToStringRendersSExpressions) {
   EXPECT_EQ(ctx.ToString(expr), "(bvadd x 8w3)");
 }
 
+TEST(SmtContextTest, RebuildGoesThroughTheConstructors) {
+  SmtContext ctx;
+  const SmtRef x = ctx.Var("x", 8);
+  const SmtRef y = ctx.Var("y", 8);
+  const SmtRef c = ctx.BoolVar("c");
+  const SmtRef sub = ctx.Sub(x, y);
+  EXPECT_EQ(ctx.Rebuild(sub, {x, y}), sub);           // unchanged arguments
+  EXPECT_EQ(ctx.Rebuild(sub, {x, x}), ctx.Const(8, 0));  // x - x folds
+  EXPECT_EQ(ctx.Rebuild(ctx.Ite(c, x, y), {c, y, y}), y);
+  EXPECT_EQ(ctx.Rebuild(ctx.Extract(x, 6, 2), {ctx.Extract(y, 7, 1)}), ctx.Extract(y, 7, 3));
+  EXPECT_EQ(ctx.Rebuild(ctx.Zext(x, 16), {y}), ctx.Zext(y, 16));
+  EXPECT_EQ(ctx.Rebuild(x, {}), x);
+  EXPECT_THROW(ctx.Rebuild(sub, {x}), CompilerBugError);
+}
+
 TEST(SmtContextTest, WidthMismatchIsBug) {
   SmtContext ctx;
   EXPECT_THROW(ctx.Add(ctx.Var("a", 8), ctx.Var("b", 16)), CompilerBugError);

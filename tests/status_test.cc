@@ -267,6 +267,37 @@ TEST_F(StatusScratch, CollectStatusReadsTheSnapshotAndFlagsATornOne) {
   EXPECT_NE(StatusText(status).find("corrupt"), std::string::npos);
 }
 
+// A value wider than its column still leaves a space before the next one:
+// a snapshot last updated at the epoch is decades old, and its age used to
+// run into the health column as `497868h7mstalled`.
+TEST_F(StatusScratch, StatusTextSeparatesColumnsThatOverflow) {
+  Snapshot snapshot;
+  snapshot.role = "campaign";
+  snapshot.phase = "running";
+  snapshot.pid = static_cast<int64_t>(getpid());
+  snapshot.programs_total = 30;
+  snapshot.programs_done = 3;
+  snapshot.started_unix_ms = 1;
+  snapshot.updated_unix_ms = 1;
+  ASSERT_TRUE(WriteSnapshotFile(SnapshotPathIn(root_), snapshot));
+
+  DriverStatus status;
+  ASSERT_TRUE(CollectStatus(root_, kDefaultStallThresholdMs, &status));
+  ASSERT_EQ(status.health.state, DriverHealth::kStalled);
+  const std::string text = StatusText(status);
+  // The value row: role, pid, phase, done/total, tests, findings, age and
+  // health, each its own whitespace-separated word.
+  std::istringstream row(text.substr(text.find('\n') + 1));
+  std::vector<std::string> columns;
+  for (std::string column; row >> column;) {
+    columns.push_back(column);
+  }
+  ASSERT_GE(columns.size(), 8u) << text;
+  EXPECT_EQ(columns[5], "0") << text;
+  EXPECT_GT(columns[6].size(), 8u) << text;  // the age fills its column
+  EXPECT_EQ(columns[7], "stalled") << text;
+}
+
 TEST_F(StatusScratch, CollectStatusOnANonStatusPathFindsNothing) {
   DriverStatus status;
   EXPECT_FALSE(CollectStatus(Path("nope"), 1000, &status));
