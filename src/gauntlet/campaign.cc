@@ -332,8 +332,9 @@ namespace {
 // out of reach for every program this campaign generated.
 //
 // "compiled" holds the back-end locations whose Compile ran on the program;
-// "executed" additionally requires that packet tests existed to replay, so
-// crash-kind back-end faults gate on compiled and semantic ones on executed.
+// "executed" additionally requires that the compile returned an artifact and
+// that packet tests existed to replay on it, so crash-kind back-end faults
+// gate on compiled and semantic ones on executed.
 bool FaultExercised(BugId bug, const ProgramConstructCensus& census,
                     const PathCoverageSummary& paths, const std::set<BugLocation>& compiled,
                     const std::set<BugLocation>& executed) {
@@ -511,19 +512,6 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
     }
   }
 
-  // --- Technique 3 (§6): packet tests against the targets ---
-  std::vector<PacketTest> tests;
-  PathCoverageSummary path_summary;
-  if (options_.run_packet_tests) {
-    try {
-      tests = TestCaseGenerator(options_.testgen)
-                  .Generate(program, cache, coverage_active ? &path_summary : nullptr);
-      report.tests_generated += static_cast<int>(tests.size());
-    } catch (const UnsupportedError&) {
-      // Outside the supported fragment: skip black-box testing (§8).
-    }
-  }
-
   // Without validation's lowering (validation off, or its pipeline threw),
   // lower once here. A lowering that throws is rethrown inside every
   // target's compile below, so each target sees exactly the exception its
@@ -538,6 +526,22 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
     }
   }
 
+  // --- Technique 3 (§6): packet tests against the targets ---
+  // Tests are generated only for a program the back ends can compile: when
+  // the shared lowering threw, every target's compile rethrows it and no
+  // test would ever be replayed.
+  std::vector<PacketTest> tests;
+  PathCoverageSummary path_summary;
+  if (options_.run_packet_tests && lowering_error == nullptr) {
+    try {
+      tests = TestCaseGenerator(options_.testgen)
+                  .Generate(program, cache, coverage_active ? &path_summary : nullptr);
+      report.tests_generated += static_cast<int>(tests.size());
+    } catch (const UnsupportedError&) {
+      // Outside the supported fragment: skip black-box testing (§8).
+    }
+  }
+
   // The same compile crash surfaces once per target (every target sees the
   // shared lowering's exception, and every back end runs the residual-call
   // check — with the back end's name embedded in the message). Dedup on
@@ -548,12 +552,7 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
   std::set<BugLocation> executed_locations;
   for (const Target* target : SelectedTargets()) {
     if (coverage_active) {
-      // Compile is attempted on every selected target; execution needs
-      // packet tests to replay.
       compiled_locations.insert(target->location());
-      if (!tests.empty()) {
-        executed_locations.insert(target->location());
-      }
     }
     try {
       std::unique_ptr<Executable> executable;
@@ -563,6 +562,10 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
           std::rethrow_exception(lowering_error);
         }
         executable = target->CompileLowered(lowered, bugs);
+      }
+      // Execution needs a compiled artifact and packet tests to replay.
+      if (coverage_active && !tests.empty()) {
+        executed_locations.insert(target->location());
       }
       std::vector<std::pair<PacketTest, PacketTestOutcome>> failures;
       {

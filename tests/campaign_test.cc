@@ -2,9 +2,12 @@
 
 #include <map>
 
+#include "src/frontend/parser.h"
 #include "src/gauntlet/campaign.h"
+#include "src/obs/coverage.h"
 #include "src/obs/metrics.h"
 #include "src/runtime/parallel_campaign.h"
+#include "src/typecheck/typecheck.h"
 
 namespace gauntlet {
 namespace {
@@ -265,6 +268,104 @@ TEST(CampaignTest, EachProgramRunsThePipelineOnce) {
     const CampaignReport report = RunCampaign(options, bugs);
     ASSERT_EQ(report.programs_generated, 20);
     EXPECT_EQ(metrics.Value("passes/pipeline_runs"), 20u) << "validation " << validate;
+  }
+}
+
+// A full pipeline whose ingress shifts a constant by a header field: the
+// `typechecker-shift-crash` trigger.
+constexpr const char* kShiftByFieldProgram = R"(
+header H { bit<8> a; bit<8> f; }
+struct Hdr { H h; }
+parser p(out Hdr hdr) { state start { pkt.extract(hdr.h); transition accept; } }
+control ig(inout Hdr hdr) { apply { hdr.h.a = 8w1 << hdr.h.f; } }
+control dp(in Hdr hdr) { apply { pkt.emit(hdr.h); } }
+package main { parser = p; ingress = ig; deparser = dp; }
+)";
+
+// A five-state extract chain: one state more than the eBPF back end's
+// modelled verifier loop bound, so `ebpf-crash-verifier-loop-bound` fails
+// its compile.
+constexpr const char* kLongParserChainProgram = R"(
+header H { bit<8> a; bit<8> b; }
+struct Hdr { H h1; H h2; H h3; H h4; H h5; }
+parser p(out Hdr hdr) {
+  state start { pkt.extract(hdr.h1); transition s2; }
+  state s2 { pkt.extract(hdr.h2); transition s3; }
+  state s3 { pkt.extract(hdr.h3); transition s4; }
+  state s4 { pkt.extract(hdr.h4); transition s5; }
+  state s5 { pkt.extract(hdr.h5); transition accept; }
+}
+control ig(inout Hdr hdr) { apply { hdr.h1.a = hdr.h5.b; } }
+control dp(in Hdr hdr) { apply { pkt.emit(hdr.h1); } }
+package main { parser = p; ingress = ig; deparser = dp; }
+)";
+
+TEST(CampaignTest, ProgramWhoseLoweringThrowsGeneratesNoTests) {
+  // No back end can compile a program whose shared lowering throws, so no
+  // packet test is generated for it; its one finding is the crash.
+  auto program = Parser::ParseString(kShiftByFieldProgram);
+  TypeCheck(*program);
+  const Campaign campaign(SmallCampaign(1));
+
+  BugConfig bugs;
+  bugs.Enable(BugId::kTypeCheckerShiftCrash);
+  CampaignReport crashed;
+  campaign.TestProgram(*program, bugs, 0, crashed);
+  EXPECT_EQ(crashed.tests_generated, 0);
+  EXPECT_EQ(crashed.programs_with_crash, 1);
+  ASSERT_EQ(crashed.findings.size(), 1u);
+  EXPECT_EQ(crashed.findings[0].method, DetectionMethod::kCrash);
+  EXPECT_EQ(crashed.findings[0].attributed, BugId::kTypeCheckerShiftCrash);
+
+  CampaignReport clean;
+  campaign.TestProgram(*program, BugConfig::None(), 0, clean);
+  EXPECT_GT(clean.tests_generated, 0);
+  EXPECT_TRUE(clean.findings.empty());
+}
+
+TEST(CampaignTest, TestGenerationRunsOnlyOnProgramsThatLower) {
+  BugConfig bugs;
+  bugs.Enable(BugId::kTypeCheckerShiftCrash);
+  MetricsRegistry metrics;
+  CampaignOptions options = SmallCampaign(25);
+  options.metrics = &metrics;
+  const CampaignReport report = RunCampaign(options, bugs);
+  ASSERT_GT(report.programs_with_crash, 0);
+  EXPECT_EQ(metrics.Value("time/testgen-enumerate/calls"),
+            static_cast<uint64_t>(report.programs_generated - report.programs_with_crash));
+}
+
+TEST(CampaignTest, BackEndThatFailsToCompileExercisesNoSemanticFault) {
+  // The fault-trigger "exercised" counter of a back end's semantic fault
+  // needs an artifact to replay tests on: a back end whose own compile
+  // throws ran nothing.
+  auto program = Parser::ParseString(kLongParserChainProgram);
+  TypeCheck(*program);
+  CampaignOptions options = SmallCampaign(1);
+  options.targets = {"ebpf"};
+  const Campaign campaign(options);
+  const auto coverage_for = [&](const BugConfig& bugs) {
+    CoverageMap coverage;
+    ScopedCoverageSink sink(&coverage);
+    CampaignReport report;
+    campaign.TestProgram(*program, bugs, 0, report);
+    return coverage;
+  };
+
+  BugConfig semantic;
+  semantic.Enable(BugId::kEbpfParserExtractReversed);
+  EXPECT_EQ(coverage_for(semantic).Value("fault-trigger", "ebpf-parser-extract-reversed/exercised"),
+            1u);
+
+  BugConfig crashing = semantic;
+  crashing.Enable(BugId::kEbpfCrashVerifierLoopBound);
+  const CoverageMap crashed = coverage_for(crashing);
+  EXPECT_EQ(crashed.Value("fault-trigger", "ebpf-crash-verifier-loop-bound/exercised"), 1u);
+  for (const BugInfo& info : BugCatalogue()) {
+    if (info.location == BugLocation::kBackEndEbpf && info.kind == BugKind::kSemantic) {
+      EXPECT_EQ(crashed.Value("fault-trigger", std::string(info.name) + "/exercised"), 0u)
+          << info.name;
+    }
   }
 }
 

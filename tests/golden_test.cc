@@ -207,6 +207,8 @@ const char* const kServeCleanGolden = R"golden({"version":1,"status":"ok","progr
 
 const char* const kServeFindingsGolden = R"golden({"version":1,"status":"ok","program_index":1,"tests_generated":6,"findings":[{"method":"translation-validation","kind":"semantic","component":"Predication","attributed":"predication-lost-else"}]})golden";
 
+const char* const kServeCrashGolden = R"golden({"version":1,"status":"ok","program_index":2,"tests_generated":0,"findings":[{"method":"crash","kind":"crash","component":"TypeChecker","attributed":"typechecker-shift-crash"}]})golden";
+
 const char* const kServeParseErrorGolden = R"golden({"version":1,"status":"error","error":"1:7: error: unexpected character '\"'"})golden";
 
 const char* const kServeBadBugGolden = R"golden({"version":1,"status":"error","error":"unknown bug '\"no\\such'"})golden";
@@ -277,6 +279,16 @@ control dp(in Hdr hdr) { apply { pkt.emit(hdr.h); } }
 package main { parser = p; ingress = ig; deparser = dp; }
 )";
 
+// Shifts a constant by a header field: the `typechecker-shift-crash` trigger.
+constexpr const char* kShiftByFieldProgram = R"(
+header H { bit<8> a; bit<8> f; }
+struct Hdr { H h; }
+parser p(out Hdr hdr) { state start { pkt.extract(hdr.h); transition accept; } }
+control ig(inout Hdr hdr) { apply { hdr.h.a = 8w1 << hdr.h.f; } }
+control dp(in Hdr hdr) { apply { pkt.emit(hdr.h); } }
+package main { parser = p; ingress = ig; deparser = dp; }
+)";
+
 Finding GoldenFinding() {
   Finding finding;
   finding.program_index = 12;
@@ -328,6 +340,7 @@ TEST_F(GoldenScratch, ServeResponses) {
   };
   EXPECT_EQ(submit(kCleanProgram, {}), kServeCleanGolden);
   EXPECT_EQ(submit(kPredicationProgram, {"predication-lost-else"}), kServeFindingsGolden);
+  EXPECT_EQ(submit(kShiftByFieldProgram, {"typechecker-shift-crash"}), kServeCrashGolden);
   EXPECT_EQ(submit("not a \"p4\" program", {}), kServeParseErrorGolden);
   EXPECT_EQ(submit(kCleanProgram, {"\"no\\such"}), kServeBadBugGolden);
   SendServeRequest(socket, BuildShutdownPayload());
