@@ -69,9 +69,9 @@ struct ServeOptions {
   // replaced (the crashed-predecessor case).
   std::string socket_path;
   // Detection configuration for every submission: targets, tv/testgen
-  // budgets, use_cache, attribute_findings, and the shared
-  // metrics/coverage/trace sinks. num_programs/seed/generator are unused —
-  // the traffic stream replaces the generator.
+  // budgets, use_cache, and the shared metrics/coverage/trace sinks.
+  // num_programs/seed/generator are unused — the traffic stream replaces
+  // the generator.
   CampaignOptions campaign;
   // When non-empty, every submission's findings persist as reproducer
   // triples here (deduped across submissions).

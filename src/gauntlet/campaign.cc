@@ -237,9 +237,6 @@ void Campaign::AttributeTvFinding(Finding& finding, const TvReport& tv_report,
                                   const BugConfig& bugs, const std::string& pass_name,
                                   ValidationCache* cache) const {
   finding.component = pass_name;
-  if (!options_.attribute_findings) {
-    return;
-  }
   // Locate the blamed pass's input: the retained version just before it.
   const Program* before = nullptr;
   for (size_t i = 1; i < tv_report.versions.size(); ++i) {
@@ -296,9 +293,6 @@ void Campaign::AttributeTvFinding(Finding& finding, const TvReport& tv_report,
 void Campaign::AttributeBlackBox(Finding& finding, const BugConfig& bugs, const Target& target,
                                  const std::shared_ptr<const Program>& lowered,
                                  const PacketTest& test) const {
-  if (!options_.attribute_findings) {
-    return;
-  }
   for (const BugInfo& info : BugCatalogue()) {
     // Only semantic faults at this back end can explain a packet mismatch;
     // crash-kind faults would have aborted compilation instead.
@@ -331,11 +325,12 @@ namespace {
 // coverage report surfaces) — but a fault never exercised was definitely
 // out of reach for every program this campaign generated.
 //
-// "compiled" holds the back-end locations whose Compile ran on the program;
-// "executed" additionally requires that the compile returned an artifact and
-// that packet tests existed to replay on it, so crash-kind back-end faults
-// gate on compiled and semantic ones on executed.
-bool FaultExercised(BugId bug, const ProgramConstructCensus& census,
+// "compiled" holds the back-end locations whose compile ran on the program's
+// lowering (none when its pipeline threw); "executed" additionally requires
+// that the compile returned an artifact and that packet tests existed to
+// replay on it, so crash-kind back-end faults gate on compiled and semantic
+// ones on executed.
+bool FaultExercised(BugId bug, const Program& program, const ProgramConstructCensus& census,
                     const PathCoverageSummary& paths, const std::set<BugLocation>& compiled,
                     const std::set<BugLocation>& executed) {
   const auto compiled_on = [&compiled](BugLocation location) {
@@ -406,19 +401,21 @@ bool FaultExercised(BugId bug, const ProgramConstructCensus& census,
     case BugId::kEbpfMapKeyByteOrderSwap:
       return paths.multi_byte_key_hit && paths.table_hit &&
              executed_on(BugLocation::kBackEndEbpf);
+    // The eBPF resource faults fire on the measures EbpfTarget checks:
+    // every declared header bit, and the parser's longest state chain.
     case BugId::kEbpfCrashStackOverflow:
-      return census.extracted_bits > 320 && compiled_on(BugLocation::kBackEndEbpf);
+      return compiled_on(BugLocation::kBackEndEbpf) && TotalHeaderBits(program) > 320;
     case BugId::kEbpfCrashVerifierLoopBound:
-      return census.max_parser_chain_depth > 4 && compiled_on(BugLocation::kBackEndEbpf);
+      return compiled_on(BugLocation::kBackEndEbpf) && ParserMaxChainDepth(program) > 4;
   }
   return false;
 }
 
-void RecordFaultExercise(const ProgramConstructCensus& census, const PathCoverageSummary& paths,
-                         const std::set<BugLocation>& compiled,
+void RecordFaultExercise(const Program& program, const ProgramConstructCensus& census,
+                         const PathCoverageSummary& paths, const std::set<BugLocation>& compiled,
                          const std::set<BugLocation>& executed) {
   for (const BugInfo& info : BugCatalogue()) {
-    if (FaultExercised(info.id, census, paths, compiled, executed)) {
+    if (FaultExercised(info.id, program, census, paths, compiled, executed)) {
       CoverPoint("fault-trigger", std::string(info.name) + "/exercised",
                  MetricScope::kDeterministic);
     }
@@ -448,11 +445,14 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
   }
 
   // The pipeline's output for this program and fault set, shared by every
-  // back end: validation produces it as a by-product.
+  // back end: validation produces it as a by-product. Null when the
+  // pipeline threw.
   std::shared_ptr<const Program> lowered;
 
   // --- Technique 2 (§5): translation validation over the open pipeline ---
-  if (options_.run_translation_validation) {
+  // Scoped so the per-pass versions validation retains are freed before
+  // test generation.
+  {
     const TranslationValidator validator(PassManager::StandardPipeline(), options_.tv);
     TvReport tv_report;
     {
@@ -512,27 +512,14 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
     }
   }
 
-  // Without validation's lowering (validation off, or its pipeline threw),
-  // lower once here. A lowering that throws is rethrown inside every
-  // target's compile below, so each target sees exactly the exception its
-  // own Compile would have raised.
-  std::exception_ptr lowering_error;
-  if (lowered == nullptr) {
-    TraceSpan span("lower", "target");
-    try {
-      lowered = LowerThroughPipeline(program, bugs);
-    } catch (...) {
-      lowering_error = std::current_exception();
-    }
-  }
-
   // --- Technique 3 (§6): packet tests against the targets ---
-  // Tests are generated only for a program the back ends can compile: when
-  // the shared lowering threw, every target's compile rethrows it and no
-  // test would ever be replayed.
-  std::vector<PacketTest> tests;
+  // A program whose pipeline threw stops here: validation recorded its
+  // crash, and no back end has a lowering to compile.
   PathCoverageSummary path_summary;
-  if (options_.run_packet_tests && lowering_error == nullptr) {
+  std::set<BugLocation> compiled_locations;
+  std::set<BugLocation> executed_locations;
+  if (lowered != nullptr) {
+    std::vector<PacketTest> tests;
     try {
       tests = TestCaseGenerator(options_.testgen)
                   .Generate(program, cache, coverage_active ? &path_summary : nullptr);
@@ -540,89 +527,83 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
     } catch (const UnsupportedError&) {
       // Outside the supported fragment: skip black-box testing (§8).
     }
-  }
 
-  // The same compile crash surfaces once per target (every target sees the
-  // shared lowering's exception, and every back end runs the residual-call
-  // check — with the back end's name embedded in the message). Dedup on
-  // the *attributed* crash site, not the raw message, so one front/mid-end
-  // crash is recorded once however many back ends observe it.
-  std::set<std::string> recorded_crash_sites;
-  std::set<BugLocation> compiled_locations;
-  std::set<BugLocation> executed_locations;
-  for (const Target* target : SelectedTargets()) {
-    if (coverage_active) {
-      compiled_locations.insert(target->location());
-    }
-    try {
-      std::unique_ptr<Executable> executable;
-      {
-        TraceSpan span(std::string("compile:") + target->name(), "target");
-        if (lowering_error != nullptr) {
-          std::rethrow_exception(lowering_error);
-        }
-        executable = target->CompileLowered(lowered, bugs);
+    // Every back end runs the residual-call check, with the back end's
+    // name embedded in the message, so one inliner snowball crashes every
+    // compile. Dedup on the *attributed* crash site, not the raw message,
+    // so that crash is recorded once however many back ends observe it.
+    std::set<std::string> recorded_crash_sites;
+    for (const Target* target : SelectedTargets()) {
+      if (coverage_active) {
+        compiled_locations.insert(target->location());
       }
-      // Execution needs a compiled artifact and packet tests to replay.
-      if (coverage_active && !tests.empty()) {
-        executed_locations.insert(target->location());
-      }
-      std::vector<std::pair<PacketTest, PacketTestOutcome>> failures;
-      {
-        TraceSpan span(std::string("execute:") + target->name(), "target");
-        failures = RunPacketTests(*executable, tests);
-      }
-      if (!failures.empty()) {
-        Finding finding;
-        finding.program_index = program_index;
-        finding.method = DetectionMethod::kPacketTest;
-        finding.kind = BugKind::kSemantic;
-        finding.component = target->component();
-        finding.detail = failures[0].second.detail;
-        finding.repro_test = failures[0].first;
+      try {
+        std::unique_ptr<Executable> executable;
         {
-          TraceSpan span("attribute", "target");
-          AttributeBlackBox(finding, bugs, *target, lowered, failures[0].first);
+          TraceSpan span(std::string("compile:") + target->name(), "target");
+          executable = target->CompileLowered(lowered, bugs);
         }
-        // Failures not explained by a fault local to this back end are
-        // duplicates of front/mid-end miscompilations that translation
-        // validation already reported (the paper excludes those from
-        // back-end counts, §7.1).
-        if (finding.attributed.has_value() || !options_.run_translation_validation) {
-          Record(report, std::move(finding));
-          semantic_this_program = true;
+        // Execution needs a compiled artifact and packet tests to replay.
+        if (coverage_active && !tests.empty()) {
+          executed_locations.insert(target->location());
         }
+        std::vector<std::pair<PacketTest, PacketTestOutcome>> failures;
+        {
+          TraceSpan span(std::string("execute:") + target->name(), "target");
+          failures = RunPacketTests(*executable, tests);
+        }
+        if (!failures.empty()) {
+          Finding finding;
+          finding.program_index = program_index;
+          finding.method = DetectionMethod::kPacketTest;
+          finding.kind = BugKind::kSemantic;
+          finding.component = target->component();
+          finding.detail = failures[0].second.detail;
+          finding.repro_test = failures[0].first;
+          {
+            TraceSpan span("attribute", "target");
+            AttributeBlackBox(finding, bugs, *target, lowered, failures[0].first);
+          }
+          // Failures not explained by a fault local to this back end are
+          // duplicates of front/mid-end miscompilations that translation
+          // validation already reported (the paper excludes those from
+          // back-end counts, §7.1).
+          if (finding.attributed.has_value()) {
+            Record(report, std::move(finding));
+            semantic_this_program = true;
+          }
+        }
+      } catch (const CompilerBugError& error) {
+        // Front/mid-end crashes were already observed by translation
+        // validation; only crash sites *inside* the back end (which
+        // validation cannot see) are counted here.
+        const std::string message = error.what();
+        if (target->OwnsCrashMessage(message)) {
+          Finding finding;
+          finding.program_index = program_index;
+          finding.method = DetectionMethod::kCrash;
+          finding.kind = BugKind::kCrash;
+          finding.detail = message;
+          AttributeCrash(finding, message);
+          const std::string site_key =
+              finding.component + "\n" +
+              (finding.attributed.has_value() ? BugIdToString(*finding.attributed) : message);
+          if (recorded_crash_sites.insert(site_key).second) {
+            Record(report, std::move(finding));
+            crashed_this_program = true;
+          }
+        }
+      } catch (const CompileError&) {
+        // Orderly rejection: the back end or its artifact refused the
+        // program or a test's table configuration.
       }
-    } catch (const CompilerBugError& error) {
-      // Front/mid-end crashes were already observed by translation
-      // validation; with validation on, only crash sites *inside* the back
-      // end (which validation cannot see) are counted here.
-      const std::string message = error.what();
-      if (target->OwnsCrashMessage(message) || !options_.run_translation_validation) {
-        Finding finding;
-        finding.program_index = program_index;
-        finding.method = DetectionMethod::kCrash;
-        finding.kind = BugKind::kCrash;
-        finding.detail = message;
-        AttributeCrash(finding, message);
-        const std::string site_key =
-            finding.component + "\n" +
-            (finding.attributed.has_value() ? BugIdToString(*finding.attributed) : message);
-        if (recorded_crash_sites.insert(site_key).second) {
-          Record(report, std::move(finding));
-          crashed_this_program = true;
-        }
-      }
-    } catch (const CompileError&) {
-      // Orderly rejection: the program tripped a (possibly seeded)
-      // incorrect rejection already counted by translation validation.
     }
   }
 
   report.programs_with_crash += crashed_this_program ? 1 : 0;
   report.programs_with_semantic += semantic_this_program ? 1 : 0;
   if (coverage_active) {
-    RecordFaultExercise(census, path_summary, compiled_locations, executed_locations);
+    RecordFaultExercise(program, census, path_summary, compiled_locations, executed_locations);
   }
 }
 
@@ -632,7 +613,7 @@ std::vector<const Target*> Campaign::SelectedTargets() const {
 
 GeneratorOptions Campaign::EffectiveGeneratorOptions() const {
   GeneratorOptions generator = options_.generator;
-  if (options_.bias_generator && options_.targets.size() == 1) {
+  if (options_.targets.size() == 1) {
     generator = TargetRegistry::Get(options_.targets[0]).GeneratorBias(generator);
   }
   return generator;

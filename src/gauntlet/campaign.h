@@ -58,21 +58,15 @@ struct CampaignOptions {
   TestGenOptions testgen;
   // Budgets for the per-program translation validation runs.
   TvOptions tv;
-  bool run_translation_validation = true;
-  bool run_packet_tests = true;
   // Back ends to replay packet tests on, by registry name, in this order.
-  // Empty means every registered target in registration order.
+  // Empty means every registered target in registration order. When it
+  // names exactly one back end, the generated fodder is shaped with that
+  // target's GeneratorBias (the §4.2 back-end-specific skeleton).
   std::vector<std::string> targets;
-  // Attribute findings to seeded faults via delta-debugging reruns.
-  bool attribute_findings = true;
   // Memoize bit-blasted fragments and equivalence verdicts across the
   // programs a worker processes (src/cache/). Replay is bit-exact, so the
   // report is identical either way; `gauntlet ... --no-cache` turns it off.
   bool use_cache = true;
-  // When the campaign targets exactly one back end, shape the generated
-  // fodder with that target's GeneratorBias (the §4.2 back-end-specific
-  // skeleton). Off = the target-agnostic program stream.
-  bool bias_generator = true;
 
   // --- observability (src/obs/), all optional and observation-only ---
   // Findings and reports are bit-identical with these on or off.
@@ -165,9 +159,10 @@ struct CampaignReport {
 
 // The per-program bug detector: on one random program (§4), run
 // translation validation over the open pass pipeline (§5) and replay
-// generated test packets on every selected registered target (§6). The
-// loop over programs is ParallelCampaign::Run (src/runtime/), the one
-// campaign driver.
+// generated test packets on every selected registered target (§6). A
+// program whose pipeline throws stops after validation, which records the
+// crash. The loop over programs is ParallelCampaign::Run (src/runtime/),
+// the one campaign driver.
 class Campaign {
  public:
   explicit Campaign(CampaignOptions options) : options_(std::move(options)) {}
@@ -184,7 +179,7 @@ class Campaign {
 
   // The generator options this campaign actually runs: the configured base,
   // reshaped by the single selected target's GeneratorBias when exactly one
-  // back end is targeted (and bias_generator is on).
+  // back end is targeted.
   GeneratorOptions EffectiveGeneratorOptions() const;
 
  private:

@@ -1103,17 +1103,6 @@ uint32_t ApproxWidth(const Expr& expr) {
   }
 }
 
-uint32_t HeaderBits(const TypePtr& type) {
-  if (type == nullptr || !type->IsHeader()) {
-    return 0;
-  }
-  uint32_t bits = 0;
-  for (const Type::Field& field : type->fields()) {
-    bits += field.type->IsBool() ? 1 : field.type->width();
-  }
-  return bits;
-}
-
 class CensusWalker {
  public:
   explicit CensusWalker(ProgramConstructCensus& census) : census_(census) {}
@@ -1322,59 +1311,12 @@ class CensusWalker {
             Stmt_(*stmt, /*in_action=*/false);
           }
         }
-        ParserChain(parser);
         break;
       }
     }
   }
 
-  // Longest acyclic extract chain from "start", and the header bits
-  // extracted along it — the shapes the eBPF back end's stack and verifier
-  // loop limits care about.
-  void ParserChain(const ParserDecl& parser) {
-    std::vector<std::string> path;
-    Walk(parser, "start", path, 0, 0);
-  }
-
  private:
-  void Walk(const ParserDecl& parser, const std::string& state_name,
-            std::vector<std::string>& path, int extracts, int bits) {
-    if (path.size() > 64) {
-      return;
-    }
-    const ParserState* state = parser.FindState(state_name);
-    if (state == nullptr) {  // "accept"/"reject" or dangling transition
-      census_.max_parser_chain_depth = std::max(census_.max_parser_chain_depth, extracts);
-      census_.extracted_bits = std::max(census_.extracted_bits, bits);
-      return;
-    }
-    for (const std::string& visited : path) {
-      if (visited == state_name) {
-        return;
-      }
-    }
-    for (const StmtPtr& stmt : state->statements) {
-      if (stmt->kind() != StmtKind::kCall) {
-        continue;
-      }
-      const CallExpr& call = static_cast<const CallStmt&>(*stmt).call();
-      if (call.call_kind() != CallKind::kExtract) {
-        continue;
-      }
-      ++extracts;
-      if (!call.args().empty()) {
-        bits += static_cast<int>(HeaderBits(call.args()[0]->type()));
-      }
-    }
-    census_.max_parser_chain_depth = std::max(census_.max_parser_chain_depth, extracts);
-    census_.extracted_bits = std::max(census_.extracted_bits, bits);
-    path.push_back(state_name);
-    for (const SelectCase& select_case : state->cases) {
-      Walk(parser, select_case.next_state, path, extracts, bits);
-    }
-    path.pop_back();
-  }
-
   ProgramConstructCensus& census_;
 };
 

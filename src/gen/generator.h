@@ -114,8 +114,6 @@ struct ProgramConstructCensus {
   int parser_states = 0;
   int parser_selects = 0;
   int parser_extracts = 0;
-  int max_parser_chain_depth = 0;  // extracts along the longest acyclic path
-  int extracted_bits = 0;          // header bits along that longest path
   bool has_egress = false;
 };
 

@@ -153,82 +153,80 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(CampaignTest, TargetSubsettingChangesOnlySelectedBackEndsFindings) {
-  // Seed one fault per back end; with the single-target generator bias
-  // disabled the program stream and the open-pipeline techniques are
-  // identical for any --targets value, so subsetting to one back end must
-  // reproduce exactly that back end's packet-test findings and drop the
-  // others'. (With bias on, a single-target campaign deliberately generates
-  // different fodder — covered by SingleTargetCampaignAppliesGeneratorBias.)
+  // Seed one fault per back end. A campaign on two back ends applies no
+  // generator bias, so its program stream and open-pipeline techniques
+  // equal the full run's: subsetting must reproduce exactly the selected
+  // back ends' packet-test findings and drop the third's. (A single-target
+  // campaign deliberately generates different fodder — covered by
+  // SingleTargetCampaignAppliesGeneratorBias.)
   BugConfig bugs;
   bugs.Enable(BugId::kBmv2TableMissRunsFirstAction);
   bugs.Enable(BugId::kTofinoTableDefaultSkipped);
   bugs.Enable(BugId::kEbpfParserExtractReversed);
 
-  CampaignOptions all = SmallCampaign(30);
-  all.bias_generator = false;
+  const CampaignOptions all = SmallCampaign(30);
   const CampaignReport full = RunCampaign(all, bugs);
 
-  CampaignOptions only_ebpf = all;
-  only_ebpf.targets = {"ebpf"};
-  const CampaignReport subset = RunCampaign(only_ebpf, bugs);
+  CampaignOptions bmv2_and_ebpf = all;
+  bmv2_and_ebpf.targets = {"bmv2", "ebpf"};
+  const CampaignReport subset = RunCampaign(bmv2_and_ebpf, bugs);
 
-  // The subset run found only eBPF bugs...
+  // The subset run found no Tofino bug...
   EXPECT_GT(subset.distinct_bugs.count(BugId::kEbpfParserExtractReversed), 0u);
-  EXPECT_EQ(subset.distinct_bugs.count(BugId::kBmv2TableMissRunsFirstAction), 0u);
+  EXPECT_GT(subset.distinct_bugs.count(BugId::kBmv2TableMissRunsFirstAction), 0u);
   EXPECT_EQ(subset.distinct_bugs.count(BugId::kTofinoTableDefaultSkipped), 0u);
   // ...and the full run found every back end's.
   EXPECT_GT(full.distinct_bugs.count(BugId::kEbpfParserExtractReversed), 0u);
   EXPECT_GT(full.distinct_bugs.count(BugId::kBmv2TableMissRunsFirstAction), 0u);
   EXPECT_GT(full.distinct_bugs.count(BugId::kTofinoTableDefaultSkipped), 0u);
 
-  // The eBPF findings themselves are identical in both runs: subsetting
-  // never perturbs the selected back ends' results.
-  std::vector<std::string> full_ebpf;
-  for (const Finding& finding : full.findings) {
-    if (finding.method == DetectionMethod::kPacketTest &&
-        finding.attributed.has_value() &&
-        GetBugInfo(*finding.attributed).location == BugLocation::kBackEndEbpf) {
-      full_ebpf.push_back(std::to_string(finding.program_index) + ":" +
-                          BugIdToString(*finding.attributed) + ":" + finding.detail);
+  // The selected back ends' findings are identical in both runs:
+  // subsetting never perturbs the selected back ends' results.
+  const auto selected_findings = [](const CampaignReport& report) {
+    std::vector<std::string> findings;
+    for (const Finding& finding : report.findings) {
+      if (finding.method != DetectionMethod::kPacketTest || !finding.attributed.has_value()) {
+        continue;
+      }
+      const BugLocation location = GetBugInfo(*finding.attributed).location;
+      if (location == BugLocation::kBackEndBmv2 || location == BugLocation::kBackEndEbpf) {
+        findings.push_back(std::to_string(finding.program_index) + ":" +
+                           BugIdToString(*finding.attributed) + ":" + finding.detail);
+      }
     }
-  }
-  std::vector<std::string> subset_ebpf;
-  for (const Finding& finding : subset.findings) {
-    if (finding.method == DetectionMethod::kPacketTest &&
-        finding.attributed.has_value()) {
-      EXPECT_EQ(GetBugInfo(*finding.attributed).location, BugLocation::kBackEndEbpf);
-      subset_ebpf.push_back(std::to_string(finding.program_index) + ":" +
-                            BugIdToString(*finding.attributed) + ":" + finding.detail);
-    }
-  }
-  EXPECT_EQ(full_ebpf, subset_ebpf);
+    return findings;
+  };
+  EXPECT_FALSE(selected_findings(full).empty());
+  EXPECT_EQ(selected_findings(full), selected_findings(subset));
 }
 
 TEST(CampaignTest, SingleTargetCampaignAppliesGeneratorBias) {
   // A campaign pointed at exactly one back end reshapes its fodder with
-  // that target's GeneratorBias (the §4.2 back-end-specific skeleton): the
-  // biased run equals a run whose generator options were biased by hand,
-  // and differs from the unbiased stream.
-  BugConfig bugs;
-  bugs.Enable(BugId::kEbpfParserExtractReversed);
-
-  CampaignOptions biased = SmallCampaign(10);
-  biased.targets = {"ebpf"};
-  const CampaignReport auto_biased = RunCampaign(biased, bugs);
-
-  CampaignOptions manual = biased;
-  manual.bias_generator = false;
-  manual.generator = TargetRegistry::Get("ebpf").GeneratorBias(manual.generator);
-  const CampaignReport hand_biased = RunCampaign(manual, bugs);
-  EXPECT_EQ(auto_biased.tests_generated, hand_biased.tests_generated);
-  EXPECT_EQ(auto_biased.findings.size(), hand_biased.findings.size());
-  EXPECT_EQ(auto_biased.distinct_bugs, hand_biased.distinct_bugs);
-
-  // The eBPF bias restricts widths to whole bytes — the options really do
-  // change under the bias.
-  const GeneratorOptions shaped = Campaign(biased).EffectiveGeneratorOptions();
-  EXPECT_TRUE(shaped.byte_aligned_fields);
-  EXPECT_FALSE(CampaignOptions{}.generator.byte_aligned_fields);
+  // that target's GeneratorBias (the §4.2 back-end-specific skeleton).
+  // Each bias is idempotent, so options biased by hand stay as they are.
+  const CampaignOptions base = SmallCampaign(1);
+  EXPECT_FALSE(Campaign(base).EffectiveGeneratorOptions().byte_aligned_fields);
+  for (const char* name : {"ebpf", "tofino"}) {
+    const GeneratorOptions expected = TargetRegistry::Get(name).GeneratorBias(base.generator);
+    CampaignOptions single = base;
+    single.targets = {name};
+    CampaignOptions hand_biased = single;
+    hand_biased.generator = expected;
+    for (const CampaignOptions& options : {single, hand_biased}) {
+      const GeneratorOptions shaped = Campaign(options).EffectiveGeneratorOptions();
+      EXPECT_EQ(shaped.backend, expected.backend) << name;
+      EXPECT_EQ(shaped.byte_aligned_fields, expected.byte_aligned_fields) << name;
+      EXPECT_EQ(shaped.max_fields_per_header, expected.max_fields_per_header) << name;
+      EXPECT_EQ(shaped.p_wide_arith, expected.p_wide_arith) << name;
+    }
+  }
+  // The biases really do change the options.
+  CampaignOptions ebpf = base;
+  ebpf.targets = {"ebpf"};
+  EXPECT_TRUE(Campaign(ebpf).EffectiveGeneratorOptions().byte_aligned_fields);
+  CampaignOptions tofino = base;
+  tofino.targets = {"tofino"};
+  EXPECT_EQ(Campaign(tofino).EffectiveGeneratorOptions().backend, GeneratorBackend::kTofino);
 }
 
 TEST(CampaignTest, SharedCrashSiteRecordedOncePerProgramAcrossTargets) {
@@ -255,19 +253,22 @@ TEST(CampaignTest, SharedCrashSiteRecordedOncePerProgramAcrossTargets) {
 
 TEST(CampaignTest, EachProgramRunsThePipelineOnce) {
   // Validation's pipeline run is the lowering every back end compiles and
-  // every black-box attribution candidate recompiles; with validation off,
-  // the campaign lowers each program once itself.
+  // every black-box attribution candidate recompiles. A program whose
+  // pipeline crashes (the seeded SimplifyDefUse fault) stops at validation,
+  // so it too runs the pipeline once.
   BugConfig bugs;
   bugs.Enable(BugId::kPredicationLostElse);
   bugs.Enable(BugId::kBmv2TableMissRunsFirstAction);
-  for (const bool validate : {true, false}) {
-    MetricsRegistry metrics;
-    CampaignOptions options = SmallCampaign(20);
-    options.run_translation_validation = validate;
-    options.metrics = &metrics;
-    const CampaignReport report = RunCampaign(options, bugs);
-    ASSERT_EQ(report.programs_generated, 20);
-    EXPECT_EQ(metrics.Value("passes/pipeline_runs"), 20u) << "validation " << validate;
+  bugs.Enable(BugId::kSimplifyDefUseDropsInoutWrite);
+  MetricsRegistry metrics;
+  CampaignOptions options = SmallCampaign(20);
+  options.metrics = &metrics;
+  const CampaignReport report = RunCampaign(options, bugs);
+  ASSERT_EQ(report.programs_generated, 20);
+  ASSERT_GT(report.programs_with_crash, 0);
+  EXPECT_EQ(metrics.Value("passes/pipeline_runs"), 20u);
+  for (const auto& [name, metric] : metrics.metrics()) {
+    EXPECT_NE(name.rfind("time/lower/", 0), 0u) << name;
   }
 }
 
@@ -297,6 +298,17 @@ parser p(out Hdr hdr) {
 }
 control ig(inout Hdr hdr) { apply { hdr.h1.a = hdr.h5.b; } }
 control dp(in Hdr hdr) { apply { pkt.emit(hdr.h1); } }
+package main { parser = p; ingress = ig; deparser = dp; }
+)";
+
+// One 384-bit header: more than the eBPF back end's modelled 320-bit
+// stack frame, so `ebpf-crash-stack-overflow` fails its compile.
+constexpr const char* kWideHeaderProgram = R"(
+header W { bit<64> a; bit<64> b; bit<64> c; bit<64> d; bit<64> e; bit<64> f; }
+struct Hdr { W w; }
+parser p(out Hdr hdr) { state start { pkt.extract(hdr.w); transition accept; } }
+control ig(inout Hdr hdr) { apply { hdr.w.a = hdr.w.f; } }
+control dp(in Hdr hdr) { apply { pkt.emit(hdr.w); } }
 package main { parser = p; ingress = ig; deparser = dp; }
 )";
 
@@ -338,33 +350,41 @@ TEST(CampaignTest, TestGenerationRunsOnlyOnProgramsThatLower) {
 TEST(CampaignTest, BackEndThatFailsToCompileExercisesNoSemanticFault) {
   // The fault-trigger "exercised" counter of a back end's semantic fault
   // needs an artifact to replay tests on: a back end whose own compile
-  // throws ran nothing.
-  auto program = Parser::ParseString(kLongParserChainProgram);
-  TypeCheck(*program);
+  // throws ran nothing. Its crash fault counts as exercised on the measure
+  // the back end's compile checks.
   CampaignOptions options = SmallCampaign(1);
   options.targets = {"ebpf"};
   const Campaign campaign(options);
-  const auto coverage_for = [&](const BugConfig& bugs) {
-    CoverageMap coverage;
-    ScopedCoverageSink sink(&coverage);
-    CampaignReport report;
-    campaign.TestProgram(*program, bugs, 0, report);
-    return coverage;
+  const std::pair<const char*, BugId> crash_inputs[] = {
+      {kLongParserChainProgram, BugId::kEbpfCrashVerifierLoopBound},
+      {kWideHeaderProgram, BugId::kEbpfCrashStackOverflow},
   };
+  for (const auto& [source, crash] : crash_inputs) {
+    auto program = Parser::ParseString(source);
+    TypeCheck(*program);
+    const auto coverage_for = [&](const BugConfig& bugs) {
+      CoverageMap coverage;
+      ScopedCoverageSink sink(&coverage);
+      CampaignReport report;
+      campaign.TestProgram(*program, bugs, 0, report);
+      return coverage;
+    };
 
-  BugConfig semantic;
-  semantic.Enable(BugId::kEbpfParserExtractReversed);
-  EXPECT_EQ(coverage_for(semantic).Value("fault-trigger", "ebpf-parser-extract-reversed/exercised"),
-            1u);
+    BugConfig semantic;
+    semantic.Enable(BugId::kEbpfParserExtractReversed);
+    EXPECT_EQ(
+        coverage_for(semantic).Value("fault-trigger", "ebpf-parser-extract-reversed/exercised"),
+        1u);
 
-  BugConfig crashing = semantic;
-  crashing.Enable(BugId::kEbpfCrashVerifierLoopBound);
-  const CoverageMap crashed = coverage_for(crashing);
-  EXPECT_EQ(crashed.Value("fault-trigger", "ebpf-crash-verifier-loop-bound/exercised"), 1u);
-  for (const BugInfo& info : BugCatalogue()) {
-    if (info.location == BugLocation::kBackEndEbpf && info.kind == BugKind::kSemantic) {
-      EXPECT_EQ(crashed.Value("fault-trigger", std::string(info.name) + "/exercised"), 0u)
-          << info.name;
+    BugConfig crashing = semantic;
+    crashing.Enable(crash);
+    const CoverageMap crashed = coverage_for(crashing);
+    EXPECT_EQ(crashed.Value("fault-trigger", BugIdToString(crash) + "/exercised"), 1u);
+    for (const BugInfo& info : BugCatalogue()) {
+      if (info.location == BugLocation::kBackEndEbpf && info.kind == BugKind::kSemantic) {
+        EXPECT_EQ(crashed.Value("fault-trigger", std::string(info.name) + "/exercised"), 0u)
+            << info.name;
+      }
     }
   }
 }

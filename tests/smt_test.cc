@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/smt/evaluator.h"
@@ -146,6 +147,85 @@ TEST(SmtIncrementalTest, StackGrowthReusesPrefixOnlyWhenEnabled) {
     EXPECT_EQ(model.BitOf("y").bits(), 5u);
     EXPECT_EQ(model.BitOf("z").bits(), 7u);
   }
+}
+
+// The testgen probing shape distilled: a chain of 16-bit variables, each
+// defined from its predecessor through a full 16x16 multiplier, with two
+// candidate pinning equalities per depth. A depth-first walk pushes one
+// literal, solves, and recurses while satisfiable, so every probe extends
+// a long shared prefix whose multiplier cones are costly to re-propagate.
+struct DfsProbeWork {
+  std::vector<CheckResult> verdicts;
+  uint64_t propagations = 0;
+  uint64_t prefix_reused_lits = 0;
+  uint64_t propagations_saved = 0;
+};
+
+using DfsChoices = std::vector<std::pair<SmtRef, SmtRef>>;
+
+void ProbeDfs(SmtSolver& solver, const DfsChoices& choices, size_t depth,
+              std::vector<SmtRef>& stack, DfsProbeWork& work) {
+  if (depth == choices.size()) {
+    return;
+  }
+  for (const bool first : {true, false}) {
+    stack.push_back(first ? choices[depth].first : choices[depth].second);
+    const CheckResult result = solver.CheckUnderAssumptions(stack);
+    const SolveStats& stats = solver.last_solve();
+    work.verdicts.push_back(result);
+    work.propagations += stats.propagations;
+    work.prefix_reused_lits += stats.prefix_reused_lits;
+    work.propagations_saved += stats.propagations_saved;
+    if (result == CheckResult::kSat) {
+      ProbeDfs(solver, choices, depth + 1, stack, work);
+    }
+    stack.pop_back();
+  }
+}
+
+// One warm-up walk, then one measured walk on the same solver. The warm-up
+// encodes every literal: first-time bit-blasting adds clauses, which
+// soundly invalidates a retained trail.
+DfsProbeWork MeasureDfsProbing(bool incremental) {
+  constexpr int kDepth = 6;
+  SmtContext ctx;
+  std::vector<SmtRef> vars;
+  for (int i = 0; i < kDepth; ++i) {
+    vars.push_back(ctx.Var("chain" + std::to_string(i), 16));
+  }
+  DfsChoices choices;
+  choices.emplace_back(ctx.Eq(vars[0], ctx.Const(16, 11)), ctx.Eq(vars[0], ctx.Const(16, 12)));
+  for (int i = 1; i < kDepth; ++i) {
+    const SmtRef defined = ctx.Add(ctx.Mul(vars[i - 1], vars[i - 1]),
+                                   ctx.Const(16, 7 + static_cast<uint64_t>(i)));
+    choices.emplace_back(ctx.Eq(vars[i], defined),
+                         ctx.Eq(vars[i], ctx.Add(defined, ctx.Const(16, 1))));
+  }
+  SmtSolver solver(ctx);
+  solver.set_incremental(incremental);
+  std::vector<SmtRef> stack;
+  DfsProbeWork warm_up;
+  ProbeDfs(solver, choices, 0, stack, warm_up);
+  DfsProbeWork measured;
+  ProbeDfs(solver, choices, 0, stack, measured);
+  return measured;
+}
+
+// Trail reuse changes work, never verdicts: it skips exactly the
+// propagations the walk without reuse repeats, so the reuse walk's
+// propagations plus the ones it saved equal the walk without reuse. This
+// is the exact form of the incremental solver's speedup on test
+// generation's probing.
+TEST(SmtIncrementalTest, DfsProbingReuseSavesExactlyTheRepeatedPropagations) {
+  const DfsProbeWork on = MeasureDfsProbing(true);
+  const DfsProbeWork off = MeasureDfsProbing(false);
+  EXPECT_EQ(on.verdicts.size(), 126u);  // 2 + 4 + ... + 64: every probe is sat
+  EXPECT_EQ(on.verdicts, off.verdicts);
+  EXPECT_GT(on.prefix_reused_lits, 0u);
+  EXPECT_GT(on.propagations_saved, 0u);
+  EXPECT_EQ(off.prefix_reused_lits, 0u);
+  EXPECT_EQ(off.propagations_saved, 0u);
+  EXPECT_EQ(on.propagations + on.propagations_saved, off.propagations);
 }
 
 // The model is a snapshot of the most recent *satisfiable* solve: a later
