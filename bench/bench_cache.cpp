@@ -56,7 +56,7 @@ std::vector<TvVerdict> RunValidation(const std::vector<ProgramPtr>& programs,
       cache->BeginProgram();
     }
     for (int pass = 0; pass < 2; ++pass) {
-      const TvReport report = validator.Validate(*program, bugs, /*stop_after_pass=*/{}, cache);
+      const TvReport report = validator.Validate(*program, bugs, cache);
       for (const TvPassResult& result : report.pass_results) {
         verdicts.push_back(result.verdict);
       }

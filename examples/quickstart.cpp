@@ -75,9 +75,7 @@ int main() {
     if (pass_result.verdict == TvVerdict::kSemanticDiff) {
       std::printf("    -> miscompiling pass pinpointed; witness input:\n");
       for (const auto& [name, value] : pass_result.counterexample.bit_values) {
-        if (name.find("undef") == std::string::npos) {
-          std::printf("       %s = %s\n", name.c_str(), value.ToString().c_str());
-        }
+        std::printf("       %s = %s\n", name.c_str(), value.ToString().c_str());
       }
     }
   }

@@ -95,9 +95,7 @@ int main(int argc, char** argv) {
     if (result.verdict == TvVerdict::kSemanticDiff) {
       std::printf("    witness (table entries + packet fields):\n");
       for (const auto& [name, value] : result.counterexample.bit_values) {
-        if (name.find("undef") == std::string::npos) {
-          std::printf("      %s = %s\n", name.c_str(), value.ToString().c_str());
-        }
+        std::printf("      %s = %s\n", name.c_str(), value.ToString().c_str());
       }
     }
   }

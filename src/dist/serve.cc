@@ -223,9 +223,6 @@ GauntletServer::GauntletServer(ServeOptions options, BugConfig bugs)
   if (options_.campaign.metrics == nullptr && !options_.metrics_out.empty()) {
     options_.campaign.metrics = &own_metrics_;
   }
-  if (options_.campaign.coverage == nullptr && !options_.coverage_out.empty()) {
-    options_.campaign.coverage = &own_coverage_;
-  }
   if (options_.campaign.trace == nullptr && !options_.trace_out.empty()) {
     options_.campaign.trace = &own_trace_;
   }
@@ -339,9 +336,8 @@ std::string GauntletServer::HandleSubmission(const std::string& payload) {
     if (!targets.empty()) {
       per_request.targets = targets;
     }
-    per_request.metrics = nullptr;   // instrumentation flows via the scoped
-    per_request.coverage = nullptr;  // sinks Run() installs per request
-    per_request.trace = nullptr;
+    per_request.metrics = nullptr;  // instrumentation flows via the scoped
+    per_request.trace = nullptr;    // sinks Run() installs per request
     per_request.progress = nullptr;
     const Campaign campaign(per_request);
     campaign.TestProgram(*program, bugs, program_index, submission,
@@ -396,26 +392,19 @@ Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
   snapshot.updated_unix_ms = UnixNowMillis();
 
   const bool have_metrics = options_.campaign.metrics != nullptr && !options_.metrics_out.empty();
-  const bool have_coverage =
-      options_.campaign.coverage != nullptr && !options_.coverage_out.empty();
   MetricsRegistry metrics;
-  CoverageMap coverage;
   std::string trace_json;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (have_metrics) {
       metrics = *options_.campaign.metrics;
-    }
-    if (have_coverage) {
-      coverage = *options_.campaign.coverage;
-    }
-    if (!folded_) {
-      // Fold the campaign domains on the *copies*: the in-place fold
-      // happens exactly once, after the accept loop — flushing mid-session
-      // must not double-count into the shared sinks.
-      const CacheStats stats = cache_ != nullptr ? cache_->Stats() : CacheStats{};
-      report_.FoldInto(have_metrics ? &metrics : nullptr, have_coverage ? &coverage : nullptr,
-                       cache_ != nullptr ? &stats : nullptr, base_bugs_);
+      if (!folded_) {
+        // Fold the campaign domains on the *copy*: the in-place fold
+        // happens exactly once, after the accept loop — flushing
+        // mid-session must not double-count into the shared sink.
+        const CacheStats stats = cache_ != nullptr ? cache_->Stats() : CacheStats{};
+        report_.FoldInto(&metrics, cache_ != nullptr ? &stats : nullptr, base_bugs_);
+      }
     }
     snapshot.requests_served = static_cast<uint64_t>(served_);
     snapshot.programs_done = static_cast<uint64_t>(served_);
@@ -439,9 +428,6 @@ Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
   if (have_metrics) {
     RecordProcessSelfStats(metrics);
     write(options_.metrics_out, MetricsJson(metrics));
-  }
-  if (have_coverage) {
-    write(options_.coverage_out, CoverageJson(coverage));
   }
   write(options_.trace_out, trace_json);
   return snapshot;
@@ -504,7 +490,6 @@ int GauntletServer::Run() {
       // time before they uninstall) feeds the request-latency histogram.
       std::lock_guard<std::mutex> lock(state_mutex_);
       ScopedMetricsSink metrics_sink(options_.campaign.metrics);
-      ScopedCoverageSink coverage_sink(options_.campaign.coverage);
       ScopedTraceSink trace_sink(trace_buffer_);
       uint64_t latency_micros = 0;
       {
@@ -538,15 +523,15 @@ int GauntletServer::Run() {
   }
 
   // The single fold a batch campaign performs, applied to everything this
-  // serving session absorbed — so --metrics-out/--coverage-out from `serve`
-  // carry the same campaign/... domains a batch run writes.
+  // serving session absorbed — so --metrics-out from `serve` carries the
+  // same campaign/... counters and coverage domains a batch run writes.
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (!folded_) {
       folded_ = true;
       const CacheStats stats = cache_ != nullptr ? cache_->Stats() : CacheStats{};
-      report_.FoldInto(options_.campaign.metrics, options_.campaign.coverage,
-                       cache_ != nullptr ? &stats : nullptr, base_bugs_);
+      report_.FoldInto(options_.campaign.metrics, cache_ != nullptr ? &stats : nullptr,
+                       base_bugs_);
     }
   }
   phase_.store("done", std::memory_order_relaxed);
@@ -554,8 +539,7 @@ int GauntletServer::Run() {
     emitter_->Stop();  // final snapshot: phase "done", folded sinks
     emitter_.reset();
   }
-  if (!options_.metrics_out.empty() || !options_.coverage_out.empty() ||
-      !options_.trace_out.empty()) {
+  if (!options_.metrics_out.empty() || !options_.trace_out.empty()) {
     FlushAndSnapshot(/*final_flush=*/true);
   }
   return served_;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/gauntlet/campaign.h"
-#include "src/obs/coverage.h"
 #include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
@@ -24,9 +23,9 @@ class CorpusStore;
 // socket, runs the full detection pipeline on each submission —
 // validate (§5) + testgen (§6) + execute on the selected targets — and
 // streams the verdict back as one JSON object. Every submission folds into
-// the server's shared sinks: the corpus store (reproducer triples), the
-// metrics registry, and the coverage map, so an absorbed traffic stream
-// accumulates exactly the artifacts a batch campaign writes.
+// the server's shared sinks: the corpus store (reproducer triples) and the
+// metrics registry (coverage points included), so an absorbed traffic
+// stream accumulates exactly the artifacts a batch campaign writes.
 //
 // Wire protocol (versioned, length-prefixed):
 //
@@ -69,7 +68,7 @@ struct ServeOptions {
   // replaced (the crashed-predecessor case).
   std::string socket_path;
   // Detection configuration for every submission: targets, tv/testgen
-  // budgets, use_cache, and the shared metrics/coverage/trace sinks.
+  // budgets, use_cache, and the shared metrics/trace sinks.
   // num_programs/seed/generator are unused — the traffic stream replaces
   // the generator.
   CampaignOptions campaign;
@@ -85,7 +84,6 @@ struct ServeOptions {
   // fatally on failure — when Run() returns, so a killed server keeps its
   // telemetry up to the last flush.
   std::string metrics_out;
-  std::string coverage_out;
   std::string trace_out;
   // Live-status directory (src/obs/snapshot.h): a snapshot every
   // snapshot_interval_ms, plus a flush of the out files above alongside
@@ -128,7 +126,7 @@ class GauntletServer {
  private:
   std::string HandleSubmission(const std::string& payload);
   // Copies the shared state under the mutex, folds the campaign domains on
-  // the copies (when not yet folded in place), rewrites the telemetry out
+  // the metrics copy (when not yet folded in place), rewrites the telemetry out
   // files atomically, and returns the status snapshot the state implies.
   // Doubles as the StatusEmitter provider; `final_flush` makes a failed
   // file write fatal instead of best-effort.
@@ -147,7 +145,6 @@ class GauntletServer {
   // when an out path asks for telemetry the caller did not inject sinks
   // for.
   MetricsRegistry own_metrics_;
-  CoverageMap own_coverage_;
   TraceCollector own_trace_;
   TraceBuffer* trace_buffer_ = nullptr;
   // Guards served_/report_/cache_ and the campaign sinks: the accept loop

@@ -2,7 +2,9 @@
 
 #include <exception>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string_view>
 
 #include "src/cache/verdict_cache.h"
 #include "src/frontend/printer.h"
@@ -44,15 +46,6 @@ std::map<BugKind, int> CampaignReport::DistinctByKind() const {
   return counts;
 }
 
-int CampaignReport::CountDistinct(BugLocation location, BugKind kind) const {
-  int count = 0;
-  for (const BugId bug : distinct_bugs) {
-    const BugInfo& info = GetBugInfo(bug);
-    count += (info.location == location && info.kind == kind) ? 1 : 0;
-  }
-  return count;
-}
-
 void CampaignReport::Merge(CampaignReport&& other) {
   // Latency first, before this->tests_generated absorbs other's counter: a
   // fault first detected in `other` saw every test *this* report generated
@@ -63,8 +56,6 @@ void CampaignReport::Merge(CampaignReport&& other) {
     auto [it, inserted] = latency.try_emplace(bug, lat);
     if (inserted) {
       it->second.tests_at_detection += tests_generated;
-    } else {
-      it->second.findings += lat.findings;
     }
   }
   programs_generated += other.programs_generated;
@@ -118,8 +109,11 @@ void CampaignReport::RecordMetrics(MetricsRegistry& registry) const {
   }
 }
 
-void CampaignReport::RecordCoverage(CoverageMap& map, const BugConfig& bugs) const {
-  const auto kDet = MetricScope::kDeterministic;
+void CampaignReport::RecordCoverage(MetricsRegistry& registry, const BugConfig& bugs) const {
+  const auto point = [&registry](std::string_view domain, std::string_view name, uint64_t value,
+                                 MetricScope scope = MetricScope::kDeterministic) {
+    registry.Count(CoverageKey(domain, name), scope, value);
+  };
   // Zero-create the fixed-name worker-side points so the deterministic key
   // set is stable regardless of which scenarios this particular run reached
   // (the variable-name points — decision buckets, branch kinds, installed
@@ -128,54 +122,50 @@ void CampaignReport::RecordCoverage(CoverageMap& map, const BugConfig& bugs) con
       "class/parser-reject",     "class/forwarded",   "class/table-hit",
       "class/table-miss",        "class/multi-entry", "class/priority-inversion",
   };
-  for (const char* point : kPathShapePoints) {
-    map.Record("path-shape", point, kDet, 0);
+  for (const char* name : kPathShapePoints) {
+    point("path-shape", name, 0);
   }
   static const char* const kTableConfigPoints[] = {
       "keyless-table",      "non-first-slot-win", "overlapping-entries",
       "shadowed-divergent", "multi-byte-key-hit", "multi-byte-action-data",
   };
-  for (const char* point : kTableConfigPoints) {
-    map.Record("table-config", point, kDet, 0);
+  for (const char* name : kTableConfigPoints) {
+    point("table-config", name, 0);
   }
   for (const BugInfo& info : BugCatalogue()) {
     const std::string base = std::string(info.name) + "/";
-    map.Record("fault-trigger", base + "seeded", kDet, bugs.Has(info.id) ? 1 : 0);
+    point("fault-trigger", base + "seeded", bugs.Has(info.id) ? 1 : 0);
     // Key creation only: the per-program exercise counters were recorded
-    // into the worker maps during TestProgram and are already merged in.
-    map.Record("fault-trigger", base + "exercised", kDet, 0);
-    map.Record("fault-trigger", base + "detected", kDet,
-               distinct_bugs.count(info.id) != 0 ? 1 : 0);
+    // into the worker registries during TestProgram and are already merged
+    // in.
+    point("fault-trigger", base + "exercised", 0);
+    point("fault-trigger", base + "detected", distinct_bugs.count(info.id) != 0 ? 1 : 0);
     const auto lat = latency.find(info.id);
     if (lat == latency.end()) {
       continue;
     }
+    // Only this fold records the points below, so each holds its value.
+    // The fault's finding count is campaign/findings/bug/<name>.
     const DetectionLatency& detection = lat->second;
-    map.Set("fault-trigger", base + "first_detection_index", kDet,
-            static_cast<uint64_t>(detection.first_program_index));
-    map.Set("detection-latency", base + "programs_until_first", kDet,
-            static_cast<uint64_t>(detection.first_program_index) + 1);
-    map.Set("detection-latency", base + "tests_at_detection", kDet,
-            static_cast<uint64_t>(detection.tests_at_detection));
-    map.Set("detection-latency", base + "findings", kDet,
-            static_cast<uint64_t>(detection.findings));
-    map.Set("detection-latency-wall", base + "micros_to_first", MetricScope::kTiming,
-            detection.wall_micros > run_start_micros
-                ? detection.wall_micros - run_start_micros
-                : 0);
+    point("fault-trigger", base + "first_detection_index",
+          static_cast<uint64_t>(detection.first_program_index));
+    point("detection-latency", base + "tests_at_detection",
+          static_cast<uint64_t>(detection.tests_at_detection));
+    point("detection-latency-wall", base + "micros_to_first",
+          detection.wall_micros > run_start_micros ? detection.wall_micros - run_start_micros : 0,
+          MetricScope::kTiming);
   }
 }
 
-void CampaignReport::FoldInto(MetricsRegistry* metrics, CoverageMap* coverage,
-                              const CacheStats* cache_stats, const BugConfig& bugs) const {
-  if (metrics != nullptr) {
-    RecordMetrics(*metrics);
-    if (cache_stats != nullptr) {
-      cache_stats->RecordMetrics(*metrics);
-    }
+void CampaignReport::FoldInto(MetricsRegistry* metrics, const CacheStats* cache_stats,
+                              const BugConfig& bugs) const {
+  if (metrics == nullptr) {
+    return;
   }
-  if (coverage != nullptr) {
-    RecordCoverage(*coverage, bugs);
+  RecordMetrics(*metrics);
+  RecordCoverage(*metrics, bugs);
+  if (cache_stats != nullptr) {
+    cache_stats->RecordMetrics(*metrics);
   }
 }
 
@@ -186,10 +176,7 @@ void Campaign::Record(CampaignReport& report, Finding finding) {
     if (inserted) {
       it->second.first_program_index = finding.program_index;
       it->second.tests_at_detection = report.tests_generated;
-      it->second.findings = 1;
       it->second.wall_micros = TraceNowMicros();
-    } else {
-      ++it->second.findings;
     }
   } else {
     report.unattributed_components.insert(finding.component);
@@ -416,8 +403,7 @@ void RecordFaultExercise(const Program& program, const ProgramConstructCensus& c
                          const std::set<BugLocation>& executed) {
   for (const BugInfo& info : BugCatalogue()) {
     if (FaultExercised(info.id, program, census, paths, compiled, executed)) {
-      CoverPoint("fault-trigger", std::string(info.name) + "/exercised",
-                 MetricScope::kDeterministic);
+      CoverPoint("fault-trigger", std::string(info.name) + "/exercised");
     }
   }
 }
@@ -428,9 +414,9 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
                            CampaignReport& report, ValidationCache* cache) const {
   bool crashed_this_program = false;
   bool semantic_this_program = false;
-  // Coverage recording is keyed off the thread-local sink, like metrics: a
-  // run without --coverage-out pays a null check and nothing else.
-  const bool coverage_active = CurrentCoverage() != nullptr;
+  // Coverage points are metrics: a run without a metrics sink pays a null
+  // check and nothing else.
+  const bool coverage_active = CurrentMetrics() != nullptr;
   ProgramConstructCensus census;
   if (coverage_active) {
     census = CensusProgram(program);
@@ -457,7 +443,7 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
     TvReport tv_report;
     {
       TraceSpan span("validate", "tv");
-      tv_report = validator.Validate(program, bugs, /*stop_after_pass=*/{}, cache);
+      tv_report = validator.Validate(program, bugs, cache);
     }
     lowered = std::move(tv_report.lowered);
     if (tv_report.crashed) {
@@ -519,13 +505,36 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
   std::set<BugLocation> compiled_locations;
   std::set<BugLocation> executed_locations;
   if (lowered != nullptr) {
+    // Every selected back end compiles first, so that packet tests are
+    // generated only when at least one of them returned an artifact to
+    // replay them on. A compile crash is held until its target's turn
+    // below, which keeps findings in target order.
+    const std::vector<const Target*> targets = SelectedTargets();
+    std::vector<std::unique_ptr<Executable>> executables(targets.size());
+    std::vector<std::optional<std::string>> crashes(targets.size());
+    bool any_executable = false;
+    for (size_t i = 0; i < targets.size(); ++i) {
+      compiled_locations.insert(targets[i]->location());
+      try {
+        TraceSpan span(std::string("compile:") + targets[i]->name(), "target");
+        executables[i] = targets[i]->CompileLowered(lowered, bugs);
+        any_executable = true;
+      } catch (const CompilerBugError& error) {
+        crashes[i] = error.what();
+      } catch (const CompileError&) {
+        // Orderly rejection: the back end refused the program.
+      }
+    }
+
     std::vector<PacketTest> tests;
-    try {
-      tests = TestCaseGenerator(options_.testgen)
-                  .Generate(program, cache, coverage_active ? &path_summary : nullptr);
-      report.tests_generated += static_cast<int>(tests.size());
-    } catch (const UnsupportedError&) {
-      // Outside the supported fragment: skip black-box testing (§8).
+    if (any_executable) {
+      try {
+        tests = TestCaseGenerator(options_.testgen)
+                    .Generate(program, cache, coverage_active ? &path_summary : nullptr);
+        report.tests_generated += static_cast<int>(tests.size());
+      } catch (const UnsupportedError&) {
+        // Outside the supported fragment: skip black-box testing (§8).
+      }
     }
 
     // Every back end runs the residual-call check, with the back end's
@@ -533,69 +542,64 @@ void Campaign::TestProgram(const Program& program, const BugConfig& bugs, int pr
     // compile. Dedup on the *attributed* crash site, not the raw message,
     // so that crash is recorded once however many back ends observe it.
     std::set<std::string> recorded_crash_sites;
-    for (const Target* target : SelectedTargets()) {
-      if (coverage_active) {
-        compiled_locations.insert(target->location());
-      }
-      try {
-        std::unique_ptr<Executable> executable;
-        {
-          TraceSpan span(std::string("compile:") + target->name(), "target");
-          executable = target->CompileLowered(lowered, bugs);
-        }
+    for (size_t i = 0; i < targets.size(); ++i) {
+      const Target& target = *targets[i];
+      if (executables[i] != nullptr) {
         // Execution needs a compiled artifact and packet tests to replay.
-        if (coverage_active && !tests.empty()) {
-          executed_locations.insert(target->location());
+        if (!tests.empty()) {
+          executed_locations.insert(target.location());
         }
-        std::vector<std::pair<PacketTest, PacketTestOutcome>> failures;
-        {
-          TraceSpan span(std::string("execute:") + target->name(), "target");
-          failures = RunPacketTests(*executable, tests);
-        }
-        if (!failures.empty()) {
-          Finding finding;
-          finding.program_index = program_index;
-          finding.method = DetectionMethod::kPacketTest;
-          finding.kind = BugKind::kSemantic;
-          finding.component = target->component();
-          finding.detail = failures[0].second.detail;
-          finding.repro_test = failures[0].first;
+        try {
+          std::vector<std::pair<PacketTest, PacketTestOutcome>> failures;
           {
-            TraceSpan span("attribute", "target");
-            AttributeBlackBox(finding, bugs, *target, lowered, failures[0].first);
+            TraceSpan span(std::string("execute:") + target.name(), "target");
+            failures = RunPacketTests(*executables[i], tests);
           }
-          // Failures not explained by a fault local to this back end are
-          // duplicates of front/mid-end miscompilations that translation
-          // validation already reported (the paper excludes those from
-          // back-end counts, §7.1).
-          if (finding.attributed.has_value()) {
-            Record(report, std::move(finding));
-            semantic_this_program = true;
+          if (!failures.empty()) {
+            Finding finding;
+            finding.program_index = program_index;
+            finding.method = DetectionMethod::kPacketTest;
+            finding.kind = BugKind::kSemantic;
+            finding.component = target.component();
+            finding.detail = failures[0].second.detail;
+            finding.repro_test = failures[0].first;
+            {
+              TraceSpan span("attribute", "target");
+              AttributeBlackBox(finding, bugs, target, lowered, failures[0].first);
+            }
+            // Failures not explained by a fault local to this back end are
+            // duplicates of front/mid-end miscompilations that translation
+            // validation already reported (the paper excludes those from
+            // back-end counts, §7.1).
+            if (finding.attributed.has_value()) {
+              Record(report, std::move(finding));
+              semantic_this_program = true;
+            }
           }
+        } catch (const CompilerBugError& error) {
+          crashes[i] = error.what();
+        } catch (const CompileError&) {
+          // Orderly rejection: the artifact refused a test's table
+          // configuration.
         }
-      } catch (const CompilerBugError& error) {
-        // Front/mid-end crashes were already observed by translation
-        // validation; only crash sites *inside* the back end (which
-        // validation cannot see) are counted here.
-        const std::string message = error.what();
-        if (target->OwnsCrashMessage(message)) {
-          Finding finding;
-          finding.program_index = program_index;
-          finding.method = DetectionMethod::kCrash;
-          finding.kind = BugKind::kCrash;
-          finding.detail = message;
-          AttributeCrash(finding, message);
-          const std::string site_key =
-              finding.component + "\n" +
-              (finding.attributed.has_value() ? BugIdToString(*finding.attributed) : message);
-          if (recorded_crash_sites.insert(site_key).second) {
-            Record(report, std::move(finding));
-            crashed_this_program = true;
-          }
+      }
+      // Front/mid-end crashes were already observed by translation
+      // validation; only crash sites *inside* the back end (which
+      // validation cannot see) are counted here.
+      if (crashes[i].has_value() && target.OwnsCrashMessage(*crashes[i])) {
+        Finding finding;
+        finding.program_index = program_index;
+        finding.method = DetectionMethod::kCrash;
+        finding.kind = BugKind::kCrash;
+        finding.detail = *crashes[i];
+        AttributeCrash(finding, *crashes[i]);
+        const std::string site_key =
+            finding.component + "\n" +
+            (finding.attributed.has_value() ? BugIdToString(*finding.attributed) : *crashes[i]);
+        if (recorded_crash_sites.insert(site_key).second) {
+          Record(report, std::move(finding));
+          crashed_this_program = true;
         }
-      } catch (const CompileError&) {
-        // Orderly rejection: the back end or its artifact refused the
-        // program or a test's table configuration.
       }
     }
   }

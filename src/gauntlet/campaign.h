@@ -19,7 +19,6 @@
 namespace gauntlet {
 
 struct CacheStats;
-class CoverageMap;
 class MetricsRegistry;
 class TraceCollector;
 class ValidationCache;
@@ -71,18 +70,15 @@ struct CampaignOptions {
   // --- observability (src/obs/), all optional and observation-only ---
   // Findings and reports are bit-identical with these on or off.
   //
-  // Destination for the run's metrics; the driver merges per-worker
-  // registries into it in worker-index order and folds in the report's
-  // deterministic counters. Owned by the caller, must outlive the run.
+  // Destination for the run's metrics, coverage points included
+  // (src/obs/coverage.h); the driver merges per-worker registries into it
+  // in worker-index order and folds in the report's counters and
+  // campaign-level coverage domains. Owned by the caller, must outlive the
+  // run.
   MetricsRegistry* metrics = nullptr;
   // Destination for TraceSpan phase timings (Chrome trace-event JSON via
   // src/obs/run_report.h). Owned by the caller, must outlive the run.
   TraceCollector* trace = nullptr;
-  // Destination for the semantic coverage map (src/obs/coverage.h): the
-  // driver merges per-worker maps into it in worker-index order and folds
-  // in the fault-trigger / detection-latency domains computed on the merged
-  // report. Owned by the caller, must outlive the run.
-  CoverageMap* coverage = nullptr;
   // Called after each tested program with (programs done, findings so far).
   // May be invoked concurrently from workers; drives `--progress`.
   std::function<void(uint64_t, uint64_t)> progress;
@@ -96,7 +92,6 @@ struct CampaignOptions {
 struct DetectionLatency {
   int first_program_index = 0;  // program whose testing first found the fault
   int tests_at_detection = 0;   // packet tests generated before that finding
-  int findings = 0;             // total findings attributed to the fault
   uint64_t wall_micros = 0;     // TraceNowMicros() at the first finding
 };
 
@@ -127,7 +122,6 @@ struct CampaignReport {
   }
   std::map<BugLocation, int> DistinctByLocation() const;
   std::map<BugKind, int> DistinctByKind() const;
-  int CountDistinct(BugLocation location, BugKind kind) const;
 
   // Folds `other` into this report: counters add, findings append in
   // `other`'s order, distinct sets union. Merging per-program reports in
@@ -141,19 +135,20 @@ struct CampaignReport {
   // includes wall-clock budget exhaustion and therefore stays timing-scoped.
   void RecordMetrics(MetricsRegistry& registry) const;
 
-  // Folds the merged report's campaign-level domains into `map`: the
-  // fault-trigger domain (seeded/detected/first_detection_index for every
-  // catalogued fault — "exercised" counters are recorded per worker during
-  // TestProgram) and the detection-latency domains. Deterministic except
+  // Folds the merged report's campaign-level coverage domains into
+  // `registry` (src/obs/coverage.h): the fault-trigger domain
+  // (seeded/detected/first_detection_index for every catalogued fault —
+  // "exercised" counters are recorded per worker during TestProgram) and
+  // the detection-latency domains. Deterministic except
   // detection-latency-wall, which carries the wall-clock stamps.
-  void RecordCoverage(CoverageMap& map, const BugConfig& bugs) const;
+  void RecordCoverage(MetricsRegistry& registry, const BugConfig& bugs) const;
 
-  // The single fold a finished run performs on its merged report: into
-  // `metrics` (when non-null) the report's counters, then `cache_stats`'
-  // counters (when non-null); into `coverage` (when non-null) the
-  // campaign-level domains. Every driver that owns sinks calls this once,
-  // after merging its raw per-worker telemetry into them.
-  void FoldInto(MetricsRegistry* metrics, CoverageMap* coverage, const CacheStats* cache_stats,
+  // The single fold a finished run performs on its merged report, when
+  // `metrics` is non-null: the report's counters, its coverage domains,
+  // then `cache_stats`' counters (when non-null). Every driver that owns a
+  // registry calls this once, after merging its per-worker telemetry into
+  // it.
+  void FoldInto(MetricsRegistry* metrics, const CacheStats* cache_stats,
                 const BugConfig& bugs) const;
 };
 

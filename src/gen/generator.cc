@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/obs/coverage.h"
+#include "src/obs/metrics.h"
 #include "src/typecheck/typecheck.h"
 
 namespace gauntlet {
@@ -1342,12 +1343,11 @@ ProgramConstructCensus CensusProgram(const Program& program) {
 }
 
 void RecordConstructCoverage(const ProgramConstructCensus& census) {
-  if (CurrentCoverage() == nullptr) {
+  if (CurrentMetrics() == nullptr) {
     return;
   }
-  const auto kDet = MetricScope::kDeterministic;
-  const auto point = [&](std::string_view name, int count) {
-    CoverPoint("gen-construct", name, kDet, static_cast<uint64_t>(count));
+  const auto point = [](std::string_view name, int count) {
+    CoverPoint("gen-construct", name, static_cast<uint64_t>(count));
   };
   point("program", 1);
   point("header", census.headers);

@@ -119,8 +119,8 @@ struct ProgramConstructCensus {
 
 ProgramConstructCensus CensusProgram(const Program& program);
 
-// Records the census into the thread-local coverage sink under the
-// "gen-construct" domain (no-op without a sink). Every point is recorded —
+// Records the census into the thread-local metrics sink as the
+// "gen-construct" coverage domain (no-op without a sink). Every point is recorded —
 // with a zero delta when the construct is absent — so the domain's key set
 // is stable regardless of what a particular run generated.
 void RecordConstructCoverage(const ProgramConstructCensus& census);

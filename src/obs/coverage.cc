@@ -1,186 +1,43 @@
 #include "src/obs/coverage.h"
 
+#include <map>
 #include <sstream>
 #include <utility>
+#include <vector>
 
-#include "src/support/file_io.h"
-#include "src/support/json.h"
+#include "src/obs/run_report.h"
 
 namespace gauntlet {
 
-void CoverageMap::Record(std::string_view domain, std::string_view point, MetricScope scope,
-                         uint64_t delta) {
-  auto it = domains_.find(domain);
-  if (it == domains_.end()) {
-    it = domains_.emplace(std::string(domain), Domain{}).first;
-    it->second.scope = scope;
-  }
-  auto point_it = it->second.points.find(point);
-  if (point_it == it->second.points.end()) {
-    point_it = it->second.points.emplace(std::string(point), 0).first;
-  }
-  point_it->second += delta;
-}
-
-void CoverageMap::Set(std::string_view domain, std::string_view point, MetricScope scope,
-                      uint64_t value) {
-  Record(domain, point, scope, 0);
-  domains_.find(domain)->second.points.find(point)->second = value;
-}
-
-void CoverageMap::MergeFrom(const CoverageMap& other) {
-  for (const auto& [name, domain] : other.domains_) {
-    for (const auto& [point, count] : domain.points) {
-      Record(name, point, domain.scope, count);
-    }
-  }
-}
-
-uint64_t CoverageMap::Value(std::string_view domain, std::string_view point) const {
-  const auto it = domains_.find(domain);
-  if (it == domains_.end()) {
-    return 0;
-  }
-  const auto point_it = it->second.points.find(point);
-  return point_it == it->second.points.end() ? 0 : point_it->second;
-}
-
-bool CoverageMap::Has(std::string_view domain, std::string_view point) const {
-  const auto it = domains_.find(domain);
-  return it != domains_.end() && it->second.points.find(point) != it->second.points.end();
-}
-
-// --- thread-local sink -----------------------------------------------------
-
-namespace {
-thread_local CoverageMap* current_coverage = nullptr;
-}  // namespace
-
-CoverageMap* CurrentCoverage() { return current_coverage; }
-
-ScopedCoverageSink::ScopedCoverageSink(CoverageMap* map) : previous_(current_coverage) {
-  current_coverage = map;
-}
-
-ScopedCoverageSink::~ScopedCoverageSink() { current_coverage = previous_; }
-
-void CoverPoint(std::string_view domain, std::string_view point, MetricScope scope,
-                uint64_t delta) {
-  if (current_coverage != nullptr) {
-    current_coverage->Record(domain, point, scope, delta);
-  }
-}
-
-// --- JSON rendering --------------------------------------------------------
-
 namespace {
 
-void AppendCoverageSection(std::ostringstream& out, const CoverageMap& map, MetricScope scope) {
-  out << "{";
-  bool first_domain = true;
-  for (const auto& [name, domain] : map.domains()) {
-    if (domain.scope != scope) {
-      continue;
-    }
-    if (!first_domain) out << ",";
-    first_domain = false;
-    out << "\n    " << JsonQuoted(name) << ": {";
-    bool first_point = true;
-    for (const auto& [point, count] : domain.points) {
-      if (!first_point) out << ",";
-      first_point = false;
-      out << "\n      " << JsonQuoted(point) << ": " << count;
-    }
-    if (!first_point) out << "\n    ";
-    out << "}";
+constexpr std::string_view kCoveragePrefix = "coverage/";
+
+// The registry's coverage points as ("<domain>/<point>", metric) pairs, in
+// key order.
+std::vector<std::pair<std::string_view, const Metric*>> CoveragePoints(
+    const MetricsRegistry& registry) {
+  std::vector<std::pair<std::string_view, const Metric*>> points;
+  for (auto it = registry.metrics().lower_bound(kCoveragePrefix);
+       it != registry.metrics().end() && it->first.rfind(kCoveragePrefix, 0) == 0; ++it) {
+    points.emplace_back(std::string_view(it->first).substr(kCoveragePrefix.size()), &it->second);
   }
-  if (!first_domain) out << "\n  ";
-  out << "}";
+  return points;
 }
 
-}  // namespace
-
-std::string CoverageJson(const CoverageMap& map) {
-  std::ostringstream out;
-  out << "{\n  \"version\": " << kCoverageVersion << ",\n  \"deterministic\": ";
-  AppendCoverageSection(out, map, MetricScope::kDeterministic);
-  out << ",\n  \"timing\": ";
-  AppendCoverageSection(out, map, MetricScope::kTiming);
-  out << "\n}\n";
-  return out.str();
+// Splits "domain/point" at its first slash; the point is empty when there
+// is none.
+std::pair<std::string_view, std::string_view> SplitDomain(std::string_view key) {
+  const size_t slash = key.find('/');
+  if (slash == std::string_view::npos) {
+    return {key, std::string_view()};
+  }
+  return {key.substr(0, slash), key.substr(slash + 1)};
 }
 
-// --- JSON parsing ----------------------------------------------------------
-
-namespace {
-
-bool ParseSection(const JsonValue* section, const char* name, MetricScope scope,
-                  CoverageMap* out, std::string* error) {
-  if (section == nullptr || section->kind != JsonValue::Kind::kObject) {
-    *error = std::string("missing ") + name + " section";
-    return false;
-  }
-  for (const auto& [domain, points] : section->members) {
-    if (points.kind != JsonValue::Kind::kObject) {
-      *error = "domain '" + domain + "' is not an object";
-      return false;
-    }
-    for (const auto& [point, count] : points.members) {
-      if (count.kind != JsonValue::Kind::kNumber) {
-        *error = "malformed point entry in domain '" + domain + "'";
-        return false;
-      }
-      out->Record(domain, point, scope, count.number);
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool ParseCoverageJson(const std::string& text, CoverageMap* out, std::string* error) {
-  std::string local_error;
-  if (error == nullptr) {
-    error = &local_error;
-  }
-  JsonValue root;
-  if (!ParseJson(text, &root, error)) {
-    return false;
-  }
-  const JsonValue* version = root.Find("version");
-  if (version == nullptr || version->kind != JsonValue::Kind::kNumber) {
-    *error = "missing version header";
-    return false;
-  }
-  if (version->number != static_cast<uint64_t>(kCoverageVersion)) {
-    *error = "unsupported coverage version " + std::to_string(version->number);
-    return false;
-  }
-  if (root.members.size() != 3) {
-    *error = "unexpected member in the coverage object";
-    return false;
-  }
-  CoverageMap parsed;
-  if (!ParseSection(root.Find("deterministic"), "deterministic", MetricScope::kDeterministic,
-                    &parsed, error) ||
-      !ParseSection(root.Find("timing"), "timing", MetricScope::kTiming, &parsed, error)) {
-    return false;
-  }
-  *out = std::move(parsed);
-  return true;
-}
-
-// --- reports ---------------------------------------------------------------
-
-namespace {
-
-const char* ScopeLabel(MetricScope scope) {
-  return scope == MetricScope::kDeterministic ? "deterministic" : "timing";
-}
-
-// Splits "bug-name/facet" into its two halves; facet is empty when there is
-// no slash.
-std::pair<std::string_view, std::string_view> SplitPoint(std::string_view point) {
+// Splits "bug-name/facet" at its last slash; the facet is empty when there
+// is none.
+std::pair<std::string_view, std::string_view> SplitFacet(std::string_view point) {
   const size_t slash = point.rfind('/');
   if (slash == std::string_view::npos) {
     return {point, std::string_view()};
@@ -188,127 +45,136 @@ std::pair<std::string_view, std::string_view> SplitPoint(std::string_view point)
   return {point.substr(0, slash), point.substr(slash + 1)};
 }
 
+const char* ScopeLabel(MetricScope scope) {
+  return scope == MetricScope::kDeterministic ? "deterministic" : "timing";
+}
+
 }  // namespace
 
-int CoverageBlindSpotViolations(const CoverageMap& map, std::string* out) {
+std::string CoverageKey(std::string_view domain, std::string_view point) {
+  std::string key(kCoveragePrefix);
+  key.append(domain).append("/").append(point);
+  return key;
+}
+
+void CoverPoint(std::string_view domain, std::string_view point, uint64_t delta) {
+  if (MetricsRegistry* registry = CurrentMetrics()) {
+    registry->Count(CoverageKey(domain, point), MetricScope::kDeterministic, delta);
+  }
+}
+
+int CoverageBlindSpotViolations(const MetricsRegistry& registry, std::string* out) {
   int violations = 0;
-  const auto it = map.domains().find("fault-trigger");
-  if (it == map.domains().end()) {
+  bool any_fault_trigger = false;
+  const auto value = [&registry](const std::string& bug, const char* facet) {
+    return registry.Find(CoverageKey("fault-trigger", bug + facet));
+  };
+  for (const auto& [key, metric] : CoveragePoints(registry)) {
+    const auto [domain, point] = SplitDomain(key);
+    if (domain != "fault-trigger") {
+      continue;
+    }
+    any_fault_trigger = true;
+    const auto [bug, facet] = SplitFacet(point);
+    if (facet != "seeded" || metric->value == 0) {
+      continue;
+    }
+    const std::string name(bug);
+    const Metric* exercised = value(name, "/exercised");
+    const Metric* detected = value(name, "/detected");
+    std::string problem;
+    if (exercised == nullptr || exercised->value == 0) {
+      problem = "seeded but never exercised";
+    } else if (detected == nullptr || detected->value == 0) {
+      problem = "exercised but never detected";
+    } else if (value(name, "/first_detection_index") == nullptr) {
+      problem = "detected but no first-detection index recorded";
+    } else {
+      continue;
+    }
+    ++violations;
+    if (out != nullptr) {
+      *out += "  fault " + name + ": " + problem + "\n";
+    }
+  }
+  if (!any_fault_trigger) {
     if (out != nullptr) {
       *out += "  no fault-trigger domain recorded\n";
     }
     return 1;
   }
-  for (const auto& [point, count] : it->second.points) {
-    const auto [bug, facet] = SplitPoint(point);
-    if (facet != "seeded" || count == 0) {
-      continue;
-    }
-    const std::string name(bug);
-    if (map.Value("fault-trigger", name + "/exercised") == 0) {
-      ++violations;
-      if (out != nullptr) {
-        *out += "  fault " + name + ": seeded but never exercised\n";
-      }
-    } else if (map.Value("fault-trigger", name + "/detected") == 0) {
-      ++violations;
-      if (out != nullptr) {
-        *out += "  fault " + name + ": exercised but never detected\n";
-      }
-    } else if (!map.Has("fault-trigger", name + "/first_detection_index")) {
-      ++violations;
-      if (out != nullptr) {
-        *out += "  fault " + name + ": detected but no first-detection index recorded\n";
-      }
-    }
-  }
   return violations;
 }
 
-std::string CoverageReportText(const CoverageMap& map) {
+std::string CoverageReportText(const MetricsRegistry& registry) {
+  // Grouped by domain name first: flat key order would put
+  // "detection-latency-wall/..." before "detection-latency/...".
+  std::map<std::string_view, std::vector<std::pair<std::string_view, const Metric*>>> domains;
+  for (const auto& [key, metric] : CoveragePoints(registry)) {
+    const auto [domain, point] = SplitDomain(key);
+    domains[domain].emplace_back(point, metric);
+  }
+
   std::ostringstream out;
-  out << "coverage report (version " << kCoverageVersion << ")\n";
-  for (const auto& [name, domain] : map.domains()) {
+  out << "coverage report (metrics.json version " << kRunReportVersion << ")\n";
+  std::string blind;
+  for (const auto& [name, points] : domains) {
+    const MetricScope scope = points.front().second->scope;
     size_t zero_points = 0;
-    for (const auto& [point, count] : domain.points) {
-      if (count == 0) ++zero_points;
+    for (const auto& [point, metric] : points) {
+      if (metric->value == 0) ++zero_points;
     }
-    out << "\ndomain " << name << " [" << ScopeLabel(domain.scope) << "]: "
-        << domain.points.size() << " points, " << zero_points << " zero\n";
-    for (const auto& [point, count] : domain.points) {
-      out << "  " << point << ": " << count << "\n";
+    out << "\ndomain " << name << " [" << ScopeLabel(scope) << "]: " << points.size()
+        << " points, " << zero_points << " zero\n";
+    for (const auto& [point, metric] : points) {
+      out << "  " << point << ": " << metric->value << "\n";
+      // Zero-count deterministic points are structural blind spots too: the
+      // campaign knows about the point but never reached it.
+      if (metric->value == 0 && scope == MetricScope::kDeterministic &&
+          name != "fault-trigger") {
+        blind += "  " + std::string(name) + "/" + std::string(point) + ": zero count\n";
+      }
     }
   }
 
   out << "\nblind spots:\n";
-  std::string blind;
-  CoverageBlindSpotViolations(map, &blind);
-  // Zero-count deterministic points are structural blind spots too: the
-  // campaign knows about the point but never reached it.
-  for (const auto& [name, domain] : map.domains()) {
-    if (domain.scope != MetricScope::kDeterministic || name == "fault-trigger") {
-      continue;
-    }
-    for (const auto& [point, count] : domain.points) {
-      if (count == 0) {
-        blind += "  " + name + "/" + point + ": zero count\n";
-      }
-    }
-  }
+  std::string faults;
+  CoverageBlindSpotViolations(registry, &faults);
+  blind.insert(0, faults);
   out << (blind.empty() ? "  (none)\n" : blind);
   return out.str();
 }
 
-CoverageDiff DiffCoverage(const CoverageMap& before, const CoverageMap& after) {
+CoverageDiff DiffCoverage(const MetricsRegistry& before, const MetricsRegistry& after) {
+  std::map<std::string_view, std::pair<const Metric*, const Metric*>> points;
+  for (const auto& [key, metric] : CoveragePoints(before)) points[key].first = metric;
+  for (const auto& [key, metric] : CoveragePoints(after)) points[key].second = metric;
+
   CoverageDiff diff;
   std::ostringstream out;
   out << "coverage diff (before -> after)\n";
-
-  // Union of domain names, walked in sorted order.
-  std::map<std::string, MetricScope> domain_names;
-  for (const auto& [name, domain] : before.domains()) domain_names.emplace(name, domain.scope);
-  for (const auto& [name, domain] : after.domains()) domain_names.emplace(name, domain.scope);
-
-  for (const auto& [name, scope] : domain_names) {
-    const bool deterministic = scope == MetricScope::kDeterministic;
-    std::map<std::string, char> points;  // value unused; sorted union
-    const auto before_it = before.domains().find(name);
-    const auto after_it = after.domains().find(name);
-    if (before_it != before.domains().end()) {
-      for (const auto& [point, count] : before_it->second.points) points.emplace(point, 0);
+  for (const auto& [key, pair] : points) {
+    const auto [a, b] = pair;
+    if (a != nullptr && b != nullptr && a->value == b->value) {
+      continue;
     }
-    if (after_it != after.domains().end()) {
-      for (const auto& [point, count] : after_it->second.points) points.emplace(point, 0);
+    const bool deterministic = (a != nullptr ? a : b)->scope == MetricScope::kDeterministic;
+    if (deterministic) {
+      ++diff.deterministic_differences;
     }
-    for (const auto& [point, unused] : points) {
-      const bool in_before = before.Has(name, point);
-      const bool in_after = after.Has(name, point);
-      const uint64_t a = before.Value(name, point);
-      const uint64_t b = after.Value(name, point);
-      if (in_before && in_after && a == b) {
-        continue;
-      }
-      if (deterministic) {
-        ++diff.deterministic_differences;
-      }
-      out << "  " << (deterministic ? "" : "[timing] ") << name << "/" << point << ": ";
-      if (!in_before) {
-        out << "added (" << b << ")";
-      } else if (!in_after) {
-        out << "removed (was " << a << ")";
-      } else {
-        out << a << " -> " << b << (b < a ? " (regressed)" : "");
-      }
-      out << "\n";
+    out << "  " << (deterministic ? "" : "[timing] ") << key << ": ";
+    if (a == nullptr) {
+      out << "added (" << b->value << ")";
+    } else if (b == nullptr) {
+      out << "removed (was " << a->value << ")";
+    } else {
+      out << a->value << " -> " << b->value << (b->value < a->value ? " (regressed)" : "");
     }
+    out << "\n";
   }
   out << "deterministic differences: " << diff.deterministic_differences << "\n";
   diff.text = out.str();
   return diff;
-}
-
-bool WriteCoverageFile(const std::string& path, const CoverageMap& map) {
-  return WriteFileAtomic(path, CoverageJson(map));
 }
 
 }  // namespace gauntlet

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/support/error.h"
 
@@ -53,6 +54,10 @@ void MetricsRegistry::Observe(std::string_view name, MetricScope scope,
       std::lower_bound(metric.bounds.begin(), metric.bounds.end(), value) - metric.bounds.begin();
   ++metric.counts[static_cast<size_t>(bucket)];
   ++metric.value;  // total observation count
+}
+
+bool MetricsRegistry::Insert(std::string_view name, Metric metric) {
+  return metrics_.emplace(std::string(name), std::move(metric)).second;
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {

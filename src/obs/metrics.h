@@ -60,6 +60,10 @@ class MetricsRegistry {
   void Observe(std::string_view name, MetricScope scope,
                const std::vector<uint64_t>& bounds, uint64_t value);
 
+  // Adds a fully formed metric under a name not yet in use (the
+  // metrics.json reader's entry point); false when the name is taken.
+  bool Insert(std::string_view name, Metric metric);
+
   // Folds `other` into this registry: counters and histogram buckets sum,
   // gauges take the max. Merging worker registries in index order yields
   // the same result for any scheduling of the underlying work.
@@ -74,7 +78,6 @@ class MetricsRegistry {
   const Metric* Find(std::string_view name) const;
 
   bool empty() const { return metrics_.empty(); }
-  void Clear() { metrics_.clear(); }
 
  private:
   Metric& Slot(std::string_view name, MetricScope scope, MetricKind kind);

@@ -1,6 +1,8 @@
 #include "src/obs/run_report.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/support/file_io.h"
 #include "src/support/json.h"
@@ -64,6 +66,118 @@ std::string MetricsJson(const MetricsRegistry& registry) {
   AppendSection(out, registry, MetricScope::kTiming);
   out << "\n}\n";
   return out.str();
+}
+
+namespace {
+
+bool ParseNumberArray(const JsonValue& array, std::vector<uint64_t>* out) {
+  if (array.kind != JsonValue::Kind::kArray) {
+    return false;
+  }
+  for (const JsonValue& item : array.items) {
+    if (item.kind != JsonValue::Kind::kNumber) {
+      return false;
+    }
+    out->push_back(item.number);
+  }
+  return true;
+}
+
+// One histogram object, members in the order AppendSection writes them.
+bool ParseHistogram(const JsonValue& value, MetricScope scope, Metric* metric) {
+  static const char* const kKeys[] = {"bounds", "counts", "total", "p50", "p90", "p99"};
+  const size_t key_count = scope == MetricScope::kTiming ? 6 : 3;
+  if (value.members.size() != key_count) {
+    return false;
+  }
+  for (size_t i = 0; i < key_count; ++i) {
+    if (value.members[i].first != kKeys[i]) {
+      return false;
+    }
+  }
+  metric->kind = MetricKind::kHistogram;
+  if (!ParseNumberArray(value.members[0].second, &metric->bounds) ||
+      !ParseNumberArray(value.members[1].second, &metric->counts) || metric->bounds.empty() ||
+      !std::is_sorted(metric->bounds.begin(), metric->bounds.end()) ||
+      metric->counts.size() != metric->bounds.size() + 1) {
+    return false;
+  }
+  for (const uint64_t count : metric->counts) {
+    if (metric->value + count < metric->value) {
+      return false;  // the counts overflow any total
+    }
+    metric->value += count;
+  }
+  const JsonValue& total = value.members[2].second;
+  if (total.kind != JsonValue::Kind::kNumber || total.number != metric->value) {
+    return false;
+  }
+  static const uint64_t kPercentiles[] = {50, 90, 99};
+  for (size_t i = 3; i < key_count; ++i) {
+    const JsonValue& percentile = value.members[i].second;
+    if (percentile.kind != JsonValue::Kind::kNumber ||
+        percentile.number != HistogramQuantile(*metric, kPercentiles[i - 3])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ParseMetricsSection(const JsonValue* section, const char* name, MetricScope scope,
+                         MetricsRegistry* out, std::string* error) {
+  if (section == nullptr || section->kind != JsonValue::Kind::kObject) {
+    *error = std::string("missing ") + name + " section";
+    return false;
+  }
+  for (const auto& [key, value] : section->members) {
+    Metric metric;
+    metric.scope = scope;
+    if (value.kind == JsonValue::Kind::kNumber) {
+      metric.value = value.number;
+    } else if (value.kind != JsonValue::Kind::kObject || !ParseHistogram(value, scope, &metric)) {
+      *error = "malformed metric '" + key + "' in the " + name + " section";
+      return false;
+    }
+    if (!out->Insert(key, std::move(metric))) {
+      *error = "metric '" + key + "' appears in both sections";
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool ParseMetricsJson(const std::string& text, MetricsRegistry* out, std::string* error) {
+  std::string local_error;
+  if (error == nullptr) {
+    error = &local_error;
+  }
+  JsonValue root;
+  if (!ParseJson(text, &root, error)) {
+    return false;
+  }
+  const JsonValue* version = root.Find("version");
+  if (version == nullptr || version->kind != JsonValue::Kind::kNumber) {
+    *error = "missing version header";
+    return false;
+  }
+  if (version->number != static_cast<uint64_t>(kRunReportVersion)) {
+    *error = "unsupported metrics version " + std::to_string(version->number);
+    return false;
+  }
+  if (root.members.size() != 3) {
+    *error = "unexpected member in the metrics object";
+    return false;
+  }
+  MetricsRegistry parsed;
+  if (!ParseMetricsSection(root.Find("deterministic"), "deterministic",
+                           MetricScope::kDeterministic, &parsed, error) ||
+      !ParseMetricsSection(root.Find("timing"), "timing", MetricScope::kTiming, &parsed, error)) {
+    return false;
+  }
+  *out = std::move(parsed);
+  return true;
 }
 
 std::string DeterministicSection(const std::string& metrics_json) {

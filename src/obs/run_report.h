@@ -28,9 +28,20 @@ inline constexpr int kRunReportVersion = 2;
 // campaign determinism tests and CI gates diff on.
 std::string MetricsJson(const MetricsRegistry& registry);
 
+// Parses a MetricsJson string back into a registry. Accepts exactly the
+// layout MetricsJson emits: the version header, then the deterministic and
+// timing sections, each a map from names to unsigned values or to
+// histograms ({"bounds", "counts", "total"} in that order, plus "p50",
+// "p90", "p99" in the timing section) whose sorted bounds, counts, total
+// and percentiles agree. Counters and gauges render alike and read back as
+// counters, so MetricsJson of the result reproduces the text byte for
+// byte. Returns false, sets *error and leaves *out untouched on anything
+// else.
+bool ParseMetricsJson(const std::string& text, MetricsRegistry* out, std::string* error);
+
 // Extracts the byte span of the "deterministic": {...} object from a
-// MetricsJson (or CoverageJson) string, for byte-level comparisons. Returns
-// an empty string if the text does not parse or the section is absent.
+// MetricsJson string, for byte-level comparisons. Returns an empty string
+// if the text does not parse or the section is absent.
 std::string DeterministicSection(const std::string& metrics_json);
 
 // Renders collected spans in Chrome trace-event format — a JSON object with

@@ -23,7 +23,7 @@ namespace gauntlet {
 //
 // Everything in a snapshot is *observation-only and timing-scoped*: the
 // numbers reflect completion order, wall clocks and scheduling, and no final
-// artifact (report, metrics.json, coverage.json, corpus) ever derives from
+// artifact (report, metrics.json, corpus) ever derives from
 // them. Deterministic sections therefore stay byte-identical with snapshots
 // on or off, for any --jobs value — the invariant every CI identity gate
 // diffs.

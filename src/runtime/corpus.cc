@@ -8,7 +8,6 @@
 #include "src/frontend/parser.h"
 #include "src/frontend/printer.h"
 #include "src/gen/generator.h"
-#include "src/obs/coverage.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/file_io.h"
@@ -184,7 +183,7 @@ ReplayOutcome ReplayTests(const Program& program, const std::vector<PacketTest>&
 ReplayOutcome ReplayStfText(const std::string& program_text, const std::string& stf_text,
                             const BugConfig& bugs, const std::vector<std::string>& targets) {
   const ProgramPtr program = Parser::ParseString(program_text);
-  if (CurrentCoverage() != nullptr) {
+  if (CurrentMetrics() != nullptr) {
     // Replay runs no symbolic enumeration, so the construct census is the
     // only coverage domain a corpus replay can populate.
     RecordConstructCoverage(CensusProgram(*program));

@@ -9,7 +9,6 @@
 
 #include "src/cache/verdict_cache.h"
 #include "src/gen/generator.h"
-#include "src/obs/coverage.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
@@ -63,8 +62,6 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
   const size_t sink_count = static_cast<size_t>(jobs < 1 ? 1 : jobs);
   std::vector<MetricsRegistry> worker_metrics(
       options_.campaign.metrics != nullptr ? sink_count : 0);
-  std::vector<CoverageMap> worker_coverage(
-      options_.campaign.coverage != nullptr ? sink_count : 0);
   std::vector<TraceBuffer*> worker_traces;
   if (options_.campaign.trace != nullptr) {
     worker_traces.reserve(sink_count);
@@ -109,9 +106,6 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
     ScopedMetricsSink metrics_sink(
         worker_known && !worker_metrics.empty() ? &worker_metrics[static_cast<size_t>(worker)]
                                                 : nullptr);
-    ScopedCoverageSink coverage_sink(worker_known && !worker_coverage.empty()
-                                         ? &worker_coverage[static_cast<size_t>(worker)]
-                                         : nullptr);
     ScopedTraceSink trace_sink(worker_known && !worker_traces.empty()
                                    ? worker_traces[static_cast<size_t>(worker)]
                                    : nullptr);
@@ -145,23 +139,17 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
   for (const auto& cache : caches) {
     merged_stats.Merge(cache->Stats());
   }
-  // Worker registries and coverage maps merge in worker-index order, then
-  // the campaign-level counters and domains are folded from the merged
-  // (schedule-independent) report — so the deterministic sections of
-  // metrics.json and coverage.json are bit-identical for any jobs value.
+  // Worker registries merge in worker-index order, then the campaign-level
+  // counters and coverage domains are folded from the merged
+  // (schedule-independent) report — so the deterministic section of
+  // metrics.json is bit-identical for any jobs value.
   if (options_.campaign.metrics != nullptr) {
     for (const MetricsRegistry& registry : worker_metrics) {
       options_.campaign.metrics->MergeFrom(registry);
     }
   }
-  if (options_.campaign.coverage != nullptr) {
-    for (const CoverageMap& map : worker_coverage) {
-      options_.campaign.coverage->MergeFrom(map);
-    }
-  }
   report.run_start_micros = run_start_micros;
-  report.FoldInto(options_.campaign.metrics, options_.campaign.coverage,
-                  caches.empty() ? nullptr : &merged_stats, bugs);
+  report.FoldInto(options_.campaign.metrics, caches.empty() ? nullptr : &merged_stats, bugs);
   if (stats_out != nullptr) {
     *stats_out = merged_stats;
   }

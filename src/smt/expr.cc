@@ -99,7 +99,7 @@ SmtRef SmtContext::BoolConst(bool value) {
   return Intern(std::move(node));
 }
 
-SmtRef SmtContext::Var(const std::string& name, uint32_t width) {
+SmtRef SmtContext::Var(const std::string& name, uint32_t width, bool undefined) {
   GAUNTLET_BUG_CHECK(width >= 1 && width <= 64, "variable width out of range");
   auto it = vars_by_name_.find(name);
   if (it != vars_by_name_.end()) {
@@ -109,6 +109,7 @@ SmtRef SmtContext::Var(const std::string& name, uint32_t width) {
   const auto var_id = static_cast<uint32_t>(var_names_.size());
   var_names_.push_back(name);
   var_widths_.push_back(width);
+  var_undefined_.push_back(undefined);
   vars_by_name_[name] = var_id;
   SmtNode node;
   node.op = SmtOp::kVar;
@@ -119,7 +120,7 @@ SmtRef SmtContext::Var(const std::string& name, uint32_t width) {
   return ref;
 }
 
-SmtRef SmtContext::BoolVar(const std::string& name) {
+SmtRef SmtContext::BoolVar(const std::string& name, bool undefined) {
   auto it = vars_by_name_.find(name);
   if (it != vars_by_name_.end()) {
     GAUNTLET_BUG_CHECK(var_widths_[it->second] == 0, "variable re-declared as bool");
@@ -128,6 +129,7 @@ SmtRef SmtContext::BoolVar(const std::string& name) {
   const auto var_id = static_cast<uint32_t>(var_names_.size());
   var_names_.push_back(name);
   var_widths_.push_back(0);
+  var_undefined_.push_back(undefined);
   vars_by_name_[name] = var_id;
   SmtNode node;
   node.op = SmtOp::kBoolVar;

@@ -92,9 +92,12 @@ class SmtContext {
   SmtRef BoolConst(bool value);
   SmtRef True() { return BoolConst(true); }
   SmtRef False() { return BoolConst(false); }
-  // Creates (or returns the existing) named free variable.
-  SmtRef Var(const std::string& name, uint32_t width);
-  SmtRef BoolVar(const std::string& name);
+  // Creates (or returns the existing) named free variable. `undefined`
+  // marks a variable that stands for an undefined value (an out parameter
+  // or uninitialized local, src/sym/interpreter.h); the first creation
+  // decides.
+  SmtRef Var(const std::string& name, uint32_t width, bool undefined = false);
+  SmtRef BoolVar(const std::string& name, bool undefined = false);
 
   // --- bit-vector operations (with algebraic simplification) ---
   SmtRef Add(SmtRef a, SmtRef b);
@@ -149,6 +152,7 @@ class SmtContext {
   uint32_t VarCount() const { return static_cast<uint32_t>(var_names_.size()); }
   uint32_t VarWidth(uint32_t var_id) const { return var_widths_[var_id]; }
   bool VarIsBool(uint32_t var_id) const { return var_widths_[var_id] == 0; }
+  bool VarIsUndefined(uint32_t var_id) const { return var_undefined_[var_id]; }
   // Looks up a variable by name; returns invalid ref if absent.
   SmtRef FindVar(const std::string& name) const;
 
@@ -163,6 +167,7 @@ class SmtContext {
   std::unordered_map<uint64_t, std::vector<uint32_t>> cons_table_;
   std::vector<std::string> var_names_;
   std::vector<uint32_t> var_widths_;  // 0 == boolean variable
+  std::vector<bool> var_undefined_;
   std::unordered_map<std::string, uint32_t> vars_by_name_;
   std::unordered_map<uint32_t, SmtRef> var_refs_;
 };

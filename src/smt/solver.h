@@ -50,19 +50,13 @@ class SmtSolver {
   explicit SmtSolver(SmtContext& context) : context_(context) {}
 
   void Assert(SmtRef constraint) { constraints_.push_back(constraint); }
-  void Reset() {
-    constraints_.clear();
-    sat_.reset();
-    blaster_.reset();
-    blasted_count_ = 0;
-  }
 
   // Attaches a cross-solve bit-blast memo (src/cache/): sub-DAGs another
   // solver already lowered are replayed from their recorded CNF fragments
   // instead of re-blasted. Replay is bit-exact, so the produced SAT
   // instance — and therefore every Check result and model — is identical
-  // with or without a cache. Must be set before the first Check (or after
-  // Reset); the cache must outlive the solver.
+  // with or without a cache. Must be set before the first Check; the cache
+  // must outlive the solver.
   void set_blast_cache(BlastCache* cache) {
     GAUNTLET_BUG_CHECK(blaster_ == nullptr, "set_blast_cache after encoding started");
     blast_cache_ = cache;
@@ -126,8 +120,6 @@ class SmtSolver {
   const SolveStats& last_solve() const { return last_solve_; }
   uint64_t last_conflicts() const { return last_solve_.conflicts; }
   uint64_t last_decisions() const { return last_solve_.decisions; }
-  uint64_t last_propagations() const { return last_solve_.propagations; }
-  uint64_t last_restarts() const { return last_solve_.restarts; }
   uint32_t last_sat_vars() const { return last_solve_.sat_vars; }
 
   SmtContext& context() { return context_; }

@@ -11,7 +11,7 @@ namespace gauntlet {
 
 // ---------------------------------------------------------------------------
 // The one JSON escaper and the one JSON reader behind every artifact the
-// tool writes: metrics, coverage and snapshot files, `gauntlet status
+// tool writes: metrics and snapshot files, `gauntlet status
 // --json`, the corpus's finding.json, serve responses and traces.
 //
 // Writers lay out their bytes by hand (CI gates and downstream consumers

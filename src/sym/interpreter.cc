@@ -116,14 +116,17 @@ class InterpreterImpl {
   // sides of a translation-validation pair allocate matching names; the
   // width suffix keeps misaligned allocation orders (a pass that reorders
   // or deletes undefined declarations) from colliding — they simply become
-  // independent variables and fall into the undef-divergence class.
+  // independent variables and fall into the undef-divergence class. The
+  // context marks each one undefined, which is what PinUndefinedValues
+  // reads: the name is only a label.
   SmtRef FreshUndef(uint32_t width) {
     return ctx_.Var(prefix_ + "undef" + std::to_string(undef_counter_++) + "w" +
                         std::to_string(width),
-                    width);
+                    width, /*undefined=*/true);
   }
   SmtRef FreshUndefBool() {
-    return ctx_.BoolVar(prefix_ + "undef" + std::to_string(undef_counter_++) + "b");
+    return ctx_.BoolVar(prefix_ + "undef" + std::to_string(undef_counter_++) + "b",
+                        /*undefined=*/true);
   }
 
   void BindBlockParams(const std::vector<Param>& params) {
@@ -852,6 +855,20 @@ PipelineSemantics SymbolicInterpreter::InterpretPipeline(const Program& program)
     GlueBlocks(context_, *previous, "dp::", pipeline.deparser, pipeline.glue, pipeline.glued_inputs);
   }
   return pipeline;
+}
+
+std::vector<SmtRef> PinUndefinedValues(SmtContext& context) {
+  std::vector<SmtRef> pins;
+  for (uint32_t var_id = 0; var_id < context.VarCount(); ++var_id) {
+    if (!context.VarIsUndefined(var_id)) {
+      continue;
+    }
+    const SmtRef var = context.FindVar(context.VarName(var_id));
+    pins.push_back(context.VarIsBool(var_id)
+                       ? context.BoolNot(var)
+                       : context.Eq(var, context.Const(context.VarWidth(var_id), 0)));
+  }
+  return pins;
 }
 
 EquivalenceQuery BuildEquivalenceQuery(SmtContext& context, const BlockSemantics& before,

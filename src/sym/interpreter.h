@@ -86,7 +86,8 @@ struct PipelineSemantics {
 //     to fresh unknowns; invalid headers contribute canonical zeros to the
 //     block outputs;
 //   * undefined values (out params, uninitialized locals) become fresh
-//     named variables "undef<N>" numbered in interpretation order.
+//     variables "undef<N>" numbered in interpretation order, which the
+//     context marks undefined (SmtContext::VarIsUndefined).
 //
 // One interpreter interprets into one SmtContext; both programs of a
 // translation-validation pair must use the same context — and the same
@@ -123,6 +124,12 @@ class SymbolicInterpreter {
   SmtContext& context_;
   size_t table_entries_;
 };
+
+// One constraint per undefined value in `context`, in variable order,
+// pinning it to zero (false for booleans): how validation tells undef-only
+// divergences apart and how test generation models targets that
+// zero-initialize.
+std::vector<SmtRef> PinUndefinedValues(SmtContext& context);
 
 // Checks two block semantics for input-output equivalence: returns an
 // SmtRef that is satisfiable iff the blocks disagree on some input

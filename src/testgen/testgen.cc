@@ -182,16 +182,8 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
   }
   pin_unglued(pipeline.deparser);
   // Pin every undefined value to zero (targets zero-initialize).
-  for (uint32_t var_id = 0; var_id < ctx.VarCount(); ++var_id) {
-    const std::string& name = ctx.VarName(var_id);
-    if (name.find("undef") != std::string::npos) {
-      const SmtRef var = ctx.FindVar(name);
-      if (ctx.VarIsBool(var_id)) {
-        hard.push_back(ctx.BoolNot(var));
-      } else {
-        hard.push_back(ctx.Eq(var, ctx.Const(ctx.VarWidth(var_id), 0)));
-      }
-    }
+  for (const SmtRef& pin : PinUndefinedValues(ctx)) {
+    hard.push_back(pin);
   }
 
   // Decision conditions across all blocks, in pipeline order, with their
@@ -278,8 +270,7 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
   // Path-shape coverage: decision-depth bucket and branch-kind census.
   // Everything here derives from the bit-exact enumeration above, so the
   // recorded points are deterministic.
-  const bool want_coverage = coverage != nullptr || CurrentCoverage() != nullptr;
-  const auto kDet = MetricScope::kDeterministic;
+  const bool want_coverage = coverage != nullptr || CurrentMetrics() != nullptr;
   if (want_coverage) {
     const auto decision_bucket = [](size_t n) -> const char* {
       if (n == 0) return "0";
@@ -289,13 +280,9 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
       if (n <= 16) return "9-16";
       return "17+";
     };
-    CoverPoint("path-shape", std::string("decisions/") + decision_bucket(decisions.size()), kDet);
+    CoverPoint("path-shape", std::string("decisions/") + decision_bucket(decisions.size()));
     for (const std::string& kind : decision_kinds) {
-      CoverPoint("path-shape", "branch/" + kind, kDet);
-    }
-    if (coverage != nullptr) {
-      coverage->decisions = decisions.size();
-      coverage->paths = paths.size();
+      CoverPoint("path-shape", "branch/" + kind);
     }
   }
 
@@ -391,173 +378,171 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
         }
       }
     };
-    if (options_.prefer_nonzero) {
-      // §6.2: zero values mask erroneous behavior on zero-initializing
-      // targets. Prefer the high bit set (exposes truncation/carry bugs in
-      // wide arithmetic) and non-zero overall; the greedy pass drops
-      // whichever preferences conflict with the path condition.
-      SmtRef previous_slice;
-      for (const std::string& input : pipeline.parser.input_vars) {
-        if (input.rfind("p::pkt[", 0) == 0) {
-          const SmtRef var = ctx.FindVar(input);
-          const uint32_t width = ctx.WidthOf(var);
-          // Every byte non-zero: spreads entropy across the whole field so
-          // truncation/carry faults in any sub-word are observable.
-          for (uint32_t lo = 0; lo < width; lo += 8) {
-            const uint32_t hi = lo + 7 < width ? lo + 7 : width - 1;
-            preferences.push_back(ctx.BoolNot(
-                ctx.Eq(ctx.Extract(var, hi, lo), ctx.Const(hi - lo + 1, 0))));
+    // §6.2: zero values mask erroneous behavior on zero-initializing
+    // targets. Prefer the high bit set (exposes truncation/carry bugs in
+    // wide arithmetic) and non-zero overall; the greedy pass drops
+    // whichever preferences conflict with the path condition.
+    SmtRef previous_slice;
+    for (const std::string& input : pipeline.parser.input_vars) {
+      if (input.rfind("p::pkt[", 0) == 0) {
+        const SmtRef var = ctx.FindVar(input);
+        const uint32_t width = ctx.WidthOf(var);
+        // Every byte non-zero: spreads entropy across the whole field so
+        // truncation/carry faults in any sub-word are observable.
+        for (uint32_t lo = 0; lo < width; lo += 8) {
+          const uint32_t hi = lo + 7 < width ? lo + 7 : width - 1;
+          preferences.push_back(ctx.BoolNot(
+              ctx.Eq(ctx.Extract(var, hi, lo), ctx.Const(hi - lo + 1, 0))));
+        }
+        // Fields wider than a PHV container should carry their high bit,
+        // so arithmetic on them overflows the container observably
+        // instead of cancelling out in the truncated word.
+        if (width > 32 && preferences.size() < kPacketCap) {
+          preferences.push_back(
+              ctx.Eq(ctx.Extract(var, width - 1, width - 1), ctx.Const(1, 1)));
+        }
+        // Consecutive equal-width fields should differ: a back end that
+        // permutes field order (reversed extraction) or byte order is
+        // invisible on packets whose swapped fields happen to agree.
+        if (previous_slice.IsValid() && ctx.WidthOf(previous_slice) == width &&
+            preferences.size() < kPacketCap) {
+          preferences.push_back(ctx.BoolNot(ctx.Eq(previous_slice, var)));
+        }
+        previous_slice = var;
+        prefer_avoid_written_constants(var, kPacketCap);
+      }
+    }
+    // Control-plane stress preferences, per table:
+    //  * hit paths should run the action carrying the most control-plane
+    //    data — a hit on a parameterless action cannot expose faults in
+    //    how the target loads installed entries (shadowed entries,
+    //    byte-swapped action data);
+    //  * every entry slot should actually be installed, so solved paths
+    //    carry populated multi-entry tables;
+    //  * a later slot's win should be a genuine non-first *installed* hit
+    //    (the earlier slot installed first, at a lower priority);
+    //  * overlapping (shadowed) slots should behave differently — a back
+    //    end that resolves the overlap in the wrong order is observable;
+    //  * multi-byte action data should have first byte != last byte, so
+    //    a byte-reversed load is observable.
+    for (const TableInfo& table : all_tables) {
+      if (table.entries.empty()) {
+        continue;  // keyless: no control-plane state to shape
+      }
+      // The data-richest listed action, measured on slot 0 (widths are
+      // identical across slots).
+      size_t best = table.action_names.size();
+      uint32_t best_bits = 0;
+      for (size_t i = 0; i < table.entries[0].action_data_vars.size(); ++i) {
+        uint32_t bits = 0;
+        for (const std::string& data_var : table.entries[0].action_data_vars[i]) {
+          const SmtRef var = ctx.FindVar(data_var);
+          if (var.IsValid()) {
+            bits += ctx.IsBool(var) ? 1 : ctx.WidthOf(var);
           }
-          // Fields wider than a PHV container should carry their high bit,
-          // so arithmetic on them overflows the container observably
-          // instead of cancelling out in the truncated word.
-          if (width > 32 && preferences.size() < kPacketCap) {
-            preferences.push_back(
-                ctx.Eq(ctx.Extract(var, width - 1, width - 1), ctx.Const(1, 1)));
-          }
-          // Consecutive equal-width fields should differ: a back end that
-          // permutes field order (reversed extraction) or byte order is
-          // invisible on packets whose swapped fields happen to agree.
-          if (previous_slice.IsValid() && ctx.WidthOf(previous_slice) == width &&
-              preferences.size() < kPacketCap) {
-            preferences.push_back(ctx.BoolNot(ctx.Eq(previous_slice, var)));
-          }
-          previous_slice = var;
-          prefer_avoid_written_constants(var, kPacketCap);
+        }
+        if (bits > best_bits) {
+          best_bits = bits;
+          best = i;
         }
       }
-      // Control-plane stress preferences, per table:
-      //  * hit paths should run the action carrying the most control-plane
-      //    data — a hit on a parameterless action cannot expose faults in
-      //    how the target loads installed entries (shadowed entries,
-      //    byte-swapped action data);
-      //  * every entry slot should actually be installed, so solved paths
-      //    carry populated multi-entry tables;
-      //  * a later slot's win should be a genuine non-first *installed* hit
-      //    (the earlier slot installed first, at a lower priority);
-      //  * overlapping (shadowed) slots should behave differently — a back
-      //    end that resolves the overlap in the wrong order is observable;
-      //  * multi-byte action data should have first byte != last byte, so
-      //    a byte-reversed load is observable.
-      for (const TableInfo& table : all_tables) {
-        if (table.entries.empty()) {
-          continue;  // keyless: no control-plane state to shape
-        }
-        // The data-richest listed action, measured on slot 0 (widths are
-        // identical across slots).
-        size_t best = table.action_names.size();
-        uint32_t best_bits = 0;
-        for (size_t i = 0; i < table.entries[0].action_data_vars.size(); ++i) {
-          uint32_t bits = 0;
-          for (const std::string& data_var : table.entries[0].action_data_vars[i]) {
-            const SmtRef var = ctx.FindVar(data_var);
-            if (var.IsValid()) {
-              bits += ctx.IsBool(var) ? 1 : ctx.WidthOf(var);
-            }
-          }
-          if (bits > best_bits) {
-            best_bits = bits;
-            best = i;
-          }
-        }
-        if (best < table.action_names.size() && table.hit_condition.IsValid() &&
-            preferences.size() < kTableCap) {
-          SmtRef best_selected = ctx.False();
-          for (const SymbolicTableEntry& entry : table.entries) {
-            const SmtRef entry_action = ctx.FindVar(entry.action_var);
-            if (entry_action.IsValid()) {
-              best_selected = ctx.BoolOr(
-                  best_selected, ctx.BoolAnd(entry.win_condition,
-                                             ctx.Eq(entry_action, ctx.Const(kActionIndexWidth, best + 1))));
-            }
-          }
-          preferences.push_back(ctx.BoolOr(ctx.BoolNot(table.hit_condition), best_selected));
-        }
-        // Structural multi-entry shaping.
+      if (best < table.action_names.size() && table.hit_condition.IsValid() &&
+          preferences.size() < kTableCap) {
+        SmtRef best_selected = ctx.False();
         for (const SymbolicTableEntry& entry : table.entries) {
-          if (entry.installed_condition.IsValid() && preferences.size() < kTableCap) {
-            preferences.push_back(entry.installed_condition);
-          }
-        }
-        for (size_t slot = 1; slot < table.entries.size(); ++slot) {
-          const SymbolicTableEntry& prev = table.entries[slot - 1];
-          const SymbolicTableEntry& entry = table.entries[slot];
-          const SmtRef prev_prio = ctx.FindVar(prev.priority_var);
-          const SmtRef prio = ctx.FindVar(entry.priority_var);
-          const SmtRef prev_action = ctx.FindVar(prev.action_var);
           const SmtRef entry_action = ctx.FindVar(entry.action_var);
-          if (!prev_prio.IsValid() || !prio.IsValid()) {
-            continue;
-          }
-          if (preferences.size() < kTableCap) {
-            preferences.push_back(
-                ctx.BoolOr(ctx.BoolNot(entry.win_condition),
-                           ctx.BoolAnd(prev.installed_condition, ctx.Ult(prev_prio, prio))));
-          }
-          if (prev_action.IsValid() && entry_action.IsValid() &&
-              preferences.size() < kTableCap) {
-            preferences.push_back(ctx.BoolOr(
-                ctx.BoolNot(ctx.BoolAnd(prev.match_condition, entry.match_condition)),
-                ctx.BoolNot(ctx.Eq(prev_action, entry_action))));
+          if (entry_action.IsValid()) {
+            best_selected = ctx.BoolOr(
+                best_selected, ctx.BoolAnd(entry.win_condition,
+                                           ctx.Eq(entry_action, ctx.Const(kActionIndexWidth, best + 1))));
           }
         }
-        for (const SymbolicTableEntry& entry : table.entries) {
-          for (const std::vector<std::string>& data_vars : entry.action_data_vars) {
-            for (const std::string& data_var : data_vars) {
-              const SmtRef var = ctx.FindVar(data_var);
-              if (!var.IsValid() || ctx.IsBool(var)) {
+        preferences.push_back(ctx.BoolOr(ctx.BoolNot(table.hit_condition), best_selected));
+      }
+      // Structural multi-entry shaping.
+      for (const SymbolicTableEntry& entry : table.entries) {
+        if (entry.installed_condition.IsValid() && preferences.size() < kTableCap) {
+          preferences.push_back(entry.installed_condition);
+        }
+      }
+      for (size_t slot = 1; slot < table.entries.size(); ++slot) {
+        const SymbolicTableEntry& prev = table.entries[slot - 1];
+        const SymbolicTableEntry& entry = table.entries[slot];
+        const SmtRef prev_prio = ctx.FindVar(prev.priority_var);
+        const SmtRef prio = ctx.FindVar(entry.priority_var);
+        const SmtRef prev_action = ctx.FindVar(prev.action_var);
+        const SmtRef entry_action = ctx.FindVar(entry.action_var);
+        if (!prev_prio.IsValid() || !prio.IsValid()) {
+          continue;
+        }
+        if (preferences.size() < kTableCap) {
+          preferences.push_back(
+              ctx.BoolOr(ctx.BoolNot(entry.win_condition),
+                         ctx.BoolAnd(prev.installed_condition, ctx.Ult(prev_prio, prio))));
+        }
+        if (prev_action.IsValid() && entry_action.IsValid() &&
+            preferences.size() < kTableCap) {
+          preferences.push_back(ctx.BoolOr(
+              ctx.BoolNot(ctx.BoolAnd(prev.match_condition, entry.match_condition)),
+              ctx.BoolNot(ctx.Eq(prev_action, entry_action))));
+        }
+      }
+      for (const SymbolicTableEntry& entry : table.entries) {
+        for (const std::vector<std::string>& data_vars : entry.action_data_vars) {
+          for (const std::string& data_var : data_vars) {
+            const SmtRef var = ctx.FindVar(data_var);
+            if (!var.IsValid() || ctx.IsBool(var)) {
+              continue;
+            }
+            prefer_byte_asymmetric(var, kTableCap);
+            // A hit whose action data coincides with what the miss path
+            // would leave behind is a fix point: the buggy and correct
+            // outputs agree and the fault stays invisible. Steer the data
+            // away from the masking candidates — zero, the program's own
+            // constants, and the same-width input fields it might
+            // overwrite — whenever the path allows it.
+            const uint32_t width = ctx.WidthOf(var);
+            if (preferences.size() < kTableCap) {
+              preferences.push_back(ctx.BoolNot(ctx.Eq(var, ctx.Const(width, 0))));
+            }
+            prefer_avoid_written_constants(var, kTableCap);
+            for (const std::string& input : pipeline.parser.input_vars) {
+              if (input.rfind("p::pkt[", 0) != 0 || preferences.size() >= kTableCap) {
                 continue;
               }
-              prefer_byte_asymmetric(var, kTableCap);
-              // A hit whose action data coincides with what the miss path
-              // would leave behind is a fix point: the buggy and correct
-              // outputs agree and the fault stays invisible. Steer the data
-              // away from the masking candidates — zero, the program's own
-              // constants, and the same-width input fields it might
-              // overwrite — whenever the path allows it.
-              const uint32_t width = ctx.WidthOf(var);
-              if (preferences.size() < kTableCap) {
-                preferences.push_back(ctx.BoolNot(ctx.Eq(var, ctx.Const(width, 0))));
-              }
-              prefer_avoid_written_constants(var, kTableCap);
-              for (const std::string& input : pipeline.parser.input_vars) {
-                if (input.rfind("p::pkt[", 0) != 0 || preferences.size() >= kTableCap) {
-                  continue;
-                }
-                const SmtRef input_var = ctx.FindVar(input);
-                if (input_var.IsValid() && ctx.WidthOf(input_var) == width) {
-                  preferences.push_back(ctx.BoolNot(ctx.Eq(var, input_var)));
-                }
+              const SmtRef input_var = ctx.FindVar(input);
+              if (input_var.IsValid() && ctx.WidthOf(input_var) == width) {
+                preferences.push_back(ctx.BoolNot(ctx.Eq(var, input_var)));
               }
             }
           }
         }
-        // Shadow divergence: the same (action, param) data variable should
-        // differ across slots, so whichever overlapping entry a back end
-        // wrongly picks computes a different output.
-        for (size_t slot = 1; slot < table.entries.size(); ++slot) {
-          const SymbolicTableEntry& prev = table.entries[slot - 1];
-          const SymbolicTableEntry& entry = table.entries[slot];
-          for (size_t i = 0; i < entry.action_data_vars.size(); ++i) {
-            for (size_t p = 0; p < entry.action_data_vars[i].size(); ++p) {
-              const SmtRef a = ctx.FindVar(prev.action_data_vars[i][p]);
-              const SmtRef b = ctx.FindVar(entry.action_data_vars[i][p]);
-              if (a.IsValid() && b.IsValid() && !ctx.IsBool(a) &&
-                  preferences.size() < kTableCap) {
-                preferences.push_back(ctx.BoolNot(ctx.Eq(a, b)));
-              }
+      }
+      // Shadow divergence: the same (action, param) data variable should
+      // differ across slots, so whichever overlapping entry a back end
+      // wrongly picks computes a different output.
+      for (size_t slot = 1; slot < table.entries.size(); ++slot) {
+        const SymbolicTableEntry& prev = table.entries[slot - 1];
+        const SymbolicTableEntry& entry = table.entries[slot];
+        for (size_t i = 0; i < entry.action_data_vars.size(); ++i) {
+          for (size_t p = 0; p < entry.action_data_vars[i].size(); ++p) {
+            const SmtRef a = ctx.FindVar(prev.action_data_vars[i][p]);
+            const SmtRef b = ctx.FindVar(entry.action_data_vars[i][p]);
+            if (a.IsValid() && b.IsValid() && !ctx.IsBool(a) &&
+                preferences.size() < kTableCap) {
+              preferences.push_back(ctx.BoolNot(ctx.Eq(a, b)));
             }
           }
         }
-        // Multi-byte match keys should be byte-asymmetric too: a back end
-        // that looks keys up in the wrong byte order (network-vs-host
-        // confusion) behaves correctly on palindromic keys.
-        for (const SymbolicTableEntry& entry : table.entries) {
-          for (const std::string& key_var : entry.key_vars) {
-            const SmtRef var = ctx.FindVar(key_var);
-            if (var.IsValid() && !ctx.IsBool(var)) {
-              prefer_byte_asymmetric(var, kKeyCap);
-            }
+      }
+      // Multi-byte match keys should be byte-asymmetric too: a back end
+      // that looks keys up in the wrong byte order (network-vs-host
+      // confusion) behaves correctly on palindromic keys.
+      for (const SymbolicTableEntry& entry : table.entries) {
+        for (const std::string& key_var : entry.key_vars) {
+          const SmtRef var = ctx.FindVar(key_var);
+          if (var.IsValid() && !ctx.IsBool(var)) {
+            prefer_byte_asymmetric(var, kKeyCap);
           }
         }
       }
@@ -609,44 +594,38 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
     // bit-exactly, so the classification is deterministic too).
     if (want_coverage) {
       if (test.expected.dropped) {
-        CoverPoint("path-shape", "class/parser-reject", kDet);
+        CoverPoint("path-shape", "class/parser-reject");
       } else {
-        CoverPoint("path-shape", "class/forwarded", kDet);
+        CoverPoint("path-shape", "class/forwarded");
       }
       for (const TableInfo& table : all_tables) {
         const TableScenario scenario = ClassifyTableScenario(ctx, model, table);
         if (scenario.keyless) {
-          CoverPoint("table-config", "keyless-table", kDet);
+          CoverPoint("table-config", "keyless-table");
         } else {
-          CoverPoint("table-config",
-                     "installed-slots/" + std::to_string(scenario.installed_slots), kDet);
+          CoverPoint("table-config", "installed-slots/" + std::to_string(scenario.installed_slots));
         }
-        if (scenario.hit) CoverPoint("path-shape", "class/table-hit", kDet);
+        if (scenario.hit) CoverPoint("path-shape", "class/table-hit");
         if (!scenario.hit && scenario.installed_slots > 0) {
-          CoverPoint("path-shape", "class/table-miss", kDet);
+          CoverPoint("path-shape", "class/table-miss");
         }
-        if (scenario.installed_slots >= 2) CoverPoint("path-shape", "class/multi-entry", kDet);
+        if (scenario.installed_slots >= 2) CoverPoint("path-shape", "class/multi-entry");
         if (scenario.non_first_slot_win) {
-          CoverPoint("table-config", "non-first-slot-win", kDet);
+          CoverPoint("table-config", "non-first-slot-win");
         }
-        if (scenario.overlap) CoverPoint("table-config", "overlapping-entries", kDet);
+        if (scenario.overlap) CoverPoint("table-config", "overlapping-entries");
         if (scenario.divergent_overlap) {
-          CoverPoint("table-config", "shadowed-divergent", kDet);
-          CoverPoint("path-shape", "class/priority-inversion", kDet);
+          CoverPoint("table-config", "shadowed-divergent");
+          CoverPoint("path-shape", "class/priority-inversion");
         }
-        if (scenario.multi_byte_key) CoverPoint("table-config", "multi-byte-key-hit", kDet);
+        if (scenario.multi_byte_key) CoverPoint("table-config", "multi-byte-key-hit");
         if (scenario.multi_byte_action_data) {
-          CoverPoint("table-config", "multi-byte-action-data", kDet);
+          CoverPoint("table-config", "multi-byte-action-data");
         }
         if (coverage != nullptr) {
-          coverage->keyless_table = coverage->keyless_table || scenario.keyless;
           coverage->table_hit = coverage->table_hit || scenario.hit;
           coverage->table_miss =
               coverage->table_miss || (!scenario.hit && scenario.installed_slots > 0);
-          coverage->multi_entry = coverage->multi_entry || scenario.installed_slots >= 2;
-          coverage->non_first_slot_win =
-              coverage->non_first_slot_win || scenario.non_first_slot_win;
-          coverage->overlap = coverage->overlap || scenario.overlap;
           coverage->divergent_overlap =
               coverage->divergent_overlap || scenario.divergent_overlap;
           coverage->multi_byte_key_hit =
@@ -655,9 +634,6 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
               coverage->multi_byte_action_data || scenario.multi_byte_action_data;
         }
       }
-      if (coverage != nullptr) {
-        coverage->parser_reject = coverage->parser_reject || test.expected.dropped;
-      }
     }
     tests.push_back(std::move(test));
   }
@@ -665,9 +641,6 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
   CountMetric("testgen/tests", MetricScope::kTiming, tests.size());
   ObserveMetric("testgen/tests_per_program", MetricScope::kDeterministic, kTestsPerProgramBounds,
                 tests.size());
-  if (coverage != nullptr) {
-    coverage->tests = tests.size();
-  }
   return tests;
 }
 

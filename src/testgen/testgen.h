@@ -20,10 +20,6 @@ struct TestGenOptions {
   // overlaps, action selections) than the old single-entry hit condition,
   // so the cap is sized to keep two multi-entry tables fully enumerable.
   size_t max_decisions = 16;
-  // Ask the solver for non-zero packet bytes where possible, so that
-  // zero-initializing targets cannot mask miscompilations (§6.2 and the
-  // Fig. 5c discussion).
-  bool prefer_nonzero = true;
   // Wall-clock budget per solver query (path probes and witness solves);
   // 0 = unlimited. Paths whose queries exhaust the budget are skipped, like
   // the silently-dropped test cases of §8.
@@ -43,25 +39,14 @@ struct TestGenOptions {
   bool incremental_solving = true;
 };
 
-// What one program's path enumeration covered: decision depth, enumerated
-// path count, and which table/parser scenarios the surviving tests realize.
-// Derived from the enumerated paths and witness models, which replay
-// bit-exactly for any --jobs value and with the cache on or off, so every
-// field is deterministic. The campaign merges this into the "path-shape" /
-// "table-config" coverage domains and the fault-trigger exercise
-// predicates.
+// The table scenarios one program's surviving tests realize, which the
+// campaign's fault-trigger exercise predicates read. Derived from the
+// witness models, which replay bit-exactly for any --jobs value and with
+// the cache on or off, so every field is deterministic.
 struct PathCoverageSummary {
-  size_t decisions = 0;
-  size_t paths = 0;
-  size_t tests = 0;
-  bool parser_reject = false;       // some surviving test drops in the parser
-  bool table_hit = false;           // some test hits an installed entry
-  bool table_miss = false;          // some test misses a populated table
-  bool multi_entry = false;         // some test installs >= 2 slots in one table
-  bool non_first_slot_win = false;  // winner preceded by another installed slot
-  bool overlap = false;             // >= 2 installed slots match one lookup key
-  bool divergent_overlap = false;   // overlapping slots select different actions
-  bool keyless_table = false;
+  bool table_hit = false;               // some test hits an installed entry
+  bool table_miss = false;              // some test misses a populated table
+  bool divergent_overlap = false;       // overlapping slots select different actions
   bool multi_byte_key_hit = false;      // hit matched on a byte-aligned key >= 16 bits
   bool multi_byte_action_data = false;  // hit supplies byte-aligned data >= 16 bits
 };
@@ -91,9 +76,9 @@ class TestCaseGenerator {
   // program's block semantics are shared between the two techniques.
   // Replay is bit-exact, so the generated tests are identical either way.
   //
-  // With a non-null `coverage`, fills in the path/table scenario summary
-  // and records the "path-shape" / "table-config" coverage domains into the
-  // thread-local coverage sink (when one is installed).
+  // Records the "path-shape" / "table-config" coverage domains into the
+  // thread-local metrics sink (when one is installed); a non-null
+  // `coverage` also receives the path/table scenario summary.
   std::vector<PacketTest> Generate(const Program& program, ValidationCache* cache = nullptr,
                                    PathCoverageSummary* coverage = nullptr) const;
 

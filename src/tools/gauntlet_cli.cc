@@ -139,8 +139,7 @@ const std::vector<std::string> kCacheSwitches = {"--no-cache", "--progress", "--
                                                 "--no-incremental"};
 
 // The telemetry output flags shared by every instrumented command.
-const std::vector<std::string> kTelemetryFlags = {"--metrics-out", "--trace-out",
-                                                 "--coverage-out"};
+const std::vector<std::string> kTelemetryFlags = {"--metrics-out", "--trace-out"};
 
 std::vector<std::string> WithTelemetryFlags(std::vector<std::string> value_flags) {
   value_flags.insert(value_flags.end(), kTelemetryFlags.begin(), kTelemetryFlags.end());
@@ -168,9 +167,9 @@ void ApplySolverSwitches(const ParsedArgs& args, TvOptions& tv, TestGenOptions& 
   }
 }
 
-// Telemetry destinations parsed from --metrics-out/--trace-out/
-// --coverage-out: owns the registry, trace collector and coverage map for
-// the command's lifetime and renders them to disk once the command has
+// Telemetry destinations parsed from --metrics-out/--trace-out: owns the
+// registry (coverage points included) and the trace collector for the
+// command's lifetime and renders them to disk once the command has
 // finished. The destructor is a best-effort backstop: a command aborting
 // via exception still emits whatever it collected — exactly the runs where
 // the telemetry helps debugging.
@@ -182,16 +181,12 @@ struct Telemetry {
     if (args.Has("--trace-out")) {
       trace_path = args.Last("--trace-out");
     }
-    if (args.Has("--coverage-out")) {
-      coverage_path = args.Last("--coverage-out");
-    }
   }
 
   ~Telemetry() { WriteFiles(/*throw_on_failure=*/false); }
 
   MetricsRegistry* registry_or_null() { return metrics_path.empty() ? nullptr : &registry; }
   TraceCollector* collector_or_null() { return trace_path.empty() ? nullptr : &collector; }
-  CoverageMap* coverage_or_null() { return coverage_path.empty() ? nullptr : &coverage; }
 
   // Renders both files once; later calls (including the destructor's) are
   // no-ops. Success paths call this so the command exits nonzero when an
@@ -215,9 +210,6 @@ struct Telemetry {
     if (!trace_path.empty() && !WriteTraceFile(trace_path, collector)) {
       failed = trace_path;
     }
-    if (!coverage_path.empty() && !WriteCoverageFile(coverage_path, coverage)) {
-      failed = coverage_path;
-    }
     if (failed.empty()) {
       return;
     }
@@ -229,10 +221,8 @@ struct Telemetry {
 
   MetricsRegistry registry;
   TraceCollector collector;
-  CoverageMap coverage;
   std::string metrics_path;
   std::string trace_path;
-  std::string coverage_path;
   bool written_ = false;
 };
 
@@ -241,11 +231,9 @@ struct Telemetry {
 struct ScopedTelemetry {
   explicit ScopedTelemetry(Telemetry& telemetry)
       : metrics_sink(telemetry.registry_or_null()),
-        coverage_sink(telemetry.coverage_or_null()),
         trace_sink(telemetry.collector_or_null() != nullptr ? telemetry.collector.NewBuffer(0)
                                                             : nullptr) {}
   ScopedMetricsSink metrics_sink;
-  ScopedCoverageSink coverage_sink;
   ScopedTraceSink trace_sink;
 };
 
@@ -361,7 +349,7 @@ int CmdValidate(const std::string& path, const BugConfig& bugs, const ParsedArgs
   TvReport report;
   {
     ScopedTelemetry sinks(telemetry);
-    report = validator.Validate(*program, bugs, /*stop_after_pass=*/{}, cache_ptr);
+    report = validator.Validate(*program, bugs, cache_ptr);
   }
   if (report.crashed) {
     std::printf("CRASH: %s\n", report.crash_message.c_str());
@@ -374,9 +362,7 @@ int CmdValidate(const std::string& path, const BugConfig& bugs, const ParsedArgs
     if (result.verdict == TvVerdict::kSemanticDiff) {
       ++problems;
       for (const auto& [name, value] : result.counterexample.bit_values) {
-        if (name.find("undef") == std::string::npos) {
-          std::printf("    witness %s = %s\n", name.c_str(), value.ToString().c_str());
-        }
+        std::printf("    witness %s = %s\n", name.c_str(), value.ToString().c_str());
       }
     } else if (result.verdict == TvVerdict::kInvalidEmit) {
       // An emitted program that fails to re-parse/re-typecheck is a
@@ -456,7 +442,6 @@ std::unique_ptr<ProgressMeter> WireCampaignTelemetry(const ParsedArgs& args,
                                                      CampaignOptions& options) {
   options.metrics = telemetry.registry_or_null();
   options.trace = telemetry.collector_or_null();
-  options.coverage = telemetry.coverage_or_null();
   std::unique_ptr<ProgressMeter> meter;
   if (args.Has("--progress")) {
     meter = std::make_unique<ProgressMeter>("programs",
@@ -521,7 +506,7 @@ int CmdCampaign(int argc, char** argv) {
 // `gauntlet serve`: the long-lived submission service (src/dist/serve).
 // The server owns its telemetry files (rewritten atomically on every
 // status flush and once more on exit), so a SIGTERM'd session still leaves
-// loadable metrics/coverage/trace artifacts behind.
+// loadable metrics/trace artifacts behind.
 int CmdServe(int argc, char** argv) {
   const ParsedArgs args = ParseCommandArgs(
       argc, argv,
@@ -542,9 +527,6 @@ int CmdServe(int argc, char** argv) {
   ApplySolverSwitches(args, options.campaign.tv, options.campaign.testgen);
   if (args.Has("--metrics-out")) {
     options.metrics_out = args.Last("--metrics-out");
-  }
-  if (args.Has("--coverage-out")) {
-    options.coverage_out = args.Last("--coverage-out");
   }
   if (args.Has("--trace-out")) {
     options.trace_out = args.Last("--trace-out");
@@ -738,40 +720,41 @@ int CmdReplay(int argc, char** argv) {
   return outcome.passed() ? 0 : 1;
 }
 
-CoverageMap LoadCoverage(const std::string& path) {
-  CoverageMap map;
+MetricsRegistry LoadMetrics(const std::string& path) {
+  MetricsRegistry registry;
   std::string error;
-  if (!ParseCoverageJson(ReadInput(path), &map, &error)) {
-    throw CompileError("cannot parse coverage file '" + path + "': " + error);
+  if (!ParseMetricsJson(ReadInput(path), &registry, &error)) {
+    throw CompileError("cannot parse metrics file '" + path + "': " + error);
   }
-  return map;
+  return registry;
 }
 
-// `gauntlet coverage <file>` renders one snapshot (with its blind-spot
-// section); `gauntlet coverage <before> <after>` diffs two snapshots and
-// gates on deterministic differences — the CI jobs-1-vs-jobs-8 identity
-// check. `--require-detected` turns the single-file report into the
-// blind-spot gate: every seeded fault must have been exercised and detected.
+// `gauntlet coverage <metrics.json>` renders the coverage points of one run
+// report (with its blind-spot section); `gauntlet coverage <before>
+// <after>` diffs the coverage points of two and exits 1 on any
+// deterministic difference. `--require-detected` turns the single-file
+// report into the blind-spot gate: every seeded fault must have been
+// exercised and detected.
 int CmdCoverage(int argc, char** argv) {
   const ParsedArgs args = ParseCommandArgs(argc, argv, {}, /*max_positionals=*/2,
                                            {"--require-detected"});
   if (args.positionals.empty()) {
-    throw CliUsageError("coverage expects <coverage.json> [<after.json>]");
+    throw CliUsageError("coverage expects <metrics.json> [<after.json>]");
   }
   if (args.positionals.size() == 2) {
     if (args.Has("--require-detected")) {
       throw CliUsageError("--require-detected applies to a single snapshot, not a diff");
     }
     const CoverageDiff diff =
-        DiffCoverage(LoadCoverage(args.positionals[0]), LoadCoverage(args.positionals[1]));
+        DiffCoverage(LoadMetrics(args.positionals[0]), LoadMetrics(args.positionals[1]));
     std::printf("%s", diff.text.c_str());
     return diff.deterministic_differences == 0 ? 0 : 1;
   }
-  const CoverageMap map = LoadCoverage(args.positionals[0]);
-  std::printf("%s", CoverageReportText(map).c_str());
+  const MetricsRegistry registry = LoadMetrics(args.positionals[0]);
+  std::printf("%s", CoverageReportText(registry).c_str());
   if (args.Has("--require-detected")) {
     std::string violations;
-    const int count = CoverageBlindSpotViolations(map, &violations);
+    const int count = CoverageBlindSpotViolations(registry, &violations);
     if (count > 0) {
       std::fprintf(stderr, "%s", violations.c_str());
       std::fprintf(stderr, "coverage: %d blind-spot violation%s\n", count,
@@ -847,7 +830,7 @@ int Usage(std::FILE* out) {
                "  replay <file.p4> <file.stf> [--bug B ...] [--targets T,...]\n"
                "  replay --corpus DIR [--bug B ...] [--targets T,...]\n"
                "  reduce <file.p4> --bug B [...]\n"
-               "  coverage <coverage.json> [--require-detected]\n"
+               "  coverage <metrics.json> [--require-detected]\n"
                "  coverage <before.json> <after.json>\n"
                "  bugs\n"
                "\n"
@@ -861,12 +844,13 @@ int Usage(std::FILE* out) {
                "path (assumption-trail reuse + block-summary memoization); reports\n"
                "are byte-identical either way, only the work spent differs\n"
                "telemetry (validate/testgen/campaign/replay):\n"
-               "  --metrics-out F   write a versioned metrics.json run report\n"
+               "  --metrics-out F   write a versioned metrics.json run report, with\n"
+               "                    the semantic coverage points under coverage/\n"
                "  --trace-out F     write Chrome/Perfetto trace-event JSON\n"
-               "  --coverage-out F  write a semantic coverage.json snapshot\n"
                "  --progress        throttled heartbeat on stderr\n"
-               "`coverage` renders a snapshot (one file; --require-detected gates on\n"
-               "blind spots) or diffs two; a diff exits 1 on any deterministic change\n"
+               "`coverage` renders the coverage points of a metrics.json (one file;\n"
+               "--require-detected gates on blind spots) or diffs those of two; a\n"
+               "diff exits 1 on any deterministic change\n"
                "`serve` accepts P4 programs over a unix socket and streams JSON\n"
                "verdicts; `submit` is its client (exit 0 clean, 1 on findings);\n"
                "SIGTERM/SIGINT drain serve gracefully (sinks flushed before exit);\n"

@@ -33,6 +33,15 @@ std::string TvVerdictToString(TvVerdict verdict) {
 
 namespace {
 
+// Symbolic entry slots per table (src/table/entry_set.h); both versions of a
+// pass pair share the encoding so their table variables unify. One slot
+// already quantifies over arbitrary installed contents, and no pass can
+// touch control-plane state, so extra slots would only grow the
+// equivalence queries. Test generation encodes
+// kDefaultSymbolicTableEntries, where the extra slots *do* buy new
+// scenarios (non-first-entry hits, shadowing).
+constexpr size_t kValidationTableEntries = 1;
+
 // Short metric-key slug for a verdict (TvVerdictToString is prose).
 std::string_view TvVerdictSlug(TvVerdict verdict) {
   switch (verdict) {
@@ -301,16 +310,8 @@ TvPassResult CompareSemantics(SmtContext& ctx, const VersionSemantics& before,
   pinned_solver.set_conflict_limit(options.conflict_budget);
   pinned_solver.set_time_limit_ms(options.query_time_limit_ms);
   pinned_solver.Assert(any_difference);
-  for (uint32_t var_id = 0; var_id < ctx.VarCount(); ++var_id) {
-    const std::string& name = ctx.VarName(var_id);
-    if (name.rfind("undef", 0) == 0) {
-      const SmtRef var = ctx.FindVar(name);
-      if (ctx.VarIsBool(var_id)) {
-        pinned_solver.Assert(ctx.BoolNot(var));
-      } else {
-        pinned_solver.Assert(ctx.Eq(var, ctx.Const(ctx.VarWidth(var_id), 0)));
-      }
-    }
+  for (const SmtRef& pin : PinUndefinedValues(ctx)) {
+    pinned_solver.Assert(pin);
   }
   const CheckResult pinned = pinned_solver.Check();
   if (pinned == CheckResult::kUnsat) {
@@ -326,6 +327,12 @@ TvPassResult CompareSemantics(SmtContext& ctx, const VersionSemantics& before,
   }
   result.verdict = TvVerdict::kSemanticDiff;
   result.counterexample = pinned_solver.ExtractModel();
+  for (uint32_t var_id = 0; var_id < ctx.VarCount(); ++var_id) {
+    if (ctx.VarIsUndefined(var_id)) {
+      result.counterexample.bit_values.erase(ctx.VarName(var_id));
+      result.counterexample.bool_values.erase(ctx.VarName(var_id));
+    }
+  }
   result.detail = "solver found a disagreeing input";
   remember(result, /*queries=*/2);
   return result;
@@ -338,7 +345,7 @@ TvPassResult TranslationValidator::CompareVersions(const Program& before, const 
                                                    ValidationCache* cache, TvOptions options) {
   TraceSpan span("tv:" + pass_name, "tv");
   SmtContext ctx;
-  SymbolicInterpreter interpreter(ctx, options.symbolic_table_entries);
+  SymbolicInterpreter interpreter(ctx, kValidationTableEntries);
   if (cache != nullptr) {
     // Cached block summaries hold SmtRefs of the previous context.
     cache->summaries().BeginContext();
@@ -356,7 +363,6 @@ TvPassResult TranslationValidator::CompareVersions(const Program& before, const 
 }
 
 TvReport TranslationValidator::Validate(const Program& program, const BugConfig& bugs,
-                                        const std::string& stop_after_pass,
                                         ValidationCache* cache) const {
   TvReport report;
 
@@ -398,7 +404,7 @@ TvReport TranslationValidator::Validate(const Program& program, const BugConfig&
   // that changed nothing semantically short-circuits to a constant-false
   // difference without a SAT call.
   SmtContext ctx;
-  SymbolicInterpreter interpreter(ctx, options_.symbolic_table_entries);
+  SymbolicInterpreter interpreter(ctx, kValidationTableEntries);
   // One canonical hasher spans every pass pair: its per-node memo is what
   // makes re-fingerprinting the shared version of consecutive pairs cheap.
   std::optional<StructHasher> canonical;
@@ -452,9 +458,6 @@ TvReport TranslationValidator::Validate(const Program& program, const BugConfig&
         CompareSemantics(ctx, before_sem, after_sem, pass_name, options_, cache,
                          canonical.has_value() ? &*canonical : nullptr));
     RecordPassResult(report.pass_results.back());
-    if (!stop_after_pass.empty() && pass_name == stop_after_pass) {
-      break;
-    }
     if (PrintProgram(*reparsed) == emitted[i]) {
       // Round trip was faithful: reuse the interpretation as the "before"
       // of the next pass pair.

@@ -34,7 +34,8 @@ struct TvPassResult {
   TvVerdict verdict = TvVerdict::kEquivalent;
   std::string detail;
   // For kSemanticDiff: a witness assignment (input packet fields, table
-  // entries) under which the two versions disagree.
+  // entries) under which the two versions disagree. Undefined values are
+  // pinned to zero for the witness and left out of it.
   SmtModel counterexample;
 };
 
@@ -86,14 +87,6 @@ struct TvOptions {
   uint64_t conflict_budget = 120000;     // SAT conflicts per query
   uint64_t query_time_limit_ms = 250;    // wall clock per solver query
   uint64_t program_budget_ms = 1500;     // wall clock per validated program
-  // Symbolic entry slots per table (src/table/entry_set.h). Both versions of
-  // a pass pair are encoded with the same count so their table variables
-  // unify. Defaults to 1: a single symbolic entry already quantifies over
-  // arbitrary installed contents, and no pass can touch control-plane state,
-  // so extra slots only grow the equivalence queries. Test generation runs
-  // the same shared encoding at kDefaultSymbolicTableEntries, where the
-  // extra slots *do* buy new scenarios (non-first-entry hits, shadowing).
-  size_t symbolic_table_entries = 1;
   // Block-level summary memoization (src/cache/summary_cache.h): blocks a
   // pass left textually unchanged reuse the interpretation of the previous
   // version instead of being re-interpreted. --no-incremental turns it off
@@ -118,10 +111,7 @@ class TranslationValidator {
   explicit TranslationValidator(PassManager pipeline, TvOptions options = {})
       : pipeline_(std::move(pipeline)), options_(options) {}
 
-  // Validates `program` through the pipeline. When `stop_after_pass` is
-  // non-empty, pass-pair comparison stops once that pass has a verdict —
-  // the fault-attribution reruns only need the blamed pass's verdict, not
-  // the whole pipeline's.
+  // Validates `program` through the pipeline.
   //
   // With a `cache` (src/cache/), bit-blasted fragments are reused across
   // the pass pairs' solver queries and hash-matching pairs skip their
@@ -132,7 +122,6 @@ class TranslationValidator {
   // a verdict-cache hit can only upgrade that "could not validate" outcome
   // into the proven verdict.
   TvReport Validate(const Program& program, const BugConfig& bugs,
-                    const std::string& stop_after_pass = {},
                     ValidationCache* cache = nullptr) const;
 
   // Compares two standalone programs (all package blocks pairwise).

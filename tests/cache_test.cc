@@ -221,14 +221,14 @@ TEST(VerdictCacheTest, RevalidationSkipsItsQueries) {
   const TvReport uncached = validator.Validate(*program, bugs);
 
   ValidationCache cache;
-  const TvReport first = validator.Validate(*program, bugs, /*stop_after_pass=*/{}, &cache);
+  const TvReport first = validator.Validate(*program, bugs, &cache);
   ExpectSameVerdicts(uncached, first);
   ASSERT_TRUE(first.HasSemanticDiff());
 
   // The find-fix / attribution pattern: the same program validated again
   // against the same cache answers every pair from the verdict cache.
   const CacheStats before = cache.Stats();
-  const TvReport second = validator.Validate(*program, bugs, /*stop_after_pass=*/{}, &cache);
+  const TvReport second = validator.Validate(*program, bugs, &cache);
   ExpectSameVerdicts(uncached, second);
   const CacheStats after = cache.Stats();
   EXPECT_GT(after.verdict_hits + after.pairs_short_circuited,
@@ -263,7 +263,7 @@ TEST(VerdictCacheTest, BeginProgramScopesVerdictsButKeepsTemplates) {
   auto program = Parser::ParseString(kMultiPassProgram);
   ValidationCache cache;
   const TranslationValidator validator(PassManager::StandardPipeline());
-  validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &cache);
+  validator.Validate(*program, BugConfig::None(), &cache);
   const size_t templates = cache.blast().size();
   const size_t verdicts = cache.verdicts().size();
   cache.BeginProgram();
@@ -282,7 +282,7 @@ TEST(VerdictCacheTest, ReenteringAProgramKeyPreloadsItsVerdicts) {
   const TranslationValidator validator(PassManager::StandardPipeline());
   cache.BeginProgram(/*program_key=*/0x1234);
   const TvReport first =
-      validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &cache);
+      validator.Validate(*program, BugConfig::None(), &cache);
   const size_t verdict_count = cache.verdicts().size();
   ASSERT_GT(verdict_count, 0u);
 
@@ -295,7 +295,7 @@ TEST(VerdictCacheTest, ReenteringAProgramKeyPreloadsItsVerdicts) {
   // identical verdicts.
   const uint64_t hits_before = cache.Stats().verdict_hits;
   const TvReport second =
-      validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &cache);
+      validator.Validate(*program, BugConfig::None(), &cache);
   ExpectSameVerdicts(first, second);
   EXPECT_GT(cache.Stats().verdict_hits, hits_before);
 }
@@ -316,9 +316,9 @@ TEST(SummaryCacheTest, UnchangedBlocksInterpretOncePerContext) {
   ValidationCache memo_cache;
   ValidationCache plain_cache;
   const TvReport memoized =
-      validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &memo_cache);
+      validator.Validate(*program, BugConfig::None(), &memo_cache);
   const TvReport plain =
-      baseline.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &plain_cache);
+      baseline.Validate(*program, BugConfig::None(), &plain_cache);
   ExpectSameVerdicts(memoized, plain);
   EXPECT_GT(memo_cache.Stats().summary_hits, 0u);
   EXPECT_GT(memo_cache.Stats().summary_misses, 0u);
@@ -371,7 +371,7 @@ TEST(SummaryCacheTest, HitReturnsTheIdenticalSemantics) {
   const TranslationValidator validator(PassManager::StandardPipeline());
   const TvReport cold = validator.Validate(*program, bugs);
   ValidationCache cache;
-  const TvReport memoized = validator.Validate(*program, bugs, /*stop_after_pass=*/{}, &cache);
+  const TvReport memoized = validator.Validate(*program, bugs, &cache);
   ExpectSameVerdicts(cold, memoized);
   ASSERT_TRUE(memoized.HasSemanticDiff());
   // The semantic-diff witness — the most model-sensitive output — matches.
@@ -420,7 +420,7 @@ TEST(CacheIdentityTest, TestgenOutputIsBitIdenticalWithAndWithoutCache) {
   // run records the path formula's fragments, the second replays them; the
   // shared templates must not perturb a single test.
   TranslationValidator(PassManager::StandardPipeline())
-      .Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &cache);
+      .Validate(*program, BugConfig::None(), &cache);
   const std::vector<PacketTest> warm = TestCaseGenerator().Generate(*program, &cache);
   const std::vector<PacketTest> cached = TestCaseGenerator().Generate(*program, &cache);
   EXPECT_EQ(EmitStf(plain), EmitStf(warm));

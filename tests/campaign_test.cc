@@ -347,6 +347,12 @@ TEST(CampaignTest, TestGenerationRunsOnlyOnProgramsThatLower) {
             static_cast<uint64_t>(report.programs_generated - report.programs_with_crash));
 }
 
+// Programs whose eBPF compile crashes under the paired fault.
+const std::pair<const char*, BugId> kEbpfCrashInputs[] = {
+    {kLongParserChainProgram, BugId::kEbpfCrashVerifierLoopBound},
+    {kWideHeaderProgram, BugId::kEbpfCrashStackOverflow},
+};
+
 TEST(CampaignTest, BackEndThatFailsToCompileExercisesNoSemanticFault) {
   // The fault-trigger "exercised" counter of a back end's semantic fault
   // needs an artifact to replay tests on: a back end whose own compile
@@ -355,37 +361,63 @@ TEST(CampaignTest, BackEndThatFailsToCompileExercisesNoSemanticFault) {
   CampaignOptions options = SmallCampaign(1);
   options.targets = {"ebpf"};
   const Campaign campaign(options);
-  const std::pair<const char*, BugId> crash_inputs[] = {
-      {kLongParserChainProgram, BugId::kEbpfCrashVerifierLoopBound},
-      {kWideHeaderProgram, BugId::kEbpfCrashStackOverflow},
-  };
-  for (const auto& [source, crash] : crash_inputs) {
+  for (const auto& [source, crash] : kEbpfCrashInputs) {
     auto program = Parser::ParseString(source);
     TypeCheck(*program);
-    const auto coverage_for = [&](const BugConfig& bugs) {
-      CoverageMap coverage;
-      ScopedCoverageSink sink(&coverage);
+    const auto metrics_for = [&](const BugConfig& bugs) {
+      MetricsRegistry metrics;
+      ScopedMetricsSink sink(&metrics);
       CampaignReport report;
       campaign.TestProgram(*program, bugs, 0, report);
-      return coverage;
+      return metrics;
+    };
+    const auto exercised = [](const std::string& fault) {
+      return CoverageKey("fault-trigger", fault + "/exercised");
     };
 
     BugConfig semantic;
     semantic.Enable(BugId::kEbpfParserExtractReversed);
-    EXPECT_EQ(
-        coverage_for(semantic).Value("fault-trigger", "ebpf-parser-extract-reversed/exercised"),
-        1u);
+    EXPECT_EQ(metrics_for(semantic).Value(exercised("ebpf-parser-extract-reversed")), 1u);
 
     BugConfig crashing = semantic;
     crashing.Enable(crash);
-    const CoverageMap crashed = coverage_for(crashing);
-    EXPECT_EQ(crashed.Value("fault-trigger", BugIdToString(crash) + "/exercised"), 1u);
+    const MetricsRegistry crashed = metrics_for(crashing);
+    EXPECT_EQ(crashed.Value(exercised(BugIdToString(crash))), 1u);
     for (const BugInfo& info : BugCatalogue()) {
       if (info.location == BugLocation::kBackEndEbpf && info.kind == BugKind::kSemantic) {
-        EXPECT_EQ(crashed.Value("fault-trigger", std::string(info.name) + "/exercised"), 0u)
-            << info.name;
+        EXPECT_EQ(crashed.Value(exercised(info.name)), 0u) << info.name;
       }
     }
+  }
+}
+
+TEST(CampaignTest, NoPacketTestsWhenEveryBackEndStageThrows) {
+  // Packet tests need an artifact to replay on: when every selected back
+  // end's own stage throws, test generation is skipped, and the crashes
+  // are still recorded.
+  CampaignOptions options = SmallCampaign(1);
+  options.targets = {"ebpf"};
+  const Campaign campaign(options);
+  for (const auto& [source, crash] : kEbpfCrashInputs) {
+    auto program = Parser::ParseString(source);
+    TypeCheck(*program);
+    CampaignReport clean;
+    campaign.TestProgram(*program, BugConfig::None(), 0, clean);
+    EXPECT_GT(clean.tests_generated, 0);
+
+    BugConfig crashing;
+    crashing.Enable(crash);
+    MetricsRegistry metrics;
+    CampaignReport crashed;
+    {
+      ScopedMetricsSink sink(&metrics);
+      campaign.TestProgram(*program, crashing, 0, crashed);
+    }
+    EXPECT_EQ(crashed.tests_generated, 0);
+    EXPECT_EQ(metrics.Find("time/testgen-enumerate/calls"), nullptr);
+    ASSERT_EQ(crashed.findings.size(), 1u);
+    EXPECT_EQ(crashed.findings[0].attributed, crash);
+    EXPECT_EQ(crashed.programs_with_crash, 1);
   }
 }
 

@@ -142,13 +142,11 @@ package main { parser = p; ingress = ig; deparser = dp; }
 
 TEST_F(DistScratch, ServeRoundTripsSubmissionsAndFoldsSinks) {
   MetricsRegistry metrics;
-  CoverageMap coverage;
   ServeOptions options;
   options.socket_path = Path("sock");
   options.corpus_dir = Path("corpus");
   options.campaign = SmallCampaign(/*num_programs=*/0);
   options.campaign.metrics = &metrics;
-  options.campaign.coverage = &coverage;
 
   GauntletServer server(std::move(options), BugConfig::None());
   server.Start();
@@ -190,7 +188,10 @@ TEST_F(DistScratch, ServeRoundTripsSubmissionsAndFoldsSinks) {
   EXPECT_FALSE(server.report().findings.empty());
   EXPECT_GT(CountCorpus(Path("corpus")), 0);
   EXPECT_NE(MetricsJson(metrics).find("campaign/findings"), std::string::npos);
-  EXPECT_FALSE(coverage.domains().empty());
+  // Coverage points flow into the same sink: the construct census per
+  // request, the fault-trigger domain from the fold.
+  EXPECT_EQ(metrics.Value(CoverageKey("gen-construct", "program")), 2u);
+  EXPECT_EQ(metrics.Value(CoverageKey("fault-trigger", "predication-lost-else/detected")), 1u);
 }
 
 TEST_F(DistScratch, ServeMaxRequestsBoundsTheLoop) {
@@ -302,7 +303,6 @@ TEST_F(DistScratch, ServeFlushesTelemetryMidSessionAndOnExit) {
   options.socket_path = Path("sock");
   options.campaign = SmallCampaign(/*num_programs=*/0);
   options.metrics_out = Path("metrics.json");
-  options.coverage_out = Path("coverage.json");
   options.trace_out = Path("trace.json");
   options.status_dir = Path("status");
   options.snapshot_interval_ms = 20;
@@ -334,15 +334,16 @@ TEST_F(DistScratch, ServeFlushesTelemetryMidSessionAndOnExit) {
   SendServeRequest(server.socket_path(), BuildShutdownPayload());
   loop.join();
 
-  // Final artifacts: request accounting in the timing section, coverage and
-  // trace files present and non-trivial, snapshot finished.
+  // Final artifacts: request accounting in the timing section, coverage
+  // points in the same file, the trace present and non-trivial, snapshot
+  // finished.
   std::ifstream in(Path("metrics.json"), std::ios::binary);
   std::ostringstream metrics;
   metrics << in.rdbuf();
   EXPECT_NE(metrics.str().find("serve/requests"), std::string::npos);
   EXPECT_NE(metrics.str().find("serve/request_latency_micros"), std::string::npos);
   EXPECT_NE(metrics.str().find("campaign/findings"), std::string::npos);
-  EXPECT_TRUE(fs::exists(Path("coverage.json")));
+  EXPECT_NE(metrics.str().find("coverage/fault-trigger/"), std::string::npos);
   std::ifstream trace_in(Path("trace.json"), std::ios::binary);
   std::ostringstream trace;
   trace << trace_in.rdbuf();

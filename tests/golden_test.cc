@@ -19,7 +19,6 @@
 
 #include "src/dist/serve.h"
 #include "src/frontend/parser.h"
-#include "src/obs/coverage.h"
 #include "src/obs/health.h"
 #include "src/obs/run_report.h"
 #include "src/obs/snapshot.h"
@@ -52,18 +51,6 @@ MetricsRegistry GoldenMetrics() {
   }
   registry.Count(std::string("hi\xff\x7f", 4), MetricScope::kTiming, 7);
   return registry;
-}
-
-CoverageMap GoldenCoverage() {
-  CoverageMap map;
-  map.Record("fault-trigger", "predication-lost-else/seeded", MetricScope::kDeterministic, 1);
-  map.Record("fault-trigger", "predication-lost-else/exercised", MetricScope::kDeterministic,
-             4);
-  map.Set("fault-trigger", "predication-lost-else/first_detection_index",
-          MetricScope::kDeterministic, 0);
-  map.Record("gen-construct", kAwkward, MetricScope::kDeterministic, 18446744073709551615ull);
-  map.Record("detection-latency-wall", "predication-lost-else", MetricScope::kTiming, 1234);
-  return map;
 }
 
 Snapshot GoldenSnapshot() {
@@ -127,26 +114,6 @@ const char* const kMetricsGolden = R"golden({
     "process/peak_rss_kb": 18446744073709551615,
     "smt/conflicts": 812,
     "time/h/micros": {"bounds": [5, 10, 100], "counts": [5, 5, 10, 0], "total": 20, "p50": 10, "p90": 82, "p99": 100}
-  }
-}
-)golden";
-
-const char* const kCoverageGolden = R"golden({
-  "version": 1,
-  "deterministic": {
-    "fault-trigger": {
-      "predication-lost-else/exercised": 4,
-      "predication-lost-else/first_detection_index": 0,
-      "predication-lost-else/seeded": 1
-    },
-    "gen-construct": {
-      "q\"b\\n\nt\tc\u0001!": 18446744073709551615
-    }
-  },
-  "timing": {
-    "detection-latency-wall": {
-      "predication-lost-else": 1234
-    }
   }
 }
 )golden";
@@ -216,10 +183,6 @@ const char* const kServeBadBugGolden = R"golden({"version":1,"status":"error","e
 // --- writers match their goldens ---------------------------------------------
 
 TEST(ArtifactGoldenTest, MetricsJson) { EXPECT_EQ(MetricsJson(GoldenMetrics()), kMetricsGolden); }
-
-TEST(ArtifactGoldenTest, CoverageJson) {
-  EXPECT_EQ(CoverageJson(GoldenCoverage()), kCoverageGolden);
-}
 
 TEST(ArtifactGoldenTest, SnapshotJson) {
   EXPECT_EQ(SnapshotJson(GoldenSnapshot()), kSnapshotGolden);
@@ -351,9 +314,9 @@ TEST_F(GoldenScratch, ServeResponses) {
 
 TEST(ArtifactGoldenTest, ReadersRoundTripTheirGoldens) {
   std::string error;
-  CoverageMap coverage;
-  ASSERT_TRUE(ParseCoverageJson(kCoverageGolden, &coverage, &error)) << error;
-  EXPECT_EQ(CoverageJson(coverage), kCoverageGolden);
+  MetricsRegistry metrics;
+  ASSERT_TRUE(ParseMetricsJson(kMetricsGolden, &metrics, &error)) << error;
+  EXPECT_EQ(MetricsJson(metrics), kMetricsGolden);
   Snapshot snapshot;
   ASSERT_TRUE(ParseSnapshotJson(kSnapshotGolden, &snapshot, &error)) << error;
   EXPECT_EQ(SnapshotJson(snapshot), kSnapshotGolden);
@@ -411,7 +374,7 @@ std::function<bool(const std::string&)> JsonReaderOf(
 TEST(ArtifactGoldenTest, ReadersRejectTruncatedAndMutatedInputCleanly) {
   const std::vector<std::pair<std::string, std::function<bool(const std::string&)>>> readers = {
       {kSnapshotGolden, JsonReaderOf(&ParseSnapshotJson)},
-      {kCoverageGolden, JsonReaderOf(&ParseCoverageJson)},
+      {kMetricsGolden, JsonReaderOf(&ParseMetricsJson)},
   };
   for (const auto& [golden, parse] : readers) {
     SCOPED_TRACE(golden.substr(0, golden.find('\n')));

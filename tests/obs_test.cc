@@ -445,136 +445,109 @@ TEST(ProgressMeterTest, FirstTickBeforeAnyProgressPrintsPlaceholderEta) {
   EXPECT_NE(out.find("eta --:--"), std::string::npos) << out;
 }
 
-// --- coverage map ----------------------------------------------------------
-
-TEST(CoverageMapTest, RecordSumsZeroDeltaCreatesKeysAndSetOverwrites) {
-  CoverageMap map;
-  map.Record("d", "p", MetricScope::kDeterministic, 2);
-  map.Record("d", "p", MetricScope::kDeterministic, 3);
-  EXPECT_EQ(map.Value("d", "p"), 5u);
-  map.Record("d", "zero", MetricScope::kDeterministic, 0);
-  EXPECT_TRUE(map.Has("d", "zero"));
-  EXPECT_EQ(map.Value("d", "zero"), 0u);
-  EXPECT_FALSE(map.Has("d", "absent"));
-  EXPECT_EQ(map.Value("d", "absent"), 0u);
-  map.Set("d", "p", MetricScope::kDeterministic, 1);
-  EXPECT_EQ(map.Value("d", "p"), 1u);
-}
-
-TEST(CoverageMapTest, MergeSumsPointsAndIsOrderIndependent) {
-  CoverageMap a;
-  a.Record("d", "x", MetricScope::kDeterministic, 1);
-  CoverageMap b;
-  b.Record("d", "x", MetricScope::kDeterministic, 2);
-  b.Record("d", "y", MetricScope::kDeterministic, 4);
-  b.Record("t", "w", MetricScope::kTiming, 8);
-
-  CoverageMap forward;
-  forward.MergeFrom(a);
-  forward.MergeFrom(b);
-  CoverageMap backward;
-  backward.MergeFrom(b);
-  backward.MergeFrom(a);
-  EXPECT_EQ(forward.Value("d", "x"), 3u);
-  EXPECT_EQ(forward.Value("d", "y"), 4u);
-  EXPECT_EQ(forward.Value("t", "w"), 8u);
-  EXPECT_EQ(CoverageJson(forward), CoverageJson(backward));
-}
+// --- coverage readers --------------------------------------------------------
 
 TEST(CoverageSinkTest, CoverPointIsANoOpWithoutASinkAndScopedSinksNest) {
-  CoverPoint("free", "standing", MetricScope::kDeterministic);
-  EXPECT_EQ(CurrentCoverage(), nullptr);
-  CoverageMap outer;
-  CoverageMap inner;
+  CoverPoint("free", "standing");
+  EXPECT_EQ(CurrentMetrics(), nullptr);
+  MetricsRegistry outer;
+  MetricsRegistry inner;
   {
-    ScopedCoverageSink outer_sink(&outer);
-    CoverPoint("d", "n", MetricScope::kDeterministic);
+    ScopedMetricsSink outer_sink(&outer);
+    CoverPoint("d", "n");
     {
-      ScopedCoverageSink inner_sink(&inner);
-      CoverPoint("d", "n", MetricScope::kDeterministic);
+      ScopedMetricsSink inner_sink(&inner);
+      CoverPoint("d", "n");
     }
-    CoverPoint("d", "n", MetricScope::kDeterministic);
+    CoverPoint("d", "n", 2);
+    CoverPoint("d", "zero", 0);
   }
-  EXPECT_EQ(CurrentCoverage(), nullptr);
-  EXPECT_EQ(outer.Value("d", "n"), 2u);
-  EXPECT_EQ(inner.Value("d", "n"), 1u);
-}
-
-TEST(CoverageJsonTest, RoundTripsThroughParseAndSharesTheDeterministicSectionContract) {
-  CoverageMap map;
-  map.Record("gen-construct", "table", MetricScope::kDeterministic, 7);
-  map.Record("gen-construct", "if", MetricScope::kDeterministic, 0);
-  map.Record("detection-latency-wall", "bug/micros_to_first", MetricScope::kTiming, 1234);
-  const std::string json = CoverageJson(map);
-  ExpectValidJson(json);
-  EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
-  // The deterministic/timing split uses the run-report layout, so the same
-  // section extractor applies to coverage snapshots.
-  const std::string det = DeterministicSection(json);
-  ASSERT_FALSE(det.empty());
-  EXPECT_NE(det.find("\"table\": 7"), std::string::npos) << det;
-  EXPECT_EQ(det.find("micros_to_first"), std::string::npos);
-
-  CoverageMap parsed;
-  std::string error;
-  ASSERT_TRUE(ParseCoverageJson(json, &parsed, &error)) << error;
-  EXPECT_EQ(CoverageJson(parsed), json);
-  EXPECT_EQ(parsed.Value("gen-construct", "table"), 7u);
-  EXPECT_TRUE(parsed.Has("gen-construct", "if"));
-
-  CoverageMap rejected;
-  EXPECT_FALSE(ParseCoverageJson("{}", &rejected, &error));
-  EXPECT_FALSE(ParseCoverageJson(json + "trailing", &rejected, &error));
+  EXPECT_EQ(CurrentMetrics(), nullptr);
+  // A coverage point is a deterministic counter named coverage/<domain>/<point>.
+  EXPECT_EQ(CoverageKey("d", "n"), "coverage/d/n");
+  const Metric* point = outer.Find("coverage/d/n");
+  ASSERT_NE(point, nullptr);
+  EXPECT_EQ(point->value, 3u);
+  EXPECT_EQ(point->scope, MetricScope::kDeterministic);
+  EXPECT_NE(outer.Find("coverage/d/zero"), nullptr);
+  EXPECT_EQ(inner.Value("coverage/d/n"), 1u);
 }
 
 TEST(CoverageDiffTest, CountsDeterministicChangesOnlyAndFlagsRegressions) {
-  CoverageMap before;
-  before.Record("d", "same", MetricScope::kDeterministic, 5);
-  before.Record("d", "dropped", MetricScope::kDeterministic, 2);
-  before.Record("d", "shrunk", MetricScope::kDeterministic, 9);
-  before.Record("wall", "t", MetricScope::kTiming, 100);
-  CoverageMap after;
-  after.Record("d", "same", MetricScope::kDeterministic, 5);
-  after.Record("d", "shrunk", MetricScope::kDeterministic, 3);
-  after.Record("d", "added", MetricScope::kDeterministic, 1);
-  after.Record("wall", "t", MetricScope::kTiming, 999);
+  const auto kDet = MetricScope::kDeterministic;
+  MetricsRegistry before;
+  before.Count(CoverageKey("d", "same"), kDet, 5);
+  before.Count(CoverageKey("d", "dropped"), kDet, 2);
+  before.Count(CoverageKey("d", "shrunk"), kDet, 9);
+  before.Count(CoverageKey("wall", "t"), MetricScope::kTiming, 100);
+  before.Count("campaign/findings_total", kDet, 1);
+  MetricsRegistry after;
+  after.Count(CoverageKey("d", "same"), kDet, 5);
+  after.Count(CoverageKey("d", "shrunk"), kDet, 3);
+  after.Count(CoverageKey("d", "added"), kDet, 1);
+  after.Count(CoverageKey("wall", "t"), MetricScope::kTiming, 999);
+  after.Count("campaign/findings_total", kDet, 2);  // not a coverage point
 
   const CoverageDiff diff = DiffCoverage(before, after);
   EXPECT_EQ(diff.deterministic_differences, 3);  // dropped, shrunk, added
   EXPECT_NE(diff.text.find("(regressed)"), std::string::npos) << diff.text;
-  EXPECT_NE(diff.text.find("[timing]"), std::string::npos) << diff.text;
+  EXPECT_NE(diff.text.find("[timing] wall/t: 100 -> 999"), std::string::npos) << diff.text;
   EXPECT_EQ(diff.text.find("same"), std::string::npos) << diff.text;
+  EXPECT_EQ(diff.text.find("findings_total"), std::string::npos) << diff.text;
 
   const CoverageDiff clean = DiffCoverage(before, before);
   EXPECT_EQ(clean.deterministic_differences, 0);
 }
 
 TEST(CoverageBlindSpotTest, FlagsSeededFaultsThatNeverProgressedToDetection) {
-  CoverageMap map;
-  const auto kDet = MetricScope::kDeterministic;
-  map.Record("fault-trigger", "a/seeded", kDet, 1);
-  map.Record("fault-trigger", "a/exercised", kDet, 0);
-  map.Record("fault-trigger", "a/detected", kDet, 0);
-  map.Record("fault-trigger", "b/seeded", kDet, 1);
-  map.Record("fault-trigger", "b/exercised", kDet, 4);
-  map.Record("fault-trigger", "b/detected", kDet, 0);
-  map.Record("fault-trigger", "c/seeded", kDet, 1);
-  map.Record("fault-trigger", "c/exercised", kDet, 4);
-  map.Record("fault-trigger", "c/detected", kDet, 1);
-  map.Set("fault-trigger", "c/first_detection_index", kDet, 3);
-  map.Record("fault-trigger", "unseeded/seeded", kDet, 0);
-  map.Record("fault-trigger", "unseeded/exercised", kDet, 0);
+  MetricsRegistry registry;
+  const auto point = [&registry](const std::string& name, uint64_t value) {
+    registry.Count(CoverageKey("fault-trigger", name), MetricScope::kDeterministic, value);
+  };
+  point("a/seeded", 1);
+  point("a/exercised", 0);
+  point("a/detected", 0);
+  point("b/seeded", 1);
+  point("b/exercised", 4);
+  point("b/detected", 0);
+  point("c/seeded", 1);
+  point("c/exercised", 4);
+  point("c/detected", 1);
+  point("c/first_detection_index", 3);
+  point("unseeded/seeded", 0);
+  point("unseeded/exercised", 0);
 
   std::string out;
-  EXPECT_EQ(CoverageBlindSpotViolations(map, &out), 2);
+  EXPECT_EQ(CoverageBlindSpotViolations(registry, &out), 2);
   EXPECT_NE(out.find("a: seeded but never exercised"), std::string::npos) << out;
   EXPECT_NE(out.find("b: exercised but never detected"), std::string::npos) << out;
   EXPECT_EQ(out.find("c:"), std::string::npos) << out;
   EXPECT_EQ(out.find("unseeded"), std::string::npos) << out;
 
-  CoverageMap empty;
+  MetricsRegistry empty;
   std::string missing;
   EXPECT_EQ(CoverageBlindSpotViolations(empty, &missing), 1);
+}
+
+TEST(CoverageReportTest, GroupsPointsByDomainAndListsBlindSpots) {
+  const auto kDet = MetricScope::kDeterministic;
+  MetricsRegistry registry;
+  registry.Count(CoverageKey("detection-latency-wall", "f/micros_to_first"),
+                 MetricScope::kTiming, 7);
+  registry.Count(CoverageKey("detection-latency", "f/tests_at_detection"), kDet, 2);
+  registry.Count(CoverageKey("gen-construct", "slice"), kDet, 0);
+  registry.Count("smt/conflicts", MetricScope::kTiming, 9);
+  const std::string text = CoverageReportText(registry);
+  // Domains sort by name, so "detection-latency" precedes its "-wall"
+  // sibling although "coverage/detection-latency-wall/" is the smaller key.
+  const size_t latency = text.find("domain detection-latency [deterministic]: 1 points, 0 zero");
+  const size_t wall = text.find("domain detection-latency-wall [timing]: 1 points, 0 zero");
+  ASSERT_NE(latency, std::string::npos) << text;
+  ASSERT_NE(wall, std::string::npos) << text;
+  EXPECT_LT(latency, wall);
+  EXPECT_NE(text.find("  gen-construct/slice: zero count\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("  no fault-trigger domain recorded\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("conflicts"), std::string::npos) << text;
 }
 
 // --- campaign integration --------------------------------------------------
@@ -619,48 +592,43 @@ void ExpectIdenticalFindings(const CampaignReport& a, const CampaignReport& b) {
   }
 }
 
+// One campaign over TelemetryBugs() with a metrics registry installed.
+struct InstrumentedRun {
+  CampaignReport report;
+  MetricsRegistry metrics;
+};
+
+InstrumentedRun RunInstrumented(int num_programs, int jobs, bool use_cache = true) {
+  InstrumentedRun run;
+  ParallelCampaignOptions options = TelemetryCampaign(num_programs, jobs);
+  options.campaign.use_cache = use_cache;
+  options.campaign.metrics = &run.metrics;
+  run.report = ParallelCampaign(options).Run(TelemetryBugs());
+  return run;
+}
+
 TEST(CampaignTelemetryTest, DeterministicSectionIsByteIdenticalAcrossJobs) {
-  const BugConfig bugs = TelemetryBugs();
-  MetricsRegistry serial_metrics;
-  ParallelCampaignOptions serial = TelemetryCampaign(16, 1);
-  serial.campaign.metrics = &serial_metrics;
-  const CampaignReport serial_report = ParallelCampaign(serial).Run(bugs);
-
-  MetricsRegistry parallel_metrics;
-  ParallelCampaignOptions parallel = TelemetryCampaign(16, 8);
-  parallel.campaign.metrics = &parallel_metrics;
-  const CampaignReport parallel_report = ParallelCampaign(parallel).Run(bugs);
-
-  ExpectIdenticalFindings(serial_report, parallel_report);
-  const std::string serial_det = DeterministicSection(MetricsJson(serial_metrics));
-  const std::string parallel_det = DeterministicSection(MetricsJson(parallel_metrics));
+  const InstrumentedRun serial = RunInstrumented(16, 1);
+  const InstrumentedRun parallel = RunInstrumented(16, 8);
+  ExpectIdenticalFindings(serial.report, parallel.report);
+  const std::string serial_det = DeterministicSection(MetricsJson(serial.metrics));
   ASSERT_FALSE(serial_det.empty());
-  EXPECT_EQ(serial_det, parallel_det);
+  EXPECT_EQ(serial_det, DeterministicSection(MetricsJson(parallel.metrics)));
   // The section genuinely reflects the run.
-  EXPECT_EQ(serial_metrics.Value("campaign/programs_generated"), 16u);
-  EXPECT_EQ(serial_metrics.Value("campaign/findings_total"), serial_report.findings.size());
-  EXPECT_EQ(serial_metrics.Value("campaign/distinct_bugs"), serial_report.DistinctCount());
+  EXPECT_EQ(serial.metrics.Value("campaign/programs_generated"), 16u);
+  EXPECT_EQ(serial.metrics.Value("campaign/findings_total"), serial.report.findings.size());
+  EXPECT_EQ(serial.metrics.Value("campaign/distinct_bugs"), serial.report.DistinctCount());
 }
 
 TEST(CampaignTelemetryTest, DeterministicSectionIsByteIdenticalCacheOnOrOff) {
-  const BugConfig bugs = TelemetryBugs();
-  MetricsRegistry cached_metrics;
-  ParallelCampaignOptions cached = TelemetryCampaign(12, 4);
-  cached.campaign.metrics = &cached_metrics;
-  const CampaignReport cached_report = ParallelCampaign(cached).Run(bugs);
-
-  MetricsRegistry uncached_metrics;
-  ParallelCampaignOptions uncached = TelemetryCampaign(12, 4);
-  uncached.campaign.use_cache = false;
-  uncached.campaign.metrics = &uncached_metrics;
-  const CampaignReport uncached_report = ParallelCampaign(uncached).Run(bugs);
-
-  ExpectIdenticalFindings(cached_report, uncached_report);
-  EXPECT_EQ(DeterministicSection(MetricsJson(cached_metrics)),
-            DeterministicSection(MetricsJson(uncached_metrics)));
+  const InstrumentedRun cached = RunInstrumented(12, 4);
+  const InstrumentedRun uncached = RunInstrumented(12, 4, /*use_cache=*/false);
+  ExpectIdenticalFindings(cached.report, uncached.report);
+  EXPECT_EQ(DeterministicSection(MetricsJson(cached.metrics)),
+            DeterministicSection(MetricsJson(uncached.metrics)));
   // Cache counters exist only on the cached run — and only in timing.
-  EXPECT_NE(cached_metrics.Find("cache/verdict_hits"), nullptr);
-  EXPECT_EQ(uncached_metrics.Find("cache/verdict_hits"), nullptr);
+  EXPECT_NE(cached.metrics.Find("cache/verdict_hits"), nullptr);
+  EXPECT_EQ(uncached.metrics.Find("cache/verdict_hits"), nullptr);
 }
 
 TEST(CampaignTelemetryTest, FindingsAreBitIdenticalWithTelemetryOnOrOff) {
@@ -729,109 +697,92 @@ TEST(CampaignTelemetryTest, CampaignTraceIsWellFormedAndCoversThePhases) {
 // --- coverage integration --------------------------------------------------
 
 TEST(CampaignCoverageTest, DeterministicSectionIsByteIdenticalAcrossJobs) {
-  const BugConfig bugs = TelemetryBugs();
-  CoverageMap serial_coverage;
-  ParallelCampaignOptions serial = TelemetryCampaign(16, 1);
-  serial.campaign.coverage = &serial_coverage;
-  const CampaignReport serial_report = ParallelCampaign(serial).Run(bugs);
-
-  CoverageMap parallel_coverage;
-  ParallelCampaignOptions parallel = TelemetryCampaign(16, 8);
-  parallel.campaign.coverage = &parallel_coverage;
-  const CampaignReport parallel_report = ParallelCampaign(parallel).Run(bugs);
-
-  ExpectIdenticalFindings(serial_report, parallel_report);
-  const std::string serial_det = DeterministicSection(CoverageJson(serial_coverage));
-  const std::string parallel_det = DeterministicSection(CoverageJson(parallel_coverage));
-  ASSERT_FALSE(serial_det.empty());
-  EXPECT_EQ(serial_det, parallel_det);
+  const InstrumentedRun serial = RunInstrumented(16, 1);
+  const InstrumentedRun parallel = RunInstrumented(16, 8);
+  ExpectIdenticalFindings(serial.report, parallel.report);
+  ASSERT_NE(serial.metrics.Find(CoverageKey("gen-construct", "program")), nullptr);
+  const CoverageDiff diff = DiffCoverage(serial.metrics, parallel.metrics);
+  EXPECT_EQ(diff.deterministic_differences, 0) << diff.text;
 
   // The detection-latency accounting agrees with the findings themselves.
-  ASSERT_FALSE(serial_report.latency.empty());
-  for (const auto& [bug, latency] : serial_report.latency) {
+  ASSERT_FALSE(serial.report.latency.empty());
+  for (const auto& [bug, latency] : serial.report.latency) {
     int earliest = -1;
     int attributed = 0;
-    for (const Finding& finding : serial_report.findings) {
+    for (const Finding& finding : serial.report.findings) {
       if (finding.attributed == bug) {
         earliest = earliest < 0 ? finding.program_index : earliest;
         ++attributed;
       }
     }
     EXPECT_EQ(latency.first_program_index, earliest);
-    EXPECT_EQ(latency.findings, attributed);
-    EXPECT_LE(latency.tests_at_detection, serial_report.tests_generated);
+    EXPECT_LE(latency.tests_at_detection, serial.report.tests_generated);
     const std::string name = BugIdToString(bug);
-    EXPECT_EQ(serial_coverage.Value("fault-trigger", name + "/first_detection_index"),
+    const auto point = [&serial](const char* domain, const std::string& facet) {
+      return serial.metrics.Find(CoverageKey(domain, facet));
+    };
+    EXPECT_EQ(serial.metrics.Value("campaign/findings/bug/" + name),
+              static_cast<uint64_t>(attributed));
+    ASSERT_NE(point("fault-trigger", name + "/first_detection_index"), nullptr);
+    EXPECT_EQ(point("fault-trigger", name + "/first_detection_index")->value,
               static_cast<uint64_t>(earliest));
-    EXPECT_EQ(serial_coverage.Value("detection-latency", name + "/programs_until_first"),
-              static_cast<uint64_t>(earliest) + 1);
-    EXPECT_TRUE(serial_coverage.Has("detection-latency-wall", name + "/micros_to_first"));
+    ASSERT_NE(point("detection-latency", name + "/tests_at_detection"), nullptr);
+    EXPECT_EQ(point("detection-latency", name + "/tests_at_detection")->value,
+              static_cast<uint64_t>(latency.tests_at_detection));
+    ASSERT_NE(point("detection-latency-wall", name + "/micros_to_first"), nullptr);
+    EXPECT_EQ(point("detection-latency-wall", name + "/micros_to_first")->scope,
+              MetricScope::kTiming);
   }
   // Parallel index-order merging reproduces the serial latency counters.
-  EXPECT_EQ(serial_report.latency.size(), parallel_report.latency.size());
-  for (const auto& [bug, latency] : serial_report.latency) {
-    const auto it = parallel_report.latency.find(bug);
-    ASSERT_NE(it, parallel_report.latency.end());
+  EXPECT_EQ(serial.report.latency.size(), parallel.report.latency.size());
+  for (const auto& [bug, latency] : serial.report.latency) {
+    const auto it = parallel.report.latency.find(bug);
+    ASSERT_NE(it, parallel.report.latency.end());
     EXPECT_EQ(it->second.first_program_index, latency.first_program_index);
     EXPECT_EQ(it->second.tests_at_detection, latency.tests_at_detection);
-    EXPECT_EQ(it->second.findings, latency.findings);
   }
 }
 
 TEST(CampaignCoverageTest, DeterministicSectionIsByteIdenticalCacheOnOrOff) {
-  const BugConfig bugs = TelemetryBugs();
-  CoverageMap cached_coverage;
-  ParallelCampaignOptions cached = TelemetryCampaign(12, 4);
-  cached.campaign.coverage = &cached_coverage;
-  const CampaignReport cached_report = ParallelCampaign(cached).Run(bugs);
-
-  CoverageMap uncached_coverage;
-  ParallelCampaignOptions uncached = TelemetryCampaign(12, 4);
-  uncached.campaign.use_cache = false;
-  uncached.campaign.coverage = &uncached_coverage;
-  const CampaignReport uncached_report = ParallelCampaign(uncached).Run(bugs);
-
-  ExpectIdenticalFindings(cached_report, uncached_report);
-  EXPECT_EQ(DeterministicSection(CoverageJson(cached_coverage)),
-            DeterministicSection(CoverageJson(uncached_coverage)));
+  const InstrumentedRun cached = RunInstrumented(12, 4);
+  const InstrumentedRun uncached = RunInstrumented(12, 4, /*use_cache=*/false);
+  ExpectIdenticalFindings(cached.report, uncached.report);
+  ASSERT_NE(cached.metrics.Find(CoverageKey("path-shape", "class/table-hit")), nullptr);
+  const CoverageDiff diff = DiffCoverage(cached.metrics, uncached.metrics);
+  EXPECT_EQ(diff.deterministic_differences, 0) << diff.text;
 }
 
 TEST(CampaignCoverageTest, FindingsAreBitIdenticalWithCoverageOnOrOff) {
-  const BugConfig bugs = TelemetryBugs();
-  const CampaignReport plain = ParallelCampaign(TelemetryCampaign(12, 4)).Run(bugs);
-  CoverageMap coverage;
-  ParallelCampaignOptions instrumented = TelemetryCampaign(12, 4);
-  instrumented.campaign.coverage = &coverage;
-  const CampaignReport covered = ParallelCampaign(instrumented).Run(bugs);
-  ExpectIdenticalFindings(plain, covered);
-  EXPECT_EQ(plain.tests_generated, covered.tests_generated);
-  EXPECT_FALSE(coverage.empty());
+  const CampaignReport plain = ParallelCampaign(TelemetryCampaign(12, 4)).Run(TelemetryBugs());
+  const InstrumentedRun covered = RunInstrumented(12, 4);
+  ExpectIdenticalFindings(plain, covered.report);
+  EXPECT_EQ(plain.tests_generated, covered.report.tests_generated);
+  EXPECT_NE(covered.metrics.Find(CoverageKey("gen-construct", "program")), nullptr);
 }
 
 TEST(CampaignCoverageTest, FaultTriggerDomainCoversTheWholeCatalogue) {
-  CoverageMap coverage;
-  ParallelCampaignOptions options = TelemetryCampaign(4, 2);
-  options.campaign.coverage = &coverage;
-  const CampaignReport report = ParallelCampaign(options).Run(TelemetryBugs());
-
+  const InstrumentedRun run = RunInstrumented(4, 2);
+  const auto point = [&run](const char* domain, const std::string& name) {
+    return run.metrics.Find(CoverageKey(domain, name));
+  };
   // Every catalogued fault appears with its full point set — including the
-  // ones this campaign never seeded — so a coverage snapshot always shows
+  // ones this campaign never seeded — so a coverage report always shows
   // what *wasn't* tried, not just what was.
   for (const BugInfo& info : BugCatalogue()) {
     const std::string base = std::string(info.name) + "/";
-    EXPECT_TRUE(coverage.Has("fault-trigger", base + "seeded")) << info.name;
-    EXPECT_TRUE(coverage.Has("fault-trigger", base + "exercised")) << info.name;
-    EXPECT_TRUE(coverage.Has("fault-trigger", base + "detected")) << info.name;
+    EXPECT_NE(point("fault-trigger", base + "seeded"), nullptr) << info.name;
+    EXPECT_NE(point("fault-trigger", base + "exercised"), nullptr) << info.name;
+    EXPECT_NE(point("fault-trigger", base + "detected"), nullptr) << info.name;
   }
-  EXPECT_EQ(coverage.Value("fault-trigger", "typechecker-shift-crash/seeded"), 1u);
-  EXPECT_EQ(coverage.Value("fault-trigger", "predication-lost-else/seeded"), 0u);
+  EXPECT_EQ(point("fault-trigger", "typechecker-shift-crash/seeded")->value, 1u);
+  EXPECT_EQ(point("fault-trigger", "predication-lost-else/seeded")->value, 0u);
   // The standard construct/path domains exist with stable key sets.
-  EXPECT_TRUE(coverage.Has("gen-construct", "program"));
-  EXPECT_TRUE(coverage.Has("gen-construct", "table"));
-  EXPECT_TRUE(coverage.Has("path-shape", "class/table-hit"));
-  EXPECT_TRUE(coverage.Has("table-config", "keyless-table"));
-  EXPECT_EQ(coverage.Value("gen-construct", "program"),
-            static_cast<uint64_t>(report.programs_generated));
+  ASSERT_NE(point("gen-construct", "program"), nullptr);
+  EXPECT_NE(point("gen-construct", "table"), nullptr);
+  EXPECT_NE(point("path-shape", "class/table-hit"), nullptr);
+  EXPECT_NE(point("table-config", "keyless-table"), nullptr);
+  EXPECT_EQ(point("gen-construct", "program")->value,
+            static_cast<uint64_t>(run.report.programs_generated));
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "src/frontend/parser.h"
 #include "src/frontend/printer.h"
 #include "src/passes/frontend_passes.h"
 #include "src/passes/midend_passes.h"
 #include "src/passes/pass.h"
 #include "src/smt/solver.h"
+#include "src/support/file_io.h"
 #include "src/sym/interpreter.h"
 #include "src/tv/validator.h"
 #include "src/typecheck/typecheck.h"
@@ -620,6 +623,34 @@ TEST(PredicationTest, LostElseBugChangesSemantics) {
   const TvPassResult result =
       TranslationValidator::CompareVersions(*program, *transformed, "Predication");
   EXPECT_EQ(result.verdict, TvVerdict::kSemanticDiff);
+}
+
+TEST(PredicationTest, InputsNamedLikeUndefinedValuesAreStillInputs) {
+  // Only values the interpreter creates as undefined are pinned to zero in
+  // the undef query, whatever the program calls its variables; and those
+  // are the only entries the witness leaves out. The input is
+  // testdata/serve/predication.p4 with its header parameter renamed.
+  std::string source;
+  ASSERT_TRUE(ReadFile(std::string(GAUNTLET_SOURCE_DIR) + "/testdata/serve/predication.p4",
+                       &source));
+  auto program =
+      Parser::ParseString(std::regex_replace(source, std::regex("\\bhdr\\b"), "undefhdr"));
+  BugConfig bugs;
+  bugs.Enable(BugId::kPredicationLostElse);
+  const TvReport report =
+      TranslationValidator(PassManager::StandardPipeline()).Validate(*program, bugs);
+  const TvPassResult* predication = nullptr;
+  for (const TvPassResult& result : report.pass_results) {
+    if (result.pass_name == "Predication") {
+      predication = &result;
+    }
+  }
+  ASSERT_NE(predication, nullptr);
+  EXPECT_EQ(predication->verdict, TvVerdict::kSemanticDiff) << predication->detail;
+  EXPECT_EQ(predication->counterexample.bit_values.count("undefhdr.h.a"), 1u);
+  for (const auto& [name, value] : predication->counterexample.bit_values) {
+    EXPECT_FALSE(name.rfind("undef", 0) == 0 && name.rfind("undefhdr.", 0) != 0) << name;
+  }
 }
 
 constexpr const char* kCopyPropProgram = R"(

@@ -3,7 +3,7 @@
 #include <filesystem>
 #include <functional>
 
-#include "src/obs/coverage.h"
+#include "src/obs/run_report.h"
 #include "src/obs/snapshot.h"
 #include "src/support/bit_value.h"
 #include "src/support/error.h"
@@ -290,10 +290,10 @@ std::function<bool(std::string*)> SnapshotReader(const char* text) {
 const ReaderDefect kReaderDefects[] = {
     {"CoverageCountPastUint64",
      [](std::string* error) {
-       CoverageMap map;
-       return ParseCoverageJson(R"({"version": 1, "deterministic": {"d": {"p": )"
-                                R"(18446744073709551617}}, "timing": {}})",
-                                &map, error);
+       MetricsRegistry metrics;
+       return ParseMetricsJson(R"({"version": 2, "deterministic": {"coverage/d/p": )"
+                               R"(18446744073709551617}, "timing": {}})",
+                               &metrics, error);
      }},
     // The snapshot doubles as the driver's heartbeat (src/obs/health.h).
     {"HeartbeatWithBrokenNestedValue",
