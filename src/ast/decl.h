@@ -54,7 +54,6 @@ class ActionDecl : public Decl {
         body_(std::move(body)) {}
 
   const std::vector<Param>& params() const { return params_; }
-  std::vector<Param>& mutable_params() { return params_; }
   const BlockStmt& body() const { return *body_; }
   BlockStmt* mutable_body() { return body_.get(); }
   std::unique_ptr<BlockStmt>& body_slot() { return body_; }
@@ -166,7 +165,6 @@ class ControlDecl : public Decl {
   std::vector<DeclPtr>& mutable_locals() { return locals_; }
   const BlockStmt& apply() const { return *apply_; }
   BlockStmt* mutable_apply() { return apply_.get(); }
-  std::unique_ptr<BlockStmt>& apply_slot() { return apply_; }
 
   const Decl* FindLocal(const std::string& local_name) const {
     for (const DeclPtr& local : locals_) {

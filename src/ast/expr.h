@@ -144,7 +144,6 @@ class MemberExpr : public Expr {
       : Expr(ExprKind::kMember), base_(std::move(base)), member_(std::move(member)) {}
 
   const Expr& base() const { return *base_; }
-  Expr* mutable_base() { return base_.get(); }
   ExprPtr& base_slot() { return base_; }
   const std::string& member() const { return member_; }
 
@@ -165,7 +164,6 @@ class SliceExpr : public Expr {
       : Expr(ExprKind::kSlice), base_(std::move(base)), hi_(hi), lo_(lo) {}
 
   const Expr& base() const { return *base_; }
-  Expr* mutable_base() { return base_.get(); }
   ExprPtr& base_slot() { return base_; }
   uint32_t hi() const { return hi_; }
   uint32_t lo() const { return lo_; }
@@ -189,7 +187,6 @@ class UnaryExpr : public Expr {
 
   UnaryOp op() const { return op_; }
   const Expr& operand() const { return *operand_; }
-  Expr* mutable_operand() { return operand_.get(); }
   ExprPtr& operand_slot() { return operand_; }
 
   ExprPtr Clone() const override {
@@ -211,8 +208,6 @@ class BinaryExpr : public Expr {
   BinaryOp op() const { return op_; }
   const Expr& left() const { return *left_; }
   const Expr& right() const { return *right_; }
-  Expr* mutable_left() { return left_.get(); }
-  Expr* mutable_right() { return right_.get(); }
   ExprPtr& left_slot() { return left_; }
   ExprPtr& right_slot() { return right_; }
 

@@ -28,7 +28,7 @@ Lit BitBlaster::FreshLit() {
   return lit;
 }
 
-void BitBlaster::EmitClause(std::vector<Lit> lits) {
+void BitBlaster::EmitClause(std::initializer_list<Lit> lits) {
   if (recording_) {
     recording_template_->events.push_back(static_cast<int32_t>(lits.size()));
     ++recording_template_->clause_count;
@@ -36,7 +36,7 @@ void BitBlaster::EmitClause(std::vector<Lit> lits) {
       recording_template_->clause_lits.push_back(TemplateLit{MapRecordedLit(lit)});
     }
   }
-  solver_.AddClause(std::move(lits));
+  solver_.AddClause(lits);
 }
 
 void BitBlaster::StartRecording(const std::vector<Lit>& inputs) {
@@ -82,16 +82,17 @@ std::vector<Lit> BitBlaster::ReplayTemplate(const BlastTemplate& tpl,
     return (ref.code & 1) != 0 ? ~lit : lit;
   };
   size_t lit_pos = 0;
+  std::vector<Lit> clause;
   for (const int32_t event : tpl.events) {
     if (event < 0) {
       tape.push_back(Lit(solver_.NewVar(), false));
       continue;
     }
-    std::vector<Lit> clause(static_cast<size_t>(event));
+    clause.clear();
     for (int32_t i = 0; i < event; ++i) {
-      clause[static_cast<size_t>(i)] = lit_of(tpl.clause_lits[lit_pos++]);
+      clause.push_back(lit_of(tpl.clause_lits[lit_pos++]));
     }
-    solver_.AddClause(std::move(clause));
+    solver_.AddClause(clause);
   }
   std::vector<Lit> outputs;
   outputs.reserve(tpl.outputs.size());

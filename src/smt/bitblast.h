@@ -1,6 +1,7 @@
 #ifndef SRC_SMT_BITBLAST_H_
 #define SRC_SMT_BITBLAST_H_
 
+#include <initializer_list>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -68,7 +69,7 @@ class BitBlaster {
   Lit FreshLit();
   // Clause sink for the gate constructors: forwards to the SAT solver and,
   // while recording, captures the clause into the template being built.
-  void EmitClause(std::vector<Lit> lits);
+  void EmitClause(std::initializer_list<Lit> lits);
 
   // Gate constructors with constant folding against true_lit_.
   Lit MkAnd(Lit a, Lit b);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 namespace gauntlet {
@@ -15,13 +16,15 @@ struct Lit {
   Lit() = default;
   Lit(uint32_t var, bool negated) : code((var << 1) | (negated ? 1 : 0)) {}
 
+  static Lit FromCode(uint32_t code) {
+    Lit lit;
+    lit.code = code;
+    return lit;
+  }
+
   uint32_t var() const { return code >> 1; }
   bool negated() const { return (code & 1) != 0; }
-  Lit operator~() const {
-    Lit other;
-    other.code = code ^ 1;
-    return other;
-  }
+  Lit operator~() const { return FromCode(code ^ 1); }
   friend bool operator==(const Lit&, const Lit&) = default;
 };
 
@@ -41,15 +44,32 @@ enum class SatResult {
 // (MiniSat-style). Incrementality is what makes path enumeration in test
 // generation affordable — the formula is encoded once and each path probe
 // is a cheap assumption solve that reuses all learned clauses.
+//
+// Clause storage is one flat arena of 32-bit words (MiniSat's layout). A
+// clause reference is the offset of the clause's first word: a header word
+// (size << 1 | learned), the clause's conflict count, then its literal
+// codes. Watchers and reasons hold these offsets, so adding a clause
+// allocates nothing beyond the arena's amortized growth, and propagation
+// reads the literals right after the header instead of through a separate
+// heap block. Reduction compacts the arena in clause order.
+//
+// The search is exact: the same calls give the same watcher order, literal
+// swaps, conflict analysis, restarts and reductions as the core that kept
+// each clause in its own vector, which tests/reference/ keeps and sat_test
+// runs in lockstep with this one. Verdicts, models, cores and statistics
+// depend on the call sequence alone, so a change that alters the search
+// alters them, and must say so.
 class SatSolver {
  public:
   // Creates a fresh variable and returns its index.
   uint32_t NewVar();
-  uint32_t VarCount() const { return static_cast<uint32_t>(assigns_.size()); }
+  uint32_t VarCount() const { return static_cast<uint32_t>(level_.size()); }
 
   // Adds a clause (disjunction of literals). An empty clause makes the
-  // instance trivially unsatisfiable.
-  void AddClause(std::vector<Lit> lits);
+  // instance trivially unsatisfiable. The literals are copied.
+  void AddClause(const Lit* lits, size_t count);
+  void AddClause(std::initializer_list<Lit> lits) { AddClause(lits.begin(), lits.size()); }
+  void AddClause(const std::vector<Lit>& lits) { AddClause(lits.data(), lits.size()); }
 
   SatResult Solve() { return Solve({}); }
 
@@ -75,7 +95,6 @@ class SatSolver {
   // from scratch — the pre-incremental behavior the --no-incremental
   // escape hatch restores for A/B comparison.
   void set_trail_reuse(bool enabled) { trail_reuse_ = enabled; }
-  bool trail_reuse() const { return trail_reuse_; }
 
   // Caps the number of conflicts a single Solve may spend; 0 means
   // unlimited. When the budget runs out Solve returns kUnknown — callers
@@ -97,13 +116,15 @@ class SatSolver {
   // most recent satisfying assignment stays readable across failed probes
   // (CheckWithPreferences depends on this). It is only replaced by the next
   // kSat.
-  bool ValueOf(uint32_t var) const { return var < model_.size() && model_[var] == kTrue; }
+  bool ValueOf(uint32_t var) const {
+    return ModelCovers(var) && model_[Lit(var, false).code] == kTrue;
+  }
 
   // Whether the model snapshot assigns `var`, i.e. `var` already existed at
   // the last kSat. ValueOf reads false for later variables, which says
   // nothing about the values they can take; a caller that reads the model
   // as a witness for new literals must check this first.
-  bool ModelCovers(uint32_t var) const { return var < model_.size(); }
+  bool ModelCovers(uint32_t var) const { return var < model_.size() / 2; }
 
   // After a Solve that returned kUnsat because an assumption was falsified:
   // the failed-assumption core, a subset of that call's assumptions (as
@@ -121,7 +142,7 @@ class SatSolver {
   // checks this and fails loudly.
   bool has_model() const { return has_model_; }
 
-  // Cumulative statistics, exposed for the solver-ablation benchmarks.
+  // Cumulative statistics over every Solve call.
   uint64_t conflicts() const { return conflicts_; }
   uint64_t decisions() const { return decisions_; }
   uint64_t propagations() const { return propagations_; }
@@ -151,33 +172,33 @@ class SatSolver {
   static constexpr int8_t kFalse = 0;
   static constexpr int8_t kUndef = -1;
 
-  struct Clause {
-    std::vector<Lit> lits;
-    bool learned = false;
-    double activity = 0.0;
-  };
+  // A clause reference is an arena offset; kNoClause marks a decision or
+  // a level-0 unit (reason_) and the absence of a conflict (Propagate).
+  static constexpr uint32_t kNoClause = UINT32_MAX;
+  static constexpr uint32_t kHeaderWords = 2;  // size << 1 | learned, conflicts
 
   struct Watcher {
-    uint32_t clause_index;
+    uint32_t clause;
     Lit blocker;
   };
 
-  bool Enqueue(Lit lit, int32_t reason_clause);
-  int32_t Propagate();
+  uint32_t ClauseSize(uint32_t clause) const { return arena_[clause] >> 1; }
+  bool ClauseLearned(uint32_t clause) const { return (arena_[clause] & 1) != 0; }
+  uint32_t& ClauseConflicts(uint32_t clause) { return arena_[clause + 1]; }
+  uint32_t* ClauseLits(uint32_t clause) { return &arena_[clause + kHeaderWords]; }
+  uint32_t AppendClause(const Lit* lits, size_t count, bool learned);
+
+  bool Enqueue(Lit lit, uint32_t reason_clause);
+  uint32_t Propagate();
   void RetainAssumptionTrail(const std::vector<Lit>& assumptions);
   void AnalyzeFinal(Lit failed);
-  void Analyze(int32_t conflict_clause, std::vector<Lit>& learned, uint32_t& backtrack_level);
+  // Learns the first-UIP clause of `conflict_clause` into learned_.
+  void Analyze(uint32_t conflict_clause, uint32_t& backtrack_level);
   void Backtrack(uint32_t level);
   void BumpVar(uint32_t var);
   void DecayActivities();
-  void AttachClause(uint32_t clause_index);
-  int8_t LitValue(Lit lit) const {
-    const int8_t assigned = assigns_[lit.var()];
-    if (assigned == kUndef) {
-      return kUndef;
-    }
-    return lit.negated() ? static_cast<int8_t>(1 - assigned) : assigned;
-  }
+  void AttachClause(uint32_t clause);
+  int8_t LitValue(Lit lit) const { return lit_values_[lit.code]; }
   uint32_t DecisionLevel() const { return static_cast<uint32_t>(trail_limits_.size()); }
   static uint32_t Luby(uint32_t index);
   void ReduceLearnedClauses();
@@ -192,12 +213,14 @@ class SatSolver {
   void HeapInsert(uint32_t var);
   void HeapRemoveTop();
 
-  std::vector<Clause> clauses_;
+  std::vector<uint32_t> arena_;  // every clause, in the layout above
+  uint64_t clause_count_ = 0;
+  uint64_t learned_count_ = 0;
   std::vector<std::vector<Watcher>> watches_;  // indexed by lit code
-  std::vector<int8_t> assigns_;
+  std::vector<int8_t> lit_values_;             // indexed by lit code
   std::vector<int8_t> saved_phase_;
-  std::vector<int8_t> model_;  // snapshot of assigns_ at the last kSat
-  std::vector<int32_t> reason_;       // clause index or -1
+  std::vector<int8_t> model_;  // snapshot of lit_values_ at the last kSat
+  std::vector<uint32_t> reason_;  // clause reference or kNoClause
   std::vector<uint32_t> level_;
   std::vector<double> activity_;
   std::vector<Lit> trail_;
@@ -233,6 +256,8 @@ class SatSolver {
 
   // Scratch for Analyze and AnalyzeFinal.
   std::vector<bool> seen_;
+  std::vector<Lit> learned_;      // Analyze's output
+  std::vector<Lit> add_scratch_;  // AddClause's sorted copy
 };
 
 }  // namespace gauntlet

@@ -23,7 +23,7 @@ struct SmtModel {
 };
 
 // Statistics for one Check call, captured from the SAT core's per-solve
-// counters (src/obs/ telemetry and the ablation benchmarks read these).
+// counters (the smt/* metrics and the smt-solve trace spans report these).
 struct SolveStats {
   uint64_t conflicts = 0;
   uint64_t decisions = 0;
@@ -115,8 +115,9 @@ class SmtSolver {
   // has ever returned kSat is a bug and fails loudly.
   SmtModel ExtractModel() const;
 
-  // Statistics from the most recent Check, for the ablation benchmarks and
-  // the telemetry layer (src/obs/). Each reflects that solve alone.
+  // Statistics from the most recent Check, for the telemetry layer
+  // (src/obs/) and the escalation and sweep budgets. Each reflects that
+  // solve alone.
   const SolveStats& last_solve() const { return last_solve_; }
   uint64_t last_conflicts() const { return last_solve_.conflicts; }
   uint64_t last_decisions() const { return last_solve_.decisions; }

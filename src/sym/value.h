@@ -47,7 +47,6 @@ class SymEnv {
  public:
   void PushLayer() { layers_.emplace_back(); }
   void PopLayer() { layers_.pop_back(); }
-  size_t LayerCount() const { return layers_.size(); }
 
   void Bind(const std::string& name, SymValue value) {
     GAUNTLET_BUG_CHECK(!layers_.empty(), "Bind with no scope layer");

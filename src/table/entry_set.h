@@ -77,9 +77,6 @@ class SymbolicEntrySet {
   TableInfo TakeInfo() { return std::move(info_); }
   size_t size() const { return info_.entries.size(); }
 
-  // Some entry wins the lookup (the table "hits").
-  SmtRef AnyHit() const { return info_.hit_condition; }
-
   // The winning entry selects listed action `action_index`.
   SmtRef ActionSelected(size_t action_index) const;
 

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/smt/sat.h"
 #include "src/support/rng.h"
+#include "tests/reference/reference_sat.h"
 
 namespace gauntlet {
 namespace {
@@ -412,6 +414,30 @@ TEST(SatSolverTest, TimeLimitReturnsUnknownOnHardInstance) {
   EXPECT_EQ(solver.Solve(), SatResult::kUnknown);
 }
 
+// (a | b), (a | ~b), (~a | c), (~a | ~c) is unsatisfiable. Deciding ~a
+// conflicts at level 1 and teaches the unit a, whose propagation conflicts
+// at level 0: the second conflict refutes the instance. A budget of two
+// conflicts runs out at that very conflict, and the solver must still
+// answer kUnsat. A budget exit there would leave the falsified clause under
+// the level-0 trail, and the next Solve would report a model that
+// falsifies it.
+TEST(SatSolverTest, BudgetExitAtALevelZeroConflictStillRefutes) {
+  SatSolver solver;
+  const uint32_t a = solver.NewVar();
+  const uint32_t b = solver.NewVar();
+  const uint32_t c = solver.NewVar();
+  solver.AddClause({Lit(a, false), Lit(b, false)});
+  solver.AddClause({Lit(a, false), Lit(b, true)});
+  solver.AddClause({Lit(a, true), Lit(c, false)});
+  solver.AddClause({Lit(a, true), Lit(c, true)});
+  solver.set_conflict_limit(2);
+  EXPECT_EQ(solver.Solve(), SatResult::kUnsat);
+  EXPECT_EQ(solver.solve_conflicts(), 2u);
+  solver.set_conflict_limit(0);
+  EXPECT_EQ(solver.Solve(), SatResult::kUnsat);
+  EXPECT_FALSE(solver.has_model());
+}
+
 TEST(SatSolverTest, StatisticsAdvance) {
   SatSolver solver;
   const uint32_t a = solver.NewVar();
@@ -421,6 +447,207 @@ TEST(SatSolverTest, StatisticsAdvance) {
   solver.AddClause({Lit(a, false), Lit(b, true)});
   ASSERT_EQ(solver.Solve(), SatResult::kSat);
   EXPECT_GT(solver.decisions() + solver.propagations(), 0u);
+}
+
+// Drives SatSolver and the pre-arena core (tests/reference/) with the same
+// calls and compares everything a caller can observe after each Solve: the
+// result, the six per-solve counters, the failed-assumption core in order,
+// has_model() and the model of every variable. Each model is also checked
+// against every clause added and every assumption of the call.
+class LockstepSolvers {
+ public:
+  explicit LockstepSolvers(bool trail_reuse) {
+    solver_.set_trail_reuse(trail_reuse);
+    reference_.set_trail_reuse(trail_reuse);
+  }
+
+  void NewVars(uint32_t count) {
+    for (uint32_t i = 0; i < count; ++i) {
+      solver_.NewVar();
+      reference_.NewVar();
+    }
+  }
+  uint32_t VarCount() const { return solver_.VarCount(); }
+
+  void AddClause(const std::vector<Lit>& lits) {
+    solver_.AddClause(lits);
+    reference_.AddClause(lits);
+    clauses_.push_back(lits);
+  }
+
+  void SetConflictLimit(uint64_t limit) {
+    solver_.set_conflict_limit(limit);
+    reference_.set_conflict_limit(limit);
+  }
+
+  ::testing::AssertionResult Solve(const std::vector<Lit>& assumptions) {
+    const SatResult result = solver_.Solve(assumptions);
+    if (result != reference_.Solve(assumptions)) {
+      return ::testing::AssertionFailure() << "results differ";
+    }
+    const std::pair<const char*, bool> counters[] = {
+        {"conflicts", solver_.solve_conflicts() == reference_.solve_conflicts()},
+        {"decisions", solver_.solve_decisions() == reference_.solve_decisions()},
+        {"propagations", solver_.solve_propagations() == reference_.solve_propagations()},
+        {"restarts", solver_.solve_restarts() == reference_.solve_restarts()},
+        {"prefix_reused_lits",
+         solver_.solve_prefix_reused_lits() == reference_.solve_prefix_reused_lits()},
+        {"propagations_saved",
+         solver_.solve_propagations_saved() == reference_.solve_propagations_saved()},
+    };
+    for (const auto& [name, equal] : counters) {
+      if (!equal) {
+        return ::testing::AssertionFailure() << "solve_" << name << " differs";
+      }
+    }
+    if (solver_.failed_assumptions() != reference_.failed_assumptions()) {
+      return ::testing::AssertionFailure() << "failed assumptions differ";
+    }
+    if (solver_.has_model() != reference_.has_model()) {
+      return ::testing::AssertionFailure() << "has_model differs";
+    }
+    for (uint32_t var = 0; var < solver_.VarCount(); ++var) {
+      if (solver_.ModelCovers(var) != reference_.ModelCovers(var) ||
+          solver_.ValueOf(var) != reference_.ValueOf(var)) {
+        return ::testing::AssertionFailure() << "models differ at var " << var;
+      }
+    }
+    if (result == SatResult::kSat) {
+      const auto holds = [this](Lit lit) { return solver_.ValueOf(lit.var()) != lit.negated(); };
+      for (const std::vector<Lit>& clause : clauses_) {
+        if (std::none_of(clause.begin(), clause.end(), holds)) {
+          return ::testing::AssertionFailure() << "the model falsifies a clause";
+        }
+      }
+      if (!std::all_of(assumptions.begin(), assumptions.end(), holds)) {
+        return ::testing::AssertionFailure() << "the model falsifies an assumption";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  uint64_t reductions() const { return reference_.reductions(); }
+
+ private:
+  SatSolver solver_;
+  ReferenceSatSolver reference_;
+  std::vector<std::vector<Lit>> clauses_;
+};
+
+Lit RandomLit(Rng& rng, uint32_t vars) {
+  return Lit(static_cast<uint32_t>(rng.Below(vars)), rng.Chance(50));
+}
+
+// A 2- or 3-literal clause, the shapes BitBlaster emits.
+std::vector<Lit> RandomClause(Rng& rng, uint32_t vars) {
+  std::vector<Lit> clause(rng.Chance(40) ? 2 : 3);
+  for (Lit& lit : clause) {
+    lit = RandomLit(rng, vars);
+  }
+  return clause;
+}
+
+// One fixed-seed script of incremental calls: a random mixed CNF, then
+// solves under assumption vectors that mostly grow or shrink the previous
+// one (shared prefixes), with clauses added between solves (units, clauses
+// holding a literal already false at level 0, duplicate literals,
+// tautologies), fresh variables, and conflict limits low enough to end in
+// kUnknown.
+void RunLockstepScript(uint64_t seed, bool trail_reuse) {
+  Rng rng(seed);
+  LockstepSolvers solvers(trail_reuse);
+  solvers.NewVars(20 + static_cast<uint32_t>(rng.Below(60)));
+  const uint64_t initial_clauses = solvers.VarCount() * (12 + rng.Below(20)) / 10;
+  for (uint64_t i = 0; i < initial_clauses; ++i) {
+    solvers.AddClause(RandomClause(rng, solvers.VarCount()));
+  }
+  std::vector<Lit> units;
+  std::vector<Lit> assumptions;
+  for (int step = 0; step < 40; ++step) {
+    const uint32_t vars = solvers.VarCount();
+    if (rng.Chance(25)) {
+      std::vector<Lit> clause = RandomClause(rng, vars);
+      switch (rng.Below(5)) {
+        case 0:  // a unit, fixed at level 0 from now on
+          clause.resize(1);
+          units.push_back(clause[0]);
+          break;
+        case 1:  // a literal a unit already falsified
+          if (!units.empty()) {
+            clause.push_back(~units[rng.Below(units.size())]);
+          }
+          break;
+        case 2:
+          clause.push_back(clause[0]);
+          break;
+        case 3:
+          clause.push_back(~clause[1]);
+          break;
+        default:
+          solvers.NewVars(1 + static_cast<uint32_t>(rng.Below(3)));
+          clause.push_back(Lit(solvers.VarCount() - 1, rng.Chance(50)));
+          break;
+      }
+      solvers.AddClause(clause);
+    }
+    if (rng.Chance(20)) {
+      assumptions.clear();
+    } else if (!assumptions.empty() && rng.Chance(30)) {
+      assumptions.resize(rng.Below(assumptions.size()));
+    }
+    const uint64_t extra = rng.Below(3);
+    for (uint64_t k = 0; k < extra; ++k) {
+      assumptions.push_back(RandomLit(rng, vars));
+    }
+    if (rng.Chance(10)) {
+      const Lit lit = RandomLit(rng, vars);
+      assumptions.insert(assumptions.begin() + rng.Below(assumptions.size() + 1), lit);
+      assumptions.push_back(~lit);
+    }
+    solvers.SetConflictLimit(rng.Chance(20) ? 1 + rng.Below(3) : 0);
+    ASSERT_TRUE(solvers.Solve(assumptions))
+        << "seed " << seed << " reuse " << trail_reuse << " step " << step;
+  }
+}
+
+// Random 3-SAT at the threshold ratio: hard enough that one Solve learns
+// past the reduction limit and runs ReduceLearnedClauses. Each instance is
+// solved outright, then under growing assumption vectors, every other one
+// under a conflict limit.
+uint64_t RunLockstepHardInstance(uint64_t seed, bool trail_reuse) {
+  Rng rng(seed);
+  LockstepSolvers solvers(trail_reuse);
+  constexpr uint32_t kVars = 150;
+  solvers.NewVars(kVars);
+  for (int i = 0; i < 639; ++i) {
+    std::vector<Lit> clause(3);
+    for (Lit& lit : clause) {
+      lit = RandomLit(rng, kVars);
+    }
+    solvers.AddClause(clause);
+  }
+  EXPECT_TRUE(solvers.Solve({})) << "seed " << seed << " reuse " << trail_reuse;
+  std::vector<Lit> assumptions;
+  for (int step = 0; step < 6; ++step) {
+    assumptions.push_back(RandomLit(rng, kVars));
+    solvers.SetConflictLimit(step % 2 == 0 ? 0 : 25);
+    EXPECT_TRUE(solvers.Solve(assumptions))
+        << "seed " << seed << " reuse " << trail_reuse << " step " << step;
+  }
+  return solvers.reductions();
+}
+
+TEST(SatSolverTest, ArenaCoreMatchesTheReferenceCoreCallForCall) {
+  for (const bool reuse : {true, false}) {
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+      RunLockstepScript(seed, reuse);
+    }
+    uint64_t reductions = 0;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      reductions += RunLockstepHardInstance(seed, reuse);
+    }
+    EXPECT_GT(reductions, 0u) << "reuse " << reuse;
+  }
 }
 
 }  // namespace
